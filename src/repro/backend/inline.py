@@ -88,12 +88,6 @@ from repro.isql.engine import Engine, _Resolver
 from repro.optimizer.rewriter import optimize as rewrite_plan
 from repro.relational import predicates
 from repro.relational.guards import checkpoint
-from repro.relational.array_kernel import (
-    ArrayRelation,
-    _distinct_count,
-    _first_rows,
-    as_array,
-)
 from repro.relational.columnar import (
     ColumnarRelation,
     as_columnar,
@@ -103,7 +97,7 @@ from repro.relational.columnar import (
     tuples_of,
 )
 from repro.relational.pad import PAD
-from repro.relational.relation import Relation, tuple_getter
+from repro.relational.relation import Relation, broadcast_rows, tuple_getter
 from repro.relational.schema import Schema
 from repro.worlds.worldset import WorldSet, fresh_name
 
@@ -899,19 +893,6 @@ class InlineBackend(Backend):
             self.representation.replacing(name, as_tuple(table), validate=False)
         )
 
-    @staticmethod
-    def _insert_rows(schema, assignment, table_ids, sub_ids) -> list[tuple]:
-        """The aligned addition tuples: one per world id the table carries."""
-        template = [assignment.get(a) for a in schema.attributes]
-        positions = schema.indices(table_ids)
-        rows = []
-        for sub_id in sub_ids:
-            row = list(template)
-            for position, value in zip(positions, sub_id):
-                row[position] = value
-            rows.append(tuple(row))
-        return rows
-
     def run_insert(self, statement: ast.Insert, context: ExecutionContext) -> bool:
         """Insert into every world; on a key violation, insert nowhere.
 
@@ -939,7 +920,7 @@ class InlineBackend(Backend):
         # Wild columns take PAD (one stored row reaches every world of
         # those factors), concrete columns enumerate — never the joint
         # product on a factored world.
-        sub_ids = rep.insert_sub_ids(statement.relation)
+        sub_ids = rep.insert_sub_ids(statement.relation, self.kernel)
         key = context.keys.get(statement.relation)
         if key:
             if rep.table_wild_attrs(statement.relation):
@@ -961,8 +942,10 @@ class InlineBackend(Backend):
                 if any(tuple(sub_id) + new_key in seen for sub_id in sub_ids):
                     return False
         with phase("dml_apply"):
-            additions = self._insert_rows(
-                table.schema, assignment, table_ids, sub_ids
+            additions = broadcast_rows(
+                [assignment.get(a) for a in table.schema.attributes],
+                table.schema.indices(table_ids),
+                sub_ids,
             )
             self._replace_table(
                 statement.relation, self._in_kernel(table).append(additions)
@@ -1281,399 +1264,105 @@ class InlineBackend(Backend):
 
         ``ISQLSession.run_script`` hands over a maximal run of batchable
         statements (one target relation, conditions and set expressions
-        without subqueries). The batch binds every condition once, then
-        pipelines the statements over a single working row list in the
-        active kernel — filtering (delete), rewriting (update) and
-        appending (insert) — and commits **one** new table at the end:
-        the representation is validated once per batch instead of once
-        per statement, and the (ids ∪ key) probe index is maintained
-        incrementally so a run of k inserts costs O(k · additions), not
-        k table scans. Statement semantics are exactly
-        statement-at-a-time (the property suite asserts row-for-row
-        equivalence), including the Section 3 discard rule — a
-        violating update/insert is discarded alone, later statements
-        still apply — and error behavior: a statement that raises
-        mid-batch first commits the statements already applied, like
-        separate executions would.
+        without subqueries). Each condition translates once into a
+        relational predicate, and the batch runs on kernel ops alone —
+        the same pipeline on every kernel, each op a whole-table pass in
+        the kernel's own storage:
+
+        * delete: ``predicate_mask`` of the kept rows, then ``compress``;
+        * update: ``predicate_mask``, then ``masked_assign`` (rewrite
+          and dedup), and the Section 3 key check as a ``distinct_count``
+          over ``(V_i ∪ key)`` — a violating update is discarded alone;
+        * insert: a ``claimed_ids`` probe for the key check and for the
+          rows already present, then ``append_broadcast`` of the value
+          row over the unclaimed world ids.
+
+        **One** new table commits at the end (the representation is
+        validated once per batch). Statement semantics are exactly
+        statement-at-a-time (the property suite asserts row-for-row and
+        flag-for-flag equivalence), including error behavior: a
+        statement that raises mid-batch first commits the statements
+        already applied, like separate executions would. A batch with a
+        condition or set clause that does not translate (arithmetic,
+        unresolved columns), or against a table with wild id columns,
+        replays statement at a time through the protocol default.
         """
         name = statements[0].relation
         rep = self.representation
-        if rep.table_wild_attrs(name):
-            # Wildcard id columns: the batch's (V_i ∪ key) distinctness
-            # probes and row-membership dedup assume exact ids, which
-            # PAD patterns are not — replay statement-at-a-time through
-            # the wild-aware per-statement paths.
-            applied: list[bool] = []
-            for statement in statements:
-                if isinstance(statement, ast.Delete):
-                    self.run_delete(statement, context)
-                    applied.append(True)
-                elif isinstance(statement, ast.Update):
-                    applied.append(self.run_update(statement, context))
-                elif isinstance(statement, ast.Insert):
-                    applied.append(self.run_insert(statement, context))
-                else:
-                    raise EvaluationError(
-                        "run_dml_batch accepts insert/delete/update "
-                        f"statements, not {type(statement).__name__}"
-                    )
-            return applied
         table = rep.tables[name]
         schema = table.schema
-        attributes = schema.attributes
+        plans = (
+            None if rep.table_wild_attrs(name) else _vector_plans(statements, schema)
+        )
+        if plans is None:
+            return super().run_dml_batch(statements, context)
         table_ids = rep.table_id_attrs(name)
         value_attrs = rep.value_attributes(name)
         # Normalized to None when absent *or empty* — the per-statement
         # paths treat a degenerate () key as no constraint (`if key:`),
         # and batched execution must match them decision for decision.
         key = context.keys.get(name) or None
-        engine = Engine(context.views, context.keys)
+        sub_ids: list[tuple] | None = None
+        applied: list[bool] = []
+
+        def key_distinct(relation) -> bool:
+            # Resolved per check: a bad declared key raises at the
+            # statement that first checks it, after earlier ones applied.
+            return relation.distinct_count(table_ids + tuple(key)) == len(relation)
+
         with phase("dml_apply"):
-            kernel_table = self._in_kernel(table)
-            if isinstance(kernel_table, ArrayRelation):
-                plans = _vector_plans(statements, attributes, schema)
-                if plans is not None:
-                    return self._run_dml_batch_array(
-                        statements,
-                        plans,
-                        kernel_table,
-                        name,
-                        schema,
-                        table_ids,
-                        value_attrs,
-                        key,
-                    )
-            rows: list[tuple] = (
-                list(kernel_table.row_list())
-                if isinstance(kernel_table, ColumnarRelation)
-                else list(kernel_table.rows)
-            )
-            # insert_sub_ids never builds the joint product: on a
-            # factored world it enumerates the touched factors only.
-            sub_ids = rep.insert_sub_ids(name)
-            # Lazily (re)built per-batch indexes over the working rows:
-            # the (V_i ∪ key) probe set (None while a violation exists)
-            # and the row membership set for insert dedup. The getter
-            # binds lazily too, inside the per-statement try — a bad
-            # declared key must raise at the statement that first
-            # checks it, after earlier batch statements applied, like
-            # statement-at-a-time execution.
-            key_getter = None
-            key_seen: set[tuple] | None = None
-            key_seen_valid = False
-            row_set: set[tuple] | None = None
-            applied: list[bool] = []
-            changed = False
-
-            def bound_key_getter():
-                nonlocal key_getter
-                if key_getter is None:
-                    key_getter = tuple_getter(
-                        schema.indices(table_ids + tuple(key))
-                    )
-                return key_getter
-
-            def key_index() -> set[tuple] | None:
-                nonlocal key_seen, key_seen_valid
-                if not key_seen_valid:
-                    key_seen = set(map(bound_key_getter(), rows))
-                    if len(key_seen) != len(rows):
-                        key_seen = None
-                    key_seen_valid = True
-                return key_seen
-
-            def commit() -> None:
-                if changed:
-                    self._replace_table(
-                        name, self._distinct_rows_relation(schema, rows)
-                    )
-
-            for statement in statements:
-                try:
-                    if isinstance(statement, ast.Delete):
-                        if statement.where is None:
-                            kept: list[tuple] = []
-                        else:
-                            matches = engine.bind_row_condition(
-                                statement.where, attributes
-                            )
-                            kept = [row for row in rows if not matches(row)]
-                        if len(kept) != len(rows):
-                            rows = kept
-                            changed = True
-                            key_seen_valid, row_set = False, None
+            state = start = self._in_kernel(table)
+            try:
+                for statement, plan in zip(statements, plans):
+                    if plan[0] == "delete":
+                        state = state.compress(state.predicate_mask(plan[1]))
                         applied.append(True)
-                    elif isinstance(statement, ast.Update):
-                        matches = (
-                            (lambda row: True)
-                            if statement.where is None
-                            else engine.bind_row_condition(
-                                statement.where, attributes
-                            )
+                    elif plan[0] == "update":
+                        candidate = state.masked_assign(
+                            state.predicate_mask(plan[1]), plan[2]
                         )
-                        settings = [
-                            (
-                                schema.index(clause.attribute),
-                                engine.bind_row_expression(
-                                    clause.expression, attributes
-                                ),
-                            )
-                            for clause in statement.settings
-                        ]
-                        new_rows: dict[tuple, None] = {}
-                        touched = False
-                        for row in rows:
-                            if not matches(row):
-                                new_rows[row] = None
-                                continue
-                            touched = True
-                            candidate = list(row)
-                            for position, value in settings:
-                                candidate[position] = value(row)
-                            new_rows[tuple(candidate)] = None
-                        if not touched:
-                            # Unchanged table, but the Section 3 check
-                            # still runs: a pre-existing violation
-                            # rejects, like statement-at-a-time.
-                            applied.append(key is None or key_index() is not None)
+                        # An unmatched update leaves the table as it is,
+                        # but the check still runs: a pre-existing
+                        # violation rejects, like statement-at-a-time.
+                        if key is not None and not key_distinct(candidate):
+                            applied.append(False)  # discarded in all worlds
                             continue
-                        candidate_rows = list(new_rows)
-                        if key is not None:
-                            candidate_seen = set(
-                                map(bound_key_getter(), candidate_rows)
-                            )
-                            if len(candidate_seen) != len(candidate_rows):
-                                applied.append(False)  # discarded in all worlds
-                                continue
-                            key_seen, key_seen_valid = candidate_seen, True
-                        rows = candidate_rows
-                        changed, row_set = True, None
+                        state = candidate
                         applied.append(True)
-                    elif isinstance(statement, ast.Insert):
+                    else:
                         if len(statement.values) != len(value_attrs):
                             raise SchemaError(
                                 f"insert arity {len(statement.values)} does "
                                 f"not match {name}{list(value_attrs)}"
                             )
                         assignment = dict(zip(value_attrs, statement.values))
-                        if key is not None:
-                            seen = key_index()
-                            if seen is None:
-                                applied.append(False)
-                                continue
-                            new_key = tuple(assignment[a] for a in key)
-                            if any(
-                                tuple(sub_id) + new_key in seen
-                                for sub_id in sub_ids
-                            ):
-                                applied.append(False)
-                                continue
-                        additions = self._insert_rows(
-                            schema, assignment, table_ids, sub_ids
-                        )
-                        if row_set is None:
-                            row_set = set(rows)
-                        fresh = [
-                            row
-                            for row in dict.fromkeys(additions)
-                            if row not in row_set
-                        ]
-                        if fresh:
-                            # rows is always an owned list (copied at
-                            # batch start, rebuilt by update/delete), so
-                            # extending in place keeps a run of k
-                            # inserts O(k · additions), not k copies.
-                            rows.extend(fresh)
-                            row_set.update(fresh)
-                            if key is not None:
-                                # key_index() above left a valid probe
-                                # set; the checked additions extend it.
-                                key_seen.update(map(bound_key_getter(), fresh))
-                            changed = True
-                        applied.append(True)
-                    else:
-                        raise EvaluationError(
-                            "run_dml_batch accepts insert/delete/update "
-                            f"statements, not {type(statement).__name__}"
-                        )
-                except Exception:
-                    # Parity with statement-at-a-time execution: the
-                    # statements already applied commit before the
-                    # failing one propagates.
-                    commit()
-                    raise
-            commit()
-        return applied
-
-    def _run_dml_batch_array(
-        self,
-        statements: tuple,
-        plans: list[tuple],
-        state: ArrayRelation,
-        name: str,
-        schema: Schema,
-        table_ids: tuple[str, ...],
-        value_attrs: tuple[str, ...],
-        key: tuple[str, ...] | None,
-    ) -> list[bool]:
-        """The batch pipeline on array columns: masks, assigns, concats.
-
-        Each condition evaluates as one boolean-array pass over the
-        working :class:`ArrayRelation` (falling back to a bound-row
-        scan only for object-dtype columns), updates rewrite whole
-        column slices through :meth:`ArrayRelation.masked_assign`, and
-        key checks count distinct ``(V_i ∪ key)`` row codes instead of
-        building tuple sets. Statement semantics — the Section 3
-        discard rule, error ordering, commit-before-raise — mirror the
-        row pipeline decision for decision; the property suite asserts
-        row-for-row equivalence between the two.
-        """
-        import numpy as np
-
-        rep = self.representation
-        applied: list[bool] = []
-        changed = False
-        sub_ids_cache: list | None = None
-
-        def sub_ids() -> list:
-            # Lazy and vectorized: one np.unique over the world table's
-            # id codes instead of a sorted full-row distinct pass, and
-            # only batches that actually insert pay it.
-            nonlocal sub_ids_cache
-            if sub_ids_cache is None:
-                if not table_ids:
-                    sub_ids_cache = [()]
-                elif rep.factors is not None:
-                    # Touched factors only — never the joint product.
-                    sub_ids_cache = rep.insert_sub_ids(name)
-                else:
-                    world = as_array(rep.world_table)
-                    positions = world.schema.indices(table_ids)
-                    codes, domain = world._row_codes(positions)
-                    first = _first_rows(codes, domain)
-                    cols = world.arrays()
-                    sub_ids_cache = list(
-                        zip(*(cols[p].values[first].tolist() for p in positions))
-                    )
-            return sub_ids_cache
-
-        def predicate_mask(predicate):
-            mask = state._predicate_mask(predicate)
-            if mask is None:
-                check = predicate.bind(schema)
-                mask = np.fromiter(
-                    map(check, state.row_list()),
-                    dtype=np.bool_,
-                    count=len(state),
-                )
-            return mask
-
-        def key_distinct(relation) -> bool:
-            # Combined-code uniqueness equals tuple-set uniqueness: the
-            # factorization assigns equal codes exactly to values equal
-            # under Python semantics.
-            if len(relation) == 0:
-                return True
-            codes, domain = relation._row_codes(
-                schema.indices(table_ids + tuple(key))
-            )
-            return _distinct_count(codes, domain) == len(relation)
-
-        def commit() -> None:
-            if changed:
-                self._replace_table(name, state)
-
-        for statement, plan in zip(statements, plans):
-            try:
-                if plan[0] == "delete":
-                    predicate = plan[1]
-                    if predicate is None:
-                        if len(state):
-                            state = type(state)._from_rows(schema, [])
-                            changed = True
-                    else:
-                        mask = predicate_mask(predicate)
-                        if mask.any():
-                            state = state._take(~mask)
-                            changed = True
-                    applied.append(True)
-                elif plan[0] == "update":
-                    _, predicate, settings = plan
-                    mask = (
-                        np.ones(len(state), dtype=np.bool_)
-                        if predicate is None
-                        else predicate_mask(predicate)
-                    )
-                    if not mask.any():
-                        # Unchanged table, but the Section 3 check still
-                        # runs: a pre-existing violation rejects.
-                        applied.append(key is None or key_distinct(state))
-                        continue
-                    candidate = state.masked_assign(mask, settings)
-                    if key is not None and not key_distinct(candidate):
-                        applied.append(False)  # discarded in all worlds
-                        continue
-                    state = candidate
-                    changed = True
-                    applied.append(True)
-                else:  # insert
-                    if len(statement.values) != len(value_attrs):
-                        raise SchemaError(
-                            f"insert arity {len(statement.values)} does "
-                            f"not match {name}{list(value_attrs)}"
-                        )
-                    assignment = dict(zip(value_attrs, statement.values))
-                    if key is not None:
-                        if not key_distinct(state):
-                            applied.append(False)
-                            continue
-                        new_key = tuple(assignment[a] for a in key)
-                        if _array_key_claimed(
-                            state, schema, table_ids, key, new_key, sub_ids()
+                        if sub_ids is None:
+                            # Touched factors only — never the joint product.
+                            sub_ids = rep.insert_sub_ids(name, self.kernel)
+                        if key is not None and (
+                            not key_distinct(state)
+                            or not state.claimed_ids(
+                                key, [assignment[a] for a in key], table_ids
+                            ).isdisjoint(sub_ids)
                         ):
                             applied.append(False)
                             continue
-                    # All additions share one value row: dedup against
-                    # the stored rows is a constant-equality mask over
-                    # the value columns plus an id-set difference.
-                    value_mask = _array_eq_mask(
-                        state,
-                        [(schema.index(a), assignment[a]) for a in value_attrs],
-                    )
-                    if not table_ids:
-                        fresh_ids = [] if value_mask.any() else [()]
-                    elif value_mask.any():
-                        hits = np.flatnonzero(value_mask)
-                        acols = state.arrays()
-                        claimed = set(
-                            zip(
-                                *(
-                                    acols[p].values[hits].tolist()
-                                    for p in schema.indices(table_ids)
-                                )
-                            )
+                        # All additions share one value row: the worlds
+                        # already holding it are a claimed-id probe.
+                        present = state.claimed_ids(
+                            value_attrs, statement.values, table_ids
                         )
-                        fresh_ids = [
-                            s for s in sub_ids() if tuple(s) not in claimed
-                        ]
-                    else:
-                        fresh_ids = list(sub_ids())
-                    if fresh_ids:
-                        template = [
-                            assignment.get(a) for a in schema.attributes
-                        ]
                         state = state.append_broadcast(
-                            template, schema.indices(table_ids), fresh_ids
+                            [assignment.get(a) for a in schema.attributes],
+                            schema.indices(table_ids),
+                            [ids for ids in sub_ids if ids not in present],
                         )
-                        changed = True
-                    applied.append(True)
-            except Exception:
-                # Parity with statement-at-a-time execution: the
-                # statements already applied commit before the failing
-                # one propagates.
-                commit()
-                raise
-        commit()
+                        applied.append(True)
+            finally:
+                # On an error too: the statements already applied commit
+                # before the failing one propagates.
+                if state is not start:
+                    self._replace_table(name, state)
         return applied
 
 
@@ -1731,9 +1420,8 @@ def _vector_condition(condition, resolver: _Resolver, attributes: tuple[str, ...
     Only shapes with exact engine-row parity translate: comparisons
     over direct column reads and literals (TypeError → False on both
     paths) combined with and/or/not. Arithmetic, subqueries, and
-    unresolved or ambiguous columns leave the whole batch on the row
-    pipeline, which reports them exactly like statement-at-a-time
-    execution.
+    unresolved or ambiguous columns send the whole batch statement at a
+    time, which reports them exactly like separate executions.
     """
     if isinstance(condition, ast.Comparison):
         left = _vector_term(condition.left, resolver, attributes)
@@ -1757,106 +1445,48 @@ def _vector_condition(condition, resolver: _Resolver, attributes: tuple[str, ...
     return None
 
 
-def _vector_plans(
-    statements: tuple, attributes: tuple[str, ...], schema: Schema
-) -> list[tuple] | None:
-    """Vector programs for a whole batch, or None if any statement bails."""
+def _vector_plans(statements: tuple, schema: Schema) -> list[tuple] | None:
+    """Kernel-op programs for a whole batch, or None if any statement bails.
+
+    ``("delete", keep)`` carries the predicate of the rows a delete
+    keeps, ``("update", match, settings)`` the rows an update rewrites
+    and its ``masked_assign`` settings, ``("insert",)`` nothing.
+    """
+    attributes = schema.attributes
     resolver = _Resolver(attributes)
     plans: list[tuple] = []
     for statement in statements:
-        if isinstance(statement, ast.Delete):
-            predicate = None
-            if statement.where is not None:
-                predicate = _vector_condition(
-                    statement.where, resolver, attributes
-                )
-                if predicate is None:
-                    return None
-            plans.append(("delete", predicate))
-        elif isinstance(statement, ast.Update):
-            predicate = None
-            if statement.where is not None:
-                predicate = _vector_condition(
-                    statement.where, resolver, attributes
-                )
-                if predicate is None:
-                    return None
-            settings: list[tuple] = []
-            for clause in statement.settings:
-                try:
-                    position = schema.index(clause.attribute)
-                except Exception:
-                    return None
-                expression = clause.expression
-                if isinstance(expression, ast.Literal):
-                    settings.append((position, "const", expression.value))
-                elif isinstance(expression, ast.Column):
-                    try:
-                        source = resolver.position(expression)
-                    except EvaluationError:
-                        return None
-                    if source is None:
-                        return None
-                    settings.append((position, "col", source))
-                else:
-                    return None
-            plans.append(("update", predicate, tuple(settings)))
-        elif isinstance(statement, ast.Insert):
+        if isinstance(statement, ast.Insert):
             plans.append(("insert",))
-        else:
+            continue
+        if not isinstance(statement, (ast.Delete, ast.Update)):
             return None
+        predicate = predicates.TRUE
+        if statement.where is not None:
+            predicate = _vector_condition(statement.where, resolver, attributes)
+            if predicate is None:
+                return None
+        if isinstance(statement, ast.Delete):
+            plans.append(("delete", predicates.Not(predicate)))
+            continue
+        settings: list[tuple] = []
+        for clause in statement.settings:
+            try:
+                position = schema.index(clause.attribute)
+            except Exception:
+                return None
+            expression = clause.expression
+            if isinstance(expression, ast.Literal):
+                settings.append((position, "const", expression.value))
+            elif isinstance(expression, ast.Column):
+                try:
+                    source = resolver.position(expression)
+                except EvaluationError:
+                    return None
+                if source is None:
+                    return None
+                settings.append((position, "col", source))
+            else:
+                return None
+        plans.append(("update", predicate, tuple(settings)))
     return plans
-
-
-def _array_eq_mask(state: ArrayRelation, pairs) -> "object":
-    """Mask of rows whose columns equal the given (position, value) pairs.
-
-    Parity with a tuple-set probe: per-column numpy equality where the
-    dtype allows, plain Python ``==`` otherwise.
-    """
-    import numpy as np
-
-    mask = np.ones(len(state), dtype=np.bool_)
-    acols = state.arrays()
-    for position, value in pairs:
-        column = acols[position]
-        hit = state._column_mask(column, value, "=")
-        if hit is None:
-            hit = np.fromiter(
-                (entry == value for entry in column.tolist()),
-                dtype=np.bool_,
-                count=len(state),
-            )
-        mask &= hit
-        if not mask.any():
-            break
-    return mask
-
-
-def _array_key_claimed(
-    state: ArrayRelation,
-    schema: Schema,
-    table_ids: tuple[str, ...],
-    key: tuple[str, ...],
-    new_key: tuple,
-    sub_ids,
-) -> bool:
-    """Whether an existing row claims *new_key* in a world the insert reaches."""
-    import numpy as np
-
-    if len(state) == 0:
-        return False
-    mask = _array_eq_mask(
-        state, zip(schema.indices(tuple(key)), new_key)
-    )
-    if not mask.any():
-        return False
-    if not table_ids:
-        return True  # sub_ids is [()] and the key part matched
-    hits = np.flatnonzero(mask)
-    id_positions = schema.indices(table_ids)
-    acols = state.arrays()
-    claimed = set(
-        zip(*(acols[p].values[hits].tolist() for p in id_positions))
-    )
-    return not claimed.isdisjoint(map(tuple, sub_ids))

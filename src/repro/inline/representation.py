@@ -440,33 +440,30 @@ class InlinedRepresentation:
             self._expanded[key] = cached
         return cached
 
-    def insert_sub_ids(self, name: str) -> list[tuple]:
+    def insert_sub_ids(self, name: str, kernel: str | None = None) -> list[tuple]:
         """Id sub-tuples an inserted (every-world) row of *name* takes.
 
         Wild columns take ``PAD`` — one stored row reaches every world
         of those factors — while concrete id columns still enumerate
         their combinations (from the touched factors only, or from the
-        joint world table on a non-factored representation).
+        joint world table on a non-factored representation), as one
+        unordered distinct pass in *kernel* (``None`` reads
+        ``REPRO_KERNEL``): first-occurrence order, never sorted.
         """
         table_ids = self.table_id_attrs(name)
         if not table_ids:
             return [()]
         wild = set(self.table_wild_attrs(name))
-        if not wild:
-            if self.factors is not None:
-                return (
-                    self.factors.project(table_ids)
-                    .materialize()
-                    .distinct_values(table_ids)
-                )
-            return self.world_table.distinct_values(table_ids)
         concrete = tuple(a for a in table_ids if a not in wild)
-        if concrete:
-            pool = self.factors.project(concrete).materialize().distinct_values(
-                concrete
-            )
+        if not concrete:
+            return [(PAD,) * len(table_ids)]
+        if self.factors is not None:
+            world = self.factors.project(concrete).materialize()
         else:
-            pool = [()]
+            world = self.world_table
+        pool = kernel_ops(kernel).convert(world).distinct_tuples(concrete)
+        if not wild:
+            return pool
         positions = {a: i for i, a in enumerate(concrete)}
         return [
             tuple(

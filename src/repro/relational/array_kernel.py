@@ -945,7 +945,76 @@ class ArrayRelation(ColumnarRelation):
         except TypeError:
             return None
 
-    # -- DML kernel ops ---------------------------------------------------------
+    # -- DML kernel ops (masks are numpy boolean arrays) -------------------------
+
+    def predicate_mask(self, predicate: Predicate):
+        """One boolean-array pass per comparison; the bound row closure
+        only where :meth:`_predicate_mask` has no exact vector form."""
+        checkpoint("predicate_mask", self._nrows)
+        mask = self._predicate_mask(predicate)
+        if mask is None:
+            mask = np.fromiter(
+                map(predicate.bind(self.schema), self.row_list()),
+                dtype=np.bool_,
+                count=self._nrows,
+            )
+        return mask
+
+    def compress(self, keep) -> "ArrayRelation":
+        checkpoint("compress", self._nrows)
+        if keep.all():
+            return self
+        return self._take(keep)
+
+    def distinct_count(self, attributes: Sequence[str]) -> int:
+        """Distinct combined row codes (code equality is Python equality)."""
+        checkpoint("distinct_count", self._nrows)
+        if not self._nrows:
+            return 0
+        codes, domain = self._row_codes(self.schema.indices(attributes))
+        return _distinct_count(codes, domain)
+
+    def distinct_tuples(self, attributes: Sequence[str]) -> list[tuple]:
+        checkpoint("distinct_tuples", self._nrows)
+        positions = self.schema.indices(attributes)
+        if not self._nrows or not positions:
+            return [()] if self._nrows else []
+        codes, domain = self._row_codes(positions)
+        first = _first_rows(codes, domain)
+        acols = self.arrays()
+        return list(zip(*(acols[p].values[first].tolist() for p in positions)))
+
+    def claimed_ids(self, attributes, values, id_attributes) -> set[tuple]:
+        """Per-column equality masks where the dtype allows, Python
+        ``is``-or-``==`` (tuple equality) on object columns."""
+        checkpoint("claimed_ids", self._nrows)
+        mask = np.ones(self._nrows, dtype=np.bool_)
+        acols = self.arrays()
+        for position, value in zip(self.schema.indices(attributes), values):
+            column = acols[position]
+            hit = self._column_mask(column, value, "=")
+            if hit is None:
+                hit = np.fromiter(
+                    (entry is value or entry == value for entry in column.tolist()),
+                    dtype=np.bool_,
+                    count=self._nrows,
+                )
+            mask &= hit
+            if not mask.any():
+                return set()
+        hits = np.flatnonzero(mask)
+        if not len(hits):
+            return set()
+        if not id_attributes:
+            return {()}
+        return set(
+            zip(
+                *(
+                    acols[p].values[hits].tolist()
+                    for p in self.schema.indices(id_attributes)
+                )
+            )
+        )
 
     def masked_assign(self, mask, settings) -> "ArrayRelation":
         """Rewrite columns under a boolean *mask* and dedup — the update kernel.
@@ -957,10 +1026,12 @@ class ArrayRelation(ColumnarRelation):
         their cached factorizations survive; a rewritten column keeps
         its dtype when the incoming values fit and widens to object
         otherwise. Rows that collide after the rewrite collapse to the
-        first occurrence, exactly like the row pipeline's
-        ``dict.fromkeys`` dedup.
+        first occurrence, like the other kernels' ``dict.fromkeys``
+        dedup. Self when the mask selects nothing.
         """
         checkpoint("masked_assign", self._nrows)
+        if not mask.any():
+            return self
         acols = self.arrays()
         new_cols = list(acols)
         for position, kind, payload in settings:

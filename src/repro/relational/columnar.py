@@ -39,20 +39,32 @@ transposition per table, not one per statement.
 from __future__ import annotations
 
 import os
-from itertools import repeat
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import and_, itemgetter, not_, or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.errors import EvaluationError, SchemaError
 from repro.relational.guards import checkpoint
 from repro.relational.pad import PAD, row_sort_key
-from repro.relational.predicates import Predicate
+from repro.relational.predicates import (
+    _OPS,
+    And,
+    Attr,
+    Comparison,
+    Const,
+    Not,
+    Or,
+    Predicate,
+    _Boolean,
+)
 from repro.relational.relation import (
     Relation,
     Row,
     _coerce_row,
+    broadcast_rows,
     check_join_pairs_cover_shared,
     oriented_equality_pairs,
+    row_rewriter,
     tuple_getter,
 )
 from repro.relational.schema import Schema
@@ -722,6 +734,123 @@ class ColumnarRelation:
         if not fresh:
             return self
         return type(self)._from_rows(self.schema, self.row_list() + fresh)
+
+    # -- DML batch kernel ops (see Relation.predicate_mask) -----------------------
+    #
+    # Masks are lists of bools aligned with row_list(). Conditions run as
+    # one C-speed ``map(operator.<op>, column, …)`` per comparison, and
+    # the row-shaped ops (compress, rewrite, append) stay on the row view.
+
+    def predicate_mask(self, predicate: Predicate) -> list[bool]:
+        checkpoint("predicate_mask", self._nrows)
+        mask = self._predicate_mask(predicate)
+        if mask is None:
+            mask = list(map(predicate.bind(self.schema), self.row_list()))
+        return mask
+
+    def _predicate_mask(self, predicate: Predicate):
+        """Predicate → mask by column passes, or None for the row closure.
+
+        Covers comparisons of attributes and constants under and/or/not
+        and TRUE/FALSE. None of them can raise (a comparison that meets
+        mixed types is re-run row by row with the closure's
+        ``TypeError → False`` net), so evaluating both sides of and/or
+        is as good as short-circuiting. Other terms (arithmetic, PAD
+        defaults, scalar guards) return None.
+        """
+        if isinstance(predicate, Comparison):
+            return self._compare_mask(predicate)
+        if isinstance(predicate, (And, Or)):
+            left = self._predicate_mask(predicate.left)
+            right = None if left is None else self._predicate_mask(predicate.right)
+            if right is None:
+                return None
+            return list(map(and_ if isinstance(predicate, And) else or_, left, right))
+        if isinstance(predicate, Not):
+            inner = self._predicate_mask(predicate.operand)
+            return None if inner is None else list(map(not_, inner))
+        if isinstance(predicate, _Boolean):
+            return [predicate.value] * self._nrows
+        return None
+
+    def _compare_mask(self, comparison: Comparison) -> list[bool] | None:
+        operands = []
+        for term in (comparison.left, comparison.right):
+            if isinstance(term, Const):
+                operands.append(repeat(term.value, self._nrows))
+            elif isinstance(term, Attr):
+                operands.append(self.column_values(term.name))
+            else:
+                return None
+        try:
+            return list(map(bool, map(_OPS[comparison.op], *operands)))
+        except TypeError:
+            return list(map(comparison.bind(self.schema), self.row_list()))
+
+    def compress(self, keep) -> "ColumnarRelation":
+        checkpoint("compress", self._nrows)
+        if all(keep):
+            return self
+        return type(self)._from_rows(
+            self.schema, list(compress(self.row_list(), keep))
+        )
+
+    def masked_assign(self, mask, settings) -> "ColumnarRelation":
+        """Rewrite the masked rows; dedup only where a collision can be.
+
+        Kept rows are distinct already, so only a rewritten row can
+        collide — with another rewritten row, or with a kept row that
+        already holds the constant the update writes (set membership,
+        which tuple equality implies). One pass over that column finds
+        those kept rows, and only they and the rewritten rows are hashed.
+        """
+        checkpoint("masked_assign", self._nrows)
+        if not any(mask):
+            return self
+        rows = self.row_list()
+        rewritten = dict.fromkeys(map(row_rewriter(settings), compress(rows, mask)))
+        kept = list(compress(rows, map(not_, mask)))
+        clash = kept
+        for position, kind, payload in settings:
+            if kind == "const":
+                holds = map({payload}.__contains__, map(itemgetter(position), kept))
+                clash = compress(kept, holds)
+                break
+        clash = set(clash)
+        return type(self)._from_rows(
+            self.schema, kept + [row for row in rewritten if row not in clash]
+        )
+
+    def append_broadcast(self, template, id_positions, id_rows) -> "ColumnarRelation":
+        if not id_rows:
+            return self
+        checkpoint("append", self._nrows + len(id_rows))
+        return type(self)._from_rows(
+            self.schema,
+            self.row_list() + broadcast_rows(template, id_positions, id_rows),
+        )
+
+    def distinct_count(self, attributes: Sequence[str]) -> int:
+        checkpoint("distinct_count", self._nrows)
+        return len(set(self.tuples(attributes)))
+
+    def distinct_tuples(self, attributes: Sequence[str]) -> list[tuple]:
+        checkpoint("distinct_tuples", self._nrows)
+        return list(dict.fromkeys(self.tuples(attributes)))
+
+    def claimed_ids(self, attributes, values, id_attributes) -> set[tuple]:
+        """One column pass narrows the rows to those holding the first
+        value (set membership, which tuple equality implies); tuple
+        equality then decides, like a row-set probe."""
+        checkpoint("claimed_ids", self._nrows)
+        target = tuple(values)
+        rows = self.row_list()
+        if attributes:
+            first = map({target[0]}.__contains__, self.column_values(attributes[0]))
+            rows = list(compress(rows, first))
+        key_of = tuple_getter(self.schema.indices(attributes))
+        ids_of = tuple_getter(self.schema.indices(id_attributes))
+        return {ids_of(row) for row in rows if key_of(row) == target}
 
     def aggregate_by(
         self, keys: Sequence[str], specs: Sequence["AggSpec"]

@@ -27,6 +27,7 @@ drags around.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -131,6 +132,32 @@ def tuple_getter(positions: Sequence[int]) -> Callable[[Row], tuple]:
         position = positions[0]
         return lambda row: (row[position],)
     return itemgetter(*positions)
+
+
+def row_rewriter(settings) -> Callable[[Row], Row]:
+    """Row → row with the ``masked_assign`` *settings* applied.
+
+    Each setting is ``(position, "const", value)`` or ``(position,
+    "col", source_position)``; every source reads the pre-update row.
+    """
+
+    def rewrite(row: Row) -> Row:
+        new_row = list(row)
+        for position, kind, payload in settings:
+            new_row[position] = payload if kind == "const" else row[payload]
+        return tuple(new_row)
+
+    return rewrite
+
+
+def broadcast_rows(template, id_positions, id_rows) -> list[Row]:
+    """*template* once per *id_rows* entry, ids patched in at *id_positions*."""
+    if not template:
+        return [()] * len(id_rows)
+    columns: list = [repeat(value, len(id_rows)) for value in template]
+    for j, position in enumerate(id_positions):
+        columns[position] = map(itemgetter(j), id_rows)
+    return list(zip(*columns))
 
 
 def _coerce_row(schema: Schema, row: object) -> Row:
@@ -639,6 +666,82 @@ class Relation:
         if not fresh:
             return self
         return Relation._raw(self.schema, self.rows | fresh)
+
+    # -- DML batch kernel ops: row masks ------------------------------------------
+    #
+    # The batch pipeline of ``InlineBackend.run_dml_batch`` runs on these
+    # ops on every kernel. A mask is a per-row boolean sequence aligned
+    # with one relation's row order (here: iteration over the immutable
+    # ``rows`` set) and only ever applies to the relation that built it.
+    # The tuple kernel evaluates bound row closures; the columnar and
+    # array kernels override each op with column passes.
+
+    def predicate_mask(self, predicate: Predicate) -> list[bool]:
+        """Which rows satisfy *predicate*, as a mask."""
+        checkpoint("predicate_mask", len(self.rows))
+        return list(map(predicate.bind(self.schema), self.rows))
+
+    def compress(self, keep) -> "Relation":
+        """The rows *keep* marks (self when it marks all of them)."""
+        checkpoint("compress", len(self.rows))
+        if all(keep):
+            return self
+        return Relation._raw(self.schema, compress(self.rows, keep))
+
+    def masked_assign(self, mask, settings) -> "Relation":
+        """The masked rows rewritten by *settings* (see :func:`row_rewriter`).
+
+        Self when the mask selects nothing; rewritten rows that collide
+        with other rows collapse (set semantics).
+        """
+        checkpoint("masked_assign", len(self.rows))
+        if not any(mask):
+            return self
+        rewrite = row_rewriter(settings)
+        return Relation._raw(
+            self.schema,
+            (rewrite(row) if hit else row for row, hit in zip(self.rows, mask)),
+        )
+
+    def append_broadcast(self, template, id_positions, id_rows) -> "Relation":
+        """Append *template* once per *id_rows* entry (see :func:`broadcast_rows`).
+
+        The caller guarantees the additions are not present yet.
+        """
+        if not id_rows:
+            return self
+        checkpoint("append", len(self.rows) + len(id_rows))
+        additions = broadcast_rows(template, id_positions, id_rows)
+        return Relation._raw(self.schema, self.rows.union(additions))
+
+    def distinct_count(self, attributes: Sequence[str]) -> int:
+        """The number of distinct *attributes* sub-tuples."""
+        checkpoint("distinct_count", len(self.rows))
+        key_of = tuple_getter(self.schema.indices(attributes))
+        return len(set(map(key_of, self.rows)))
+
+    def distinct_tuples(self, attributes: Sequence[str]) -> list[tuple]:
+        """The distinct *attributes* sub-tuples, in first-occurrence order."""
+        checkpoint("distinct_tuples", len(self.rows))
+        key_of = tuple_getter(self.schema.indices(attributes))
+        return list(dict.fromkeys(map(key_of, self.rows)))
+
+    def claimed_ids(
+        self,
+        attributes: Sequence[str],
+        values: Sequence[object],
+        id_attributes: Sequence[str],
+    ) -> set[tuple]:
+        """The *id_attributes* sub-tuples of rows whose *attributes* equal *values*.
+
+        Equality is tuple equality, the same test a row-set membership
+        probe makes.
+        """
+        checkpoint("claimed_ids", len(self.rows))
+        key_of = tuple_getter(self.schema.indices(attributes))
+        ids_of = tuple_getter(self.schema.indices(id_attributes))
+        target = tuple(values)
+        return {ids_of(row) for row in self.rows if key_of(row) == target}
 
     def aggregate_by(self, keys: Sequence[str], specs: Sequence["AggSpec"]) -> "Relation":
         """Grouped SQL aggregation: one row per distinct *keys* value.

@@ -11,7 +11,9 @@ additionally holds all backends to each other on the batched route.
 
 Randomized scripts mix inserts, updates and deletes over a split
 relation and a complete one (batch boundaries arise from relation
-switches), with key constraints generating mid-batch discards. The
+switches), with key constraints generating mid-batch discards. A string
+column draws mixed-type comparisons (str vs int) and mixed-type
+storage, and a collapsing update makes rewritten rows collide. The
 deterministic edge tests pin the corners randomized scripts would make
 flaky: key-violation rejection *ordering* inside a batch, the
 no-op-DML laziness edge (a batch over a lazily stored table must not
@@ -65,6 +67,12 @@ CONDITIONS = (
     "V = 1 or W >= 30",
     "not (W <= 20)",
     "K + V > 2",
+    # Mixed-type comparisons: str vs int orders false, = false, != true
+    # (the columnar TypeError fallback and the array dtype shortcuts).
+    "S < 2",
+    "S = 1 or V = 0",
+    "S != 0 and W >= 20",
+    "not (W < 'b') and S >= 'b'",
 )
 
 SET_CLAUSES = (
@@ -73,19 +81,22 @@ SET_CLAUSES = (
     "W = K * 10",
     "K = 1",  # collides under a key on K: exercises mid-batch discards
     "V = W, W = V",  # every clause reads the pre-update row
+    "S = 'z'",
+    "S = 7",  # an int into the string column: mixed-type storage
+    "K = 0, V = 0, W = 0, S = 'a'",  # matched rows collide: dedup
 )
 
-INSERT_ROWS = ("9, 0, 90", "1, 1, 11", "2, 5, 50")
+INSERT_ROWS = ("9, 0, 90, 'a'", "1, 1, 11, 'b'", "2, 5, 50, 3")
 
 
 def _relations(rng: random.Random) -> tuple[tuple[str, Relation], ...]:
     t_rows = {
-        (k, rng.randrange(3), rng.randrange(1, 5) * 10)
+        (k, rng.randrange(3), rng.randrange(1, 5) * 10, rng.choice("abc"))
         for k in range(rng.randrange(3, 7))
     }
     u_rows = {(p,) for p in rng.sample(range(6), k=rng.randrange(1, 4))}
     return (
-        ("T", Relation(("K", "V", "W"), t_rows)),
+        ("T", Relation(("K", "V", "W", "S"), t_rows)),
         ("U", Relation(("P",), u_rows)),
     )
 
@@ -119,7 +130,7 @@ def _batch_case(rng: random.Random, index: int) -> Scenario:
         relations=_relations(rng),
         keys=keys,
         script="".join(statements),
-        query=f"select {closing} K, V, W from Split;",
+        query=f"select {closing} K, V, W, S from Split;",
         approx_worlds=4,
     )
 
@@ -307,6 +318,39 @@ def test_empty_declared_key_is_no_constraint_in_batches(backend):
             (4, 4, 0),
             (5, 5, 50),
         }
+
+
+@pytest.mark.parametrize(
+    "kernel", ("columnar", "tuple") + (("array",) if have_numpy() else ())
+)
+def test_translatable_batch_never_binds_row_conditions(kernel, monkeypatch):
+    """A batch of comparison-only statements runs on kernel ops alone:
+    no engine row closure is ever bound, on any kernel."""
+    from repro.isql.engine import Engine
+
+    calls = []
+    original = Engine.bind_row_condition
+
+    def counting(self, condition, attributes):
+        calls.append(condition)
+        return original(self, condition, attributes)
+
+    monkeypatch.setattr(Engine, "bind_row_condition", counting)
+    session = _session(InlineBackend(kernel=kernel), key=False)
+    session.execute("Split <- select * from T choice of V;")
+    results = session.run_script(
+        "update Split set W = 0 where K >= 2;"
+        "update Split set V = 5 where W = 10;"
+        "delete from Split where K = 3;"
+        "insert into Split values (9, 9, 90);"
+    )
+    assert [r.applied for r in results] == [True, True, True, True]
+    assert calls == []
+    worlds = {frozenset(w["Split"].rows) for w in session.world_set.worlds}
+    assert worlds == {
+        frozenset({(1, 5, 10), (9, 9, 90)}),
+        frozenset({(2, 1, 0), (9, 9, 90)}),
+    }
 
 
 def test_run_script_matches_execute_results_shape():

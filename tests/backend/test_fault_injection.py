@@ -30,10 +30,11 @@ import pytest
 
 from repro.backend import InlineBackend
 from repro.backend.testing import run_scenario
-from repro.datagen import scenarios
+from repro.datagen import Scenario, scenarios
 from repro.errors import EvaluationError
 from repro.isql.parser import parse_script
 from repro.isql.session import ISQLSession
+from repro.relational import Relation
 from repro.relational.array_kernel import have_numpy
 from repro.testing import InjectedFault, count_ops, inject_fault, sweep_points
 
@@ -214,3 +215,78 @@ def test_query_sweep_leaves_state_untouched(label, backend, name):
             f"{label}/{name}: query fault at op {at}/{total} mutated state"
         )
         assert session.query(scenario.query).answers() == reference
+
+
+#: The kernel ops of the DML batch pipeline (InlineBackend.run_dml_batch).
+BATCH_OPS = (
+    "predicate_mask",
+    "compress",
+    "masked_assign",
+    "distinct_count",
+    "claimed_ids",
+    "distinct_tuples",
+    "append",
+)
+
+#: The ``blocks`` what-if shape: two updates, a delete and an insert on a
+#: ``choice of`` relation coalesce into one batch, then ``certain``.
+BLOCKS = Scenario(
+    name="blocks_batch",
+    relations=(
+        (
+            "Census",
+            Relation(
+                ("Block", "SSN", "Name", "POW"),
+                [
+                    (b, 3 * b + i, f"P{3 * b + i}", f"City{i}")
+                    for b in range(3)
+                    for i in range(3)
+                ],
+            ),
+        ),
+    ),
+    keys=(("Clean", ("SSN",)),),
+    script=(
+        "Clean <- select * from Census choice of Block;"
+        "update Clean set Name = 'REDACTED' where SSN >= 6;"
+        "update Clean set POW = 'City0' where POW = 'City1';"
+        "delete from Clean where SSN < 2;"
+        "insert into Clean values (-1, -1, 'AUDIT', 'City0');"
+    ),
+    query="select certain SSN, Name from Clean;",
+    approx_worlds=3,
+)
+
+INLINE_BACKENDS = tuple(b for b in BACKENDS if b[0] != "explicit")
+
+
+@pytest.mark.parametrize(
+    "label,backend", INLINE_BACKENDS, ids=[b[0] for b in INLINE_BACKENDS]
+)
+def test_blocks_batch_faults_inside_every_batch_op(label, backend):
+    """The batch pipeline crosses the checkpoint seam at every one of its
+    kernel ops, so a fault lands inside each of them — and leaves a
+    committed statement prefix, after which the session still answers."""
+    statements = parse_script(BLOCKS.script)
+    oracle = _fresh(BLOCKS, backend)
+    prefix_states = [oracle.world_set]
+    for statement in statements:
+        oracle.execute_statement(statement)
+        prefix_states.append(oracle.world_set)
+    reference = oracle.query(BLOCKS.query).answers()
+    for op in BATCH_OPS:
+        probe = _fresh(BLOCKS, backend)
+        total = count_ops(lambda: probe.run_script(BLOCKS.script), op=op)
+        assert total > 0, f"{label}: the batch crossed no {op!r} checkpoint"
+        for at in sweep_points(total, _limit(2)):
+            session = _fresh(BLOCKS, backend)
+            with inject_fault(at, op=op) as counter:
+                with pytest.raises(EvaluationError) as info:
+                    session.run_script(BLOCKS.script)
+                assert isinstance(info.value.__cause__, InjectedFault)
+                assert counter.fired
+            assert any(session.world_set == state for state in prefix_states), (
+                f"{label}: fault in {op} #{at}/{total} tore the batch"
+            )
+            session.query(BLOCKS.query)
+        assert probe.query(BLOCKS.query).answers() == reference

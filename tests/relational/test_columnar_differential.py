@@ -71,6 +71,9 @@ def assert_same(kernel_result, tuple_result, context: str = "") -> None:
         tuple(kernel_result.schema) == tuple(tuple_result.schema)
     ), f"{context}: schemas diverge"
     assert as_tuple(kernel_result) == tuple_result, f"{context}: rows diverge"
+    # Distinct rows are an invariant of every kernel relation, not just
+    # of its row set: a duplicate would skew every count-based check.
+    assert len(kernel_result) == len(tuple_result), f"{context}: duplicate rows"
     # The cross-kernel comparison itself must agree, both directions.
     assert kernel_result == tuple_result, context
     assert hash(kernel_result) == hash(tuple_result), context
@@ -416,3 +419,118 @@ def test_mask_accepts_cross_kernel_operands(convert):
     expected = Relation(("A", "B"), [(1, "x"), (3, "z")])
     assert relation.mask(convert(matched), ("B",)) == expected
     assert as_tuple(convert(relation).mask(matched, ("B",))) == expected
+
+
+# -- the DML batch ops: predicate_mask / compress / masked_assign / … ---------------
+
+BATCH_PREDICATES = PREDICATES + [
+    lt("A", Const(2)),  # str/None/PAD vs int: the per-row TypeError net
+    ge(Const("x"), "B"),  # constant on the left
+    Or(lt("A", "B"), neq("B", Const(3))),
+]
+
+ASSIGNMENTS = [
+    ((0, "const", 1),),
+    ((0, "const", PAD), (1, "const", None)),
+    ((1, "const", "x"), (0, "col", 1)),  # every source reads the pre-update row
+    ((0, "col", 1), (1, "col", 0)),  # a swap
+]
+
+
+@for_each_kernel
+@settings(max_examples=80, deadline=None)
+@given(
+    relation=relations(("A", "B")),
+    index=st.integers(0, len(BATCH_PREDICATES) - 1),
+)
+def test_predicate_mask_compress_matches_select(convert, relation, index):
+    predicate = BATCH_PREDICATES[index]
+    expected = relation.select(predicate)
+    assert relation.compress(relation.predicate_mask(predicate)) == expected
+    in_kernel = convert(relation)
+    assert_same(
+        in_kernel.compress(in_kernel.predicate_mask(predicate)),
+        expected,
+        repr(predicate),
+    )
+
+
+@for_each_kernel
+@settings(max_examples=80, deadline=None)
+@given(
+    relation=relations(("A", "B")),
+    index=st.integers(0, len(BATCH_PREDICATES) - 1),
+    assignment=st.integers(0, len(ASSIGNMENTS) - 1),
+)
+def test_masked_assign_matches_rebuilding(convert, relation, index, assignment):
+    from repro.relational.relation import row_rewriter
+
+    predicate, settings_ = BATCH_PREDICATES[index], ASSIGNMENTS[assignment]
+    check, rewrite = predicate.bind(relation.schema), row_rewriter(settings_)
+    # Rewritten rows colliding with kept or other rewritten rows collapse.
+    expected = Relation(
+        relation.schema,
+        [rewrite(row) if check(row) else row for row in relation.rows],
+    )
+    mask = relation.predicate_mask(predicate)
+    assert relation.masked_assign(mask, settings_) == expected
+    in_kernel = convert(relation)
+    assert_same(
+        in_kernel.masked_assign(in_kernel.predicate_mask(predicate), settings_),
+        expected,
+        f"{predicate!r} {settings_}",
+    )
+
+
+@for_each_kernel
+@settings(max_examples=60, deadline=None)
+@given(relation=relations(("A", "I")), value=VALUES, ids=st.lists(VALUES, max_size=5))
+def test_claimed_ids_and_append_broadcast_match(convert, relation, value, ids):
+    claimed = {(i,) for a, i in relation.rows if (a,) == (value,)}
+    in_kernel = convert(relation)
+    assert relation.claimed_ids(("A",), (value,), ("I",)) == claimed
+    assert in_kernel.claimed_ids(("A",), (value,), ("I",)) == claimed
+    fresh = [(i,) for i in dict.fromkeys(ids) if (i,) not in claimed]
+    expected = Relation(
+        relation.schema, list(relation.rows) + [(value, i) for (i,) in fresh]
+    )
+    assert relation.append_broadcast((value, None), (1,), fresh) == expected
+    assert_same(
+        in_kernel.append_broadcast((value, None), (1,), fresh), expected, "broadcast"
+    )
+
+
+@for_each_kernel
+@settings(max_examples=60, deadline=None)
+@given(relation=relations(("A", "B", "C")))
+def test_distinct_probes_match(convert, relation):
+    in_kernel = convert(relation)
+    for attributes in ((), ("A",), ("C", "A")):
+        expected = set(as_columnar(relation).tuples(attributes))
+        for engine in (relation, in_kernel):
+            assert engine.distinct_count(attributes) == len(expected)
+            distinct = engine.distinct_tuples(attributes)
+            assert len(distinct) == len(expected) and set(distinct) == expected
+
+
+@pytest.mark.parametrize(
+    "convert", [pytest.param(as_tuple, id="tuple")] + [
+        pytest.param(p.values[0], id=p.id) for p in KERNEL_PARAMS
+    ]
+)
+def test_batch_op_edges(convert):
+    relation = convert(Relation(("A", "I"), [(1, 0), (2, 1)]))
+    # A rewrite landing on a kept row collapses into it.
+    collided = relation.masked_assign(
+        relation.predicate_mask(eq("A", Const(2))), ((0, "const", 1), (1, "const", 0))
+    )
+    assert len(collided) == 1 and as_tuple(collided) == Relation(("A", "I"), [(1, 0)])
+    # No-ops hand back the operand itself.
+    nothing = relation.predicate_mask(FALSE)
+    assert relation.compress(relation.predicate_mask(TRUE)) is relation
+    assert relation.masked_assign(nothing, ((0, "const", 9),)) is relation
+    assert relation.append_broadcast((3, None), (1,), []) is relation
+    assert relation.claimed_ids(("A",), (1,), ()) == {()}
+    assert relation.claimed_ids(("A",), (7,), ("I",)) == set()
+    with pytest.raises(SchemaError):
+        relation.distinct_count(("Nope",))
