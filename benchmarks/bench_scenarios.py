@@ -30,7 +30,7 @@ def test_company_acquisition_pipeline(benchmark):
         session = ISQLSession()
         session.register("Company_Emp", company_emp)
         session.register("Emp_Skills", emp_skills)
-        session.execute(ACQUISITION_SCRIPT)
+        session.run(ACQUISITION_SCRIPT)
         return session.query(
             "select possible CID from W where Skill = 'S0';"
         ).relation
@@ -48,7 +48,7 @@ def test_tpch_what_if_pipeline(benchmark):
     def run():
         session = ISQLSession()
         session.register("Lineitem", items)
-        session.execute(
+        session.run(
             """create view YearQuantity as
                select A.Year, sum(A.Price) as Revenue
                from (select * from Lineitem choice of Year) as A
@@ -73,7 +73,7 @@ def test_census_repair_pipeline(benchmark):
     def run():
         session = ISQLSession()
         session.register("Census", dirty)
-        session.execute("Clean <- select * from Census repair by key SSN;")
+        session.run("Clean <- select * from Census repair by key SSN;")
         return session.query("select certain SSN, Name from Clean;").relation
 
     result = benchmark(run)
@@ -87,9 +87,9 @@ def test_shape_acquisition_world_counts(benchmark):
     session = ISQLSession()
     session.register("Company_Emp", company_emp)
     session.register("Emp_Skills", emp_skills)
-    session.execute("U <- select * from Company_Emp choice of CID;")
+    session.run("U <- select * from Company_Emp choice of CID;")
     assert session.world_count() == 3
-    session.execute(
+    session.run(
         """V <- select R1.CID, R1.EID
            from Company_Emp R1, (select * from U choice of EID) R2
            where R1.CID = R2.CID and R1.EID != R2.EID;"""

@@ -42,7 +42,7 @@ def main() -> None:
     # The inline session state really is flat tables plus a world table:
     session = ISQLSession(backend="inline")
     session.register("HFlights", data)
-    session.execute("Trip <- select * from HFlights choice of Dep;")
+    session.run("Trip <- select * from HFlights choice of Dep;")
     print("\ninline state after an assignment:", session.backend.representation)
     print("distinct worlds:", session.world_count(),
           "(decoded only because we asked)")

@@ -24,7 +24,7 @@ def main() -> None:
     session.register("Census", dirty)
     statement = "Clean <- select * from Census repair by key SSN;"
     print(f"[inline route: {session_route(session, statement)}]")
-    session.execute(statement)
+    session.run(statement)
     print(f"Worlds after repair-by-key: {session.world_count()}")
 
     query = "select certain SSN, Name from Clean;"

@@ -27,11 +27,11 @@ def main() -> None:
     session.register("Emp_Skills", emp_skills)
 
     print("\n--- 'Suppose I choose to buy exactly one company.' ---")
-    session.execute("U <- select * from Company_Emp choice of CID;")
+    session.run("U <- select * from Company_Emp choice of CID;")
     print(f"{session.world_count()} worlds (U1 = ACME, U2 = HAL)")
 
     print("\n--- 'Assume that one (key) employee leaves that company.' ---")
-    session.execute(
+    session.run(
         """V <- select R1.CID, R1.EID
            from Company_Emp R1, (select * from U choice of EID) R2
            where R1.CID = R2.CID and R1.EID != R2.EID;"""
@@ -41,7 +41,7 @@ def main() -> None:
         print(f"  V in world {index}: {world['V'].sorted_rows()}")
 
     print("\n--- 'Which skills can I obtain for certain?' ---")
-    session.execute(
+    session.run(
         """W <- select certain CID, Skill
            from V, Emp_Skills
            where V.EID = Emp_Skills.EID

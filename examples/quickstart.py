@@ -54,11 +54,12 @@ def main() -> None:
         session.register("Flights", flights)
         for statement in STATEMENTS:
             route = inline_route(statement, SCHEMAS)
-            result = session.execute(statement)[0]
+            result = session.run(statement)[0]
             shown = (
                 result.relation.sorted_rows()
-                if hasattr(result, "relation")
-                else result
+                if result.kind == "select"
+                else f"{result.kind}: "
+                + ("applied" if result.applied else "discarded")
             )
             print(f"I-SQL ({backend:8s}) [route={route:8s}]:", shown)
         print()

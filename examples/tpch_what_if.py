@@ -29,7 +29,7 @@ def main(threshold: int = 50_000) -> None:
     session.register("Lineitem", items)
     print(f"Lineitem: {len(items)} rows over 4 years, 4 package sizes\n")
 
-    session.execute(
+    session.run(
         """create view YearQuantity as
            select A.Year, sum(A.Price) as Revenue
            from (select * from Lineitem choice of Year) as A

@@ -31,7 +31,7 @@ def main() -> None:
     print("\n(b) Creating worlds using choice-of on Dep")
     statement = "F <- select * from Flights choice of Dep;"
     print(f"  [inline route: {session_route(session, statement)}]")
-    session.execute(statement)
+    session.run(statement)
     for index, world in enumerate(session.world_set.sorted_worlds(), start=1):
         print(f"  world {index}: F = {world['F'].sorted_rows()}")
 
@@ -45,7 +45,7 @@ def main() -> None:
     print("\n(c) delete from F where Arr = 'ATL';  (Example 3.2)")
     statement = "delete from F where Arr = 'ATL';"
     print(f"  [inline route: {session_route(session, statement)}]")
-    session.execute(statement)
+    session.run(statement)
     for index, world in enumerate(session.world_set.sorted_worlds(), start=1):
         print(f"  world {index}: F = {world['F'].sorted_rows()}")
 

@@ -37,7 +37,7 @@ class ExecutionContext:
 
     *cache* is the statement's cache gate: ``False`` makes a caching
     backend bypass its plan cache and result memo for this statement
-    (the ``execute(..., cache=False)`` / ``connect(..., cache=False)``
+    (the ``run(..., cache=False)`` / ``connect(..., cache=False)``
     escape hatch of the differential suites). Backends without caches
     ignore it.
     """
@@ -219,7 +219,7 @@ class Backend:
     ) -> list[bool]:
         """Apply consecutive DML statements; one applied flag per statement.
 
-        ``ISQLSession.run_script`` routes maximal runs of consecutive
+        ``ISQLSession.run`` routes maximal runs of consecutive
         *subquery-free* DML statements against one relation here. The
         contract is strict statement-at-a-time equivalence — same final
         state, same applied/discarded flags, same errors in the same

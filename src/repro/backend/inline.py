@@ -1262,7 +1262,7 @@ class InlineBackend(Backend):
     ) -> list[bool]:
         """Consecutive subquery-free DML on one relation, as one pass.
 
-        ``ISQLSession.run_script`` hands over a maximal run of batchable
+        ``ISQLSession.run`` hands over a maximal run of batchable
         statements (one target relation, conditions and set expressions
         without subqueries). Each condition translates once into a
         relational predicate, and the batch runs on kernel ops alone —

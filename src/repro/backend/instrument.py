@@ -14,54 +14,61 @@ can target the right layer instead of re-measuring end-to-end numbers.
 The mechanism is deliberately tiny: a caller installs a collector dict
 with :func:`collect_phases`, and instrumented code brackets work in
 ``with phase("execute"):``. When no collector is installed the bracket
-is a no-op, so sessions outside a benchmark pay one ``is None`` check
-per statement, nothing more. Phases must not nest (the accounting adds
-sibling durations; instrumentation sites are chosen to be disjoint).
+is a no-op, so code outside a collection pays one ``is None`` check,
+nothing more. Phases must not nest (the accounting adds sibling
+durations; instrumentation sites are chosen to be disjoint).
+
+The installed collector is a :class:`~contextvars.ContextVar`, so each
+thread (and each asyncio task) sees only the collector it installed
+itself: pooled sessions running statements concurrently never time
+into each other's dicts. Collections nest: on exit a collector adds
+its totals into the enclosing one, which is how
+:meth:`repro.isql.session.ISQLSession.run` attaches private
+per-statement timings while a benchmark's outer collector still sees
+every phase.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator
 
-_collector: dict[str, float] | None = None
+_collector: ContextVar[dict[str, float] | None] = ContextVar(
+    "phase_collector", default=None
+)
 
 
 @contextmanager
 def collect_phases(target: dict[str, float] | None = None) -> Iterator[dict[str, float]]:
-    """Install *target* (or a fresh dict) as the phase collector.
+    """Install *target* (or a fresh dict) as this context's collector.
 
     Durations accumulate under their phase name for the duration of the
-    ``with`` block; collectors restore on exit, so nested collections
-    (a benchmark inside a benchmark) see only their own phases.
+    ``with`` block. On exit the previous collector is restored and the
+    block's totals are added into it, so an outer collection sees the
+    phases of every collection nested inside it. Pass an empty
+    *target*: everything it holds on exit counts as the block's.
     """
-    global _collector
-    previous = _collector
-    _collector = target if target is not None else {}
+    collector = target if target is not None else {}
+    token = _collector.set(collector)
     try:
-        yield _collector
+        yield collector
     finally:
-        _collector = previous
-
-
-def active_collector() -> dict[str, float] | None:
-    """The currently installed phase collector, if any.
-
-    ``ISQLSession.run`` uses this to tee per-statement phase timings
-    into an outer benchmark collector while still attaching a private
-    copy to each :class:`~repro.isql.session.StatementResult`.
-    """
-    return _collector
+        _collector.reset(token)
+        outer = _collector.get()
+        if outer is not None:
+            for name, seconds in collector.items():
+                outer[name] = outer.get(name, 0.0) + seconds
 
 
 @contextmanager
 def phase(name: str) -> Iterator[None]:
     """Bracket one phase of work; a no-op without an active collector."""
-    if _collector is None:
+    collector = _collector.get()
+    if collector is None:
         yield
         return
-    collector = _collector
     start = time.perf_counter()
     try:
         yield

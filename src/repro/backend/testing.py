@@ -18,10 +18,12 @@ times the runs).
 from __future__ import annotations
 
 import os
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from repro.backend.base import Backend
 from repro.datagen.workloads import Scenario
+from repro.isql.lexer import tokenize
 from repro.isql.session import ISQLSession
 
 
@@ -35,6 +37,47 @@ def fuzz_range(default: int) -> range:
     reproduces locally by running that one parametrized index.
     """
     return range(int(os.environ.get("REPRO_FUZZ_SCRIPTS", default)))
+
+
+def statement_texts(script: str) -> list[str]:
+    """*script* split into the source texts of its statements.
+
+    The statement-at-a-time reference of the batching differentials
+    runs each text through its own ``session.run()`` call.
+    """
+    texts: list[str] = []
+    start = 0
+    for token in tokenize(script):
+        if token.kind == "symbol" and token.text == ";":
+            texts.append(script[start : token.position + 1])
+            start = token.position + 1
+    if script[start:].strip():
+        texts.append(script[start:])
+    return texts
+
+
+@contextmanager
+def no_dml_batches(session: ISQLSession) -> Iterator[None]:
+    """Assert that *session* coalesces no DML batch inside the block.
+
+    ``ISQLSession.run`` reaches ``backend.run_dml_batch`` only with two
+    or more statements; a statement-at-a-time reference that got there
+    would compare batched against batched.
+    """
+    backend = session.backend
+    original = backend.run_dml_batch
+    sizes: list[int] = []
+
+    def spy(statements, context):
+        sizes.append(len(statements))
+        return original(statements, context)
+
+    backend.run_dml_batch = spy
+    try:
+        yield
+    finally:
+        del backend.run_dml_batch
+        assert not sizes, f"the reference coalesced DML batches of {sizes}"
 
 
 def run_scenario(
@@ -66,11 +109,11 @@ def run_scenario(
     for relation, attributes in scenario.keys:
         session.declare_key(relation, attributes)
     if scenario.script:
-        # run_script, not execute: consecutive subquery-free DML
-        # statements replay through the batch pipeline, so every
-        # scenario doubles as batching-equivalence coverage (the
-        # explicit backend takes the statement-at-a-time default).
-        session.run_script(scenario.script)
+        # Consecutive subquery-free DML statements replay through the
+        # batch pipeline, so every scenario doubles as
+        # batching-equivalence coverage (the explicit backend takes the
+        # statement-at-a-time default).
+        session.run(scenario.script)
     return session, session.query(scenario.query)
 
 

@@ -37,7 +37,7 @@ them across sessions is exactly the copy-on-write discipline the rest
 of the engine is built on.
 
 ``session.cache_info()`` / ``connection.cache_info()`` surface the
-counters as a :class:`CacheInfo`; ``execute(..., cache=False)`` /
+counters as a :class:`CacheInfo`; ``run(..., cache=False)`` /
 ``connect(..., cache=False)`` bypass both caches per statement for
 differential testing.
 """

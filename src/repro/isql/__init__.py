@@ -15,7 +15,6 @@ from repro.isql.explain import (
 from repro.isql.lexer import Token, tokenize
 from repro.isql.parser import parse_query, parse_script, parse_statement
 from repro.isql.session import (
-    DMLResult,
     ISQLSession,
     QueryResult,
     Savepoint,
@@ -23,7 +22,6 @@ from repro.isql.session import (
 )
 
 __all__ = [
-    "DMLResult",
     "Engine",
     "Explanation",
     "FragmentError",

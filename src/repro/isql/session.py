@@ -7,8 +7,8 @@ walk-throughs::
     session = ISQLSession()
     session.register("Company_Emp", company_emp)
     session.register("Emp_Skills", emp_skills)
-    session.execute("U <- select * from Company_Emp choice of CID;")
-    result = session.execute(
+    session.run("U <- select * from Company_Emp choice of CID;")
+    result = session.run(
         "select possible CID from W where Skill = 'Web';"
     )[0]
     result.relation  # the closed answer
@@ -39,19 +39,18 @@ differential suite in ``tests/backend`` enforces this.
 inline backend takes for a statement against the live catalog;
 ``docs/isql-reference.md`` tabulates the routes construct by construct.
 
-Scripts run either statement at a time (:meth:`ISQLSession.execute`)
-or through the DML batch pipeline (:meth:`ISQLSession.run_script`),
-which coalesces consecutive subquery-free DML statements against one
-relation into a single backend pass — same results, one commit per
-batch.
+Scripts run through one driver, :meth:`ISQLSession.run`, which
+returns one :class:`StatementResult` per statement and coalesces
+consecutive subquery-free DML statements against one relation into a
+single backend pass — same results as statement at a time, one commit
+per batch.
 
 Sessions are transactional. Statement execution is all-or-nothing at
 statement granularity: backends commit by swapping immutable state
 references, so an error inside a statement (including one injected into
 a kernel op) leaves the state at the last commit. On top of that,
-``run_script(..., atomic=True)`` / ``execute(..., atomic=True)`` back a
-whole script with an O(#tables) snapshot and roll back wholesale on any
-error; :meth:`ISQLSession.transaction` does the same for arbitrary
+``run(..., atomic=True)`` backs a whole script with an O(#tables)
+snapshot and rolls back wholesale on any error; :meth:`ISQLSession.transaction` does the same for arbitrary
 Python blocks; and :meth:`savepoint` / :meth:`rollback_to` maintain a
 snapshot stack for partial retries. Per-statement resource budgets
 (``max_rows`` / ``max_seconds``) are enforced cooperatively at
@@ -71,7 +70,7 @@ from typing import Iterator, Mapping
 
 from repro.backend.base import Backend, BaseQueryResult, ExecutionContext, create_backend
 from repro.backend.explicit import QueryResult
-from repro.backend.instrument import active_collector, collect_phases, phase
+from repro.backend.instrument import collect_phases, phase
 from repro.cache import MISS, CacheInfo
 from repro.errors import EvaluationError, OwnershipError, ReproError, SchemaError
 from repro.isql import ast
@@ -81,21 +80,7 @@ from repro.relational.relation import Relation, clear_intern_pool
 from repro.worlds.worldset import WorldSet
 
 
-class DMLResult:
-    """The outcome of insert/update/delete: applied or discarded."""
-
-    __slots__ = ("applied", "kind")
-
-    def __init__(self, applied: bool, kind: str) -> None:
-        self.applied = applied
-        self.kind = kind
-
-    def __repr__(self) -> str:
-        status = "applied" if self.applied else "discarded (constraint violation)"
-        return f"DMLResult({self.kind}: {status})"
-
-
-#: DMLResult kind labels per statement node (the batch pipeline's map).
+#: StatementResult kind labels per DML node (the batch pipeline's map).
 _DML_KINDS = {ast.Insert: "insert", ast.Delete: "delete", ast.Update: "update"}
 
 
@@ -103,22 +88,13 @@ _DML_KINDS = {ast.Insert: "insert", ast.Delete: "delete", ast.Update: "update"}
 class StatementResult:
     """The unified outcome of one executed statement.
 
-    :meth:`ISQLSession.run` returns one per statement, replacing the
-    three historical shapes — the heterogeneous
-    ``BaseQueryResult | DMLResult | None`` entries of
-    :meth:`ISQLSession.execute`/:meth:`ISQLSession.run_script`, bare
-    backend returns, and the DBAPI cursor's ad-hoc attributes — with
-    one dataclass carrying the answer, the execution route, the
-    applied flag, per-statement phase timings, and how the statement
-    cache treated the statement. (The old shapes keep working but are
-    deprecated as return-value protocols; new code should go through
-    ``run()`` / the DBAPI cursor.)
+    :meth:`ISQLSession.run` returns one per statement: the answer, the
+    execution route, the applied flag, per-statement phase timings,
+    and how the statement cache treated the statement. The DBAPI
+    cursor reads its extensions off the last one.
 
-    Backward-compatible accessors: ``kind``/``applied`` match the old
-    :class:`DMLResult` surface, and :attr:`relation` /
-    :meth:`answers` / :meth:`possible` / :meth:`certain` /
-    :meth:`world_count` delegate to :attr:`answer` so select-handling
-    code ports by attribute access alone.
+    :attr:`relation` / :meth:`answers` / :meth:`possible` /
+    :meth:`certain` / :meth:`world_count` delegate to :attr:`answer`.
     """
 
     #: "select" | "assign" | "view" | "insert" | "delete" | "update"
@@ -252,8 +228,8 @@ class ISQLSession:
         self.max_rows = max_rows
         self.max_seconds = max_seconds
         #: Session-wide cache gate: False bypasses the statement cache
-        #: for every statement (each execute/run call may still override
-        #: per script with its own ``cache=`` argument).
+        #: for every statement (each run() call may still override per
+        #: script with its own ``cache=`` argument).
         self.cache = cache
         self._savepoints: list[Savepoint] = []
         #: Thread ident this session is pinned to, or None (unpinned).
@@ -348,50 +324,16 @@ class ISQLSession:
 
     # -- execution -------------------------------------------------------------------
 
-    def execute(
+    def run(
         self, script: str, atomic: bool = False, cache: bool | None = None
-    ) -> list[BaseQueryResult | DMLResult | None]:
-        """Execute a ``;``-separated script; one result entry per statement.
+    ) -> list[StatementResult]:
+        """Execute a ``;``-separated script; one :class:`StatementResult`
+        per statement.
 
-        With ``atomic=True`` the whole script runs under one snapshot:
-        any error rolls the session back to its state before the first
-        statement (otherwise the statements executed so far stay
-        committed — statement-level atomicity always holds either way).
-        *cache* overrides the session's cache gate for this script
-        (``cache=False`` bypasses the statement cache — the
-        differential-testing escape hatch).
-
-        .. deprecated:: the heterogeneous
-           ``BaseQueryResult | DMLResult | None`` result shape. It keeps
-           working, but new code should call :meth:`run`, whose
-           :class:`StatementResult` entries carry the same information
-           uniformly (plus route, cache disposition, and phase timings).
-        """
-        statements = self._parse(script, cache)
-        if atomic:
-            with self.transaction():
-                return self._execute_statements(statements, script, cache)
-        return self._execute_statements(statements, script, cache)
-
-    def _execute_statements(
-        self,
-        statements: tuple[ast.Statement, ...],
-        script: str,
-        cache: bool | None = None,
-    ) -> list[BaseQueryResult | DMLResult | None]:
-        results: list[BaseQueryResult | DMLResult | None] = []
-        for statement in statements:
-            try:
-                results.append(self.execute_statement(statement, cache))
-            except ReproError as error:
-                _annotate_statement(error, statement, script)
-                raise
-        return results
-
-    def run_script(
-        self, script: str, atomic: bool = False, cache: bool | None = None
-    ) -> list[BaseQueryResult | DMLResult | None]:
-        """:meth:`execute` with the DML batch pipeline.
+        Each entry carries the answer (selects), the applied flag (DML),
+        the execution route, the cache disposition
+        (``"hit"``/``"miss"``/``"bypass"``), and per-statement phase
+        timings.
 
         Maximal runs of **consecutive subquery-free DML statements
         against the same relation** coalesce into one
@@ -400,177 +342,60 @@ class ISQLSession:
         expansion, one commit, one representation validation per batch
         instead of per statement — while every other backend inherits
         the statement-at-a-time default. Results are row-for-row (and
-        flag-for-flag) identical to :meth:`execute`; only the cost
-        changes. A statement with condition/set subqueries, or a
-        non-DML statement, closes the current batch.
+        flag-for-flag) identical to one ``run()`` call per statement;
+        only the cost changes. A statement with condition/set
+        subqueries, or a non-DML statement, closes the current batch.
 
         On a mid-script error the default keeps the committed prefix:
         every statement before the failing one (and, inside a failing
         batch, every statement the batch had fully applied) stays
         committed, and the failing statement itself is all-or-nothing.
         With ``atomic=True`` the script runs under one snapshot and any
-        error rolls back to the pre-script state.
-
-        .. deprecated:: the heterogeneous result shape — see
-           :meth:`execute`; prefer :meth:`run`.
+        error rolls back to the pre-script state. *cache* overrides the
+        session's cache gate for this script (``cache=False`` bypasses
+        the statement cache — the differential-testing escape hatch).
         """
         statements = self._parse(script, cache)
         if atomic:
             with self.transaction():
-                return self._run_batched(statements, script, cache)
-        return self._run_batched(statements, script, cache)
+                return self._run(statements, script, cache)
+        return self._run(statements, script, cache)
 
-    def _run_batched(
+    def _run(
         self,
         statements: tuple[ast.Statement, ...],
         script: str,
-        cache: bool | None = None,
-    ) -> list[BaseQueryResult | DMLResult | None]:
-        results: list[BaseQueryResult | DMLResult | None] = []
-        index = 0
-        while index < len(statements):
-            batch = self._dml_batch_at(statements, index)
-            if len(batch) >= 2:
-                try:
-                    applied = self._protected(
-                        "dml batch",
-                        lambda: self.backend.run_dml_batch(
-                            tuple(batch), self._context(cache)
-                        ),
-                    )
-                except ReproError as error:
-                    _annotate_statement(error, batch[0], script, until=batch[-1])
-                    raise
-                results.extend(
-                    DMLResult(flag, _DML_KINDS[type(statement)])
-                    for statement, flag in zip(batch, applied)
-                )
-                index += len(batch)
-            else:
-                try:
-                    results.append(
-                        self.execute_statement(statements[index], cache)
-                    )
-                except ReproError as error:
-                    _annotate_statement(error, statements[index], script)
-                    raise
-                index += 1
-        return results
-
-    def run(
-        self, script: str, atomic: bool = False, cache: bool | None = None
-    ) -> list[StatementResult]:
-        """Execute a script; one :class:`StatementResult` per statement.
-
-        The unified statement API: same execution pipeline as
-        :meth:`run_script` (including the DML batch coalescing), but
-        every entry is a :class:`StatementResult` carrying the answer
-        (selects), the applied flag (DML), the execution route, the
-        cache disposition (``"hit"``/``"miss"``/``"bypass"``), and
-        per-statement phase timings. *atomic* and *cache* behave as in
-        :meth:`execute`.
-        """
-        statements = self._parse(script, cache)
-        if atomic:
-            with self.transaction():
-                return self._run_detailed(statements, script, cache)
-        return self._run_detailed(statements, script, cache)
-
-    def _run_detailed(
-        self,
-        statements: tuple[ast.Statement, ...],
-        script: str,
-        cache: bool | None = None,
+        cache: bool | None,
     ) -> list[StatementResult]:
         backend = self.backend
-        outer = active_collector()
-
-        def tee(phases: dict[str, float]) -> None:
-            # Per-statement timings also accumulate into an enclosing
-            # collect_phases() collector (e.g. a benchmark's), which the
-            # inner collector shadowed while the statement ran.
-            if outer is not None:
-                for name, seconds in phases.items():
-                    outer[name] = outer.get(name, 0.0) + seconds
-
         results: list[StatementResult] = []
         index = 0
         while index < len(statements):
             batch = self._dml_batch_at(statements, index)
             backend.last_cache = "bypass"
-            phases: dict[str, float] = {}
-            if len(batch) >= 2:
-                with collect_phases(phases):
-                    try:
-                        applied = self._protected(
-                            "dml batch",
-                            lambda: backend.run_dml_batch(
-                                tuple(batch), self._context(cache)
-                            ),
-                        )
-                    except ReproError as error:
-                        _annotate_statement(
-                            error, batch[0], script, until=batch[-1]
-                        )
-                        raise
-                tee(phases)
-                results.extend(
-                    StatementResult(
-                        kind=_DML_KINDS[type(statement)],
-                        applied=flag,
-                        route=backend.kind,
-                        cache=backend.last_cache,
-                        phases=phases,
-                    )
-                    for statement, flag in zip(batch, applied)
-                )
-                index += len(batch)
-                continue
-            statement = statements[index]
             fallbacks = getattr(backend, "fallback_total", 0)
+            phases: dict[str, float] = {}
             with collect_phases(phases):
                 try:
-                    outcome = self.execute_statement(statement, cache)
+                    outcomes = self._apply(batch, cache)
                 except ReproError as error:
-                    _annotate_statement(error, statement, script)
+                    _annotate_statement(error, batch[0], script, until=batch[-1])
                     raise
-            tee(phases)
             route = backend.kind
             if getattr(backend, "fallback_total", 0) > fallbacks:
                 route = "fallback"
-            if isinstance(outcome, DMLResult):
-                results.append(
-                    StatementResult(
-                        kind=outcome.kind,
-                        applied=outcome.applied,
-                        route=route,
-                        cache=backend.last_cache,
-                        phases=phases,
-                    )
+            results.extend(
+                StatementResult(
+                    kind=kind,
+                    answer=answer,
+                    applied=flag,
+                    route=route,
+                    cache=backend.last_cache,
+                    phases=phases,
                 )
-            elif isinstance(outcome, BaseQueryResult):
-                results.append(
-                    StatementResult(
-                        kind="select",
-                        answer=outcome,
-                        route=route,
-                        cache=backend.last_cache,
-                        phases=phases,
-                    )
-                )
-            else:
-                kind = (
-                    "view" if isinstance(statement, ast.CreateView) else "assign"
-                )
-                results.append(
-                    StatementResult(
-                        kind=kind,
-                        route=route,
-                        cache=backend.last_cache,
-                        phases=phases,
-                    )
-                )
-            index += 1
+                for kind, answer, flag in outcomes
+            )
+            index += len(batch)
         return results
 
     @staticmethod
@@ -589,7 +414,7 @@ class ISQLSession:
 
     @classmethod
     def _dml_batch_at(
-        cls, statements: list[ast.Statement], index: int
+        cls, statements: tuple[ast.Statement, ...], index: int
     ) -> list[ast.Statement]:
         """The maximal batchable run starting at *index* (may be one)."""
         first = statements[index]
@@ -605,80 +430,78 @@ class ISQLSession:
             batch.append(statement)
         return batch
 
-    def execute_statement(
-        self, statement: ast.Statement, cache: bool | None = None
-    ) -> BaseQueryResult | DMLResult | None:
-        """Execute one parsed statement, protected and budgeted.
+    def _apply(
+        self, batch: list[ast.Statement], cache: bool | None
+    ) -> list[tuple[str, BaseQueryResult | None, bool | None]]:
+        """Run one statement or one coalesced DML batch, protected.
 
+        Returns a (kind, answer, applied flag) triple per statement.
         Runs under the session's resource budget (``max_rows`` /
-        ``max_seconds``) and the exception-hygiene net: any non-library
-        exception — a backend bug, a numpy error inside the array
-        kernel, an injected fault — is re-raised as
-        :class:`~repro.errors.EvaluationError` with the original
-        exception chained as ``__cause__``, so the public API only ever
-        surfaces ``ReproError`` subclasses. Either way the statement is
-        all-or-nothing: backends commit by reference swap, so an error
-        leaves the session state at the last commit.
+        ``max_seconds``); any non-library exception — a backend bug, a
+        numpy error inside the array kernel, an injected fault — is
+        re-raised as :class:`~repro.errors.EvaluationError` with the
+        original exception chained as ``__cause__``, so the public API
+        only ever surfaces ``ReproError`` subclasses. Either way the
+        statement is all-or-nothing: backends commit by reference swap,
+        so an error leaves the session state at the last commit.
         """
-        kind = type(statement).__name__.lower()
-        return self._protected(
-            f"{kind} statement", lambda: self._dispatch(statement, cache)
-        )
-
-    def _protected(self, kind: str, run):
         self._check_thread()
         with guarded(self.max_rows, self.max_seconds):
             try:
-                return run()
+                if len(batch) == 1:
+                    return [self._dispatch(batch[0], cache)]
+                applied = self.backend.run_dml_batch(
+                    tuple(batch), self._context(cache)
+                )
+                return [
+                    (_DML_KINDS[type(statement)], None, flag)
+                    for statement, flag in zip(batch, applied)
+                ]
             except ReproError:
                 raise
             except Exception as error:
+                kind = (
+                    f"{type(batch[0]).__name__.lower()} statement"
+                    if len(batch) == 1
+                    else "dml batch"
+                )
                 raise EvaluationError(
                     f"internal error while executing {kind}: {error!r}"
                 ) from error
 
     def _dispatch(
         self, statement: ast.Statement, cache: bool | None = None
-    ) -> BaseQueryResult | DMLResult | None:
+    ) -> tuple[str, BaseQueryResult | None, bool | None]:
+        """Run one statement; returns its (kind, answer, applied flag)."""
         context = self._context(cache)
-        # Reset the per-statement cache disposition so a statement kind
-        # that never consults the cache reads as "bypass".
-        self.backend.last_cache = "bypass"
         if isinstance(statement, ast.SelectQuery):
-            return self.backend.run_select(statement, context)
-        if isinstance(statement, ast.Assignment):
+            return "select", self.backend.run_select(statement, context), None
+        if isinstance(statement, (ast.Assignment, ast.CreateView)):
             if (
                 statement.name in self.backend.relation_names()
                 or statement.name in self.views
             ):
                 raise SchemaError(f"{statement.name!r} already exists")
+            if isinstance(statement, ast.CreateView):
+                self.views[statement.name] = statement.query
+                return "view", None, None
             self.backend.assign(statement.name, statement.query, context)
-            return None
-        if isinstance(statement, ast.CreateView):
-            if (
-                statement.name in self.backend.relation_names()
-                or statement.name in self.views
-            ):
-                raise SchemaError(f"{statement.name!r} already exists")
-            self.views[statement.name] = statement.query
-            return None
+            return "assign", None, None
         if isinstance(statement, ast.Insert):
-            applied = self.backend.run_insert(statement, context)
-            return DMLResult(applied, "insert")
+            return "insert", None, self.backend.run_insert(statement, context)
         if isinstance(statement, ast.Delete):
             self.backend.run_delete(statement, context)
-            return DMLResult(True, "delete")
+            return "delete", None, True
         if isinstance(statement, ast.Update):
-            applied = self.backend.run_update(statement, context)
-            return DMLResult(applied, "update")
+            return "update", None, self.backend.run_update(statement, context)
         raise EvaluationError(f"unsupported statement {type(statement).__name__}")
 
     def query(self, text: str) -> BaseQueryResult:
-        """Execute a single select statement and return its result."""
-        results = self.execute(text)
-        if len(results) != 1 or not isinstance(results[0], BaseQueryResult):
+        """Run a single select statement and return its answer."""
+        results = self.run(text)
+        if len(results) != 1 or results[0].kind != "select":
             raise EvaluationError("query() expects exactly one select statement")
-        return results[0]
+        return results[0].answer
 
     # -- transactions ----------------------------------------------------------------
 
@@ -878,7 +701,6 @@ def _annotate_statement(
 
 
 __all__ = [
-    "DMLResult",
     "ISQLSession",
     "QueryResult",
     "Savepoint",

@@ -31,7 +31,7 @@ session layer:
   version and releases the lock; :meth:`Connection.rollback` restores
   the latest published state and releases the lock. With
   ``autocommit=True`` every execute that writes runs as one atomic
-  script (``run_script(..., atomic=True)``) and publishes immediately.
+  script (``run(..., atomic=True)``) and publishes immediately.
 
 Fetching is defined for **world-uniform** answers (the closed results
 of ``certain``/``possible`` queries, or open queries whose answer
@@ -60,7 +60,6 @@ from __future__ import annotations
 from repro import errors as _errors
 from repro.datagen.workloads import Scenario, scenarios
 from repro.isql import ast
-from repro.isql.parser import parse_script
 from repro.cache import CacheInfo
 from repro.isql.session import ISQLSession, StatementResult
 from repro.service.snapshots import SnapshotStore
@@ -448,7 +447,9 @@ class Connection:
     def _execute_script(self, text: str):
         self._check_open()
         try:
-            statements = parse_script(text)
+            # The session's cached parse: run() below hits the same
+            # parse-cache entry, so a statement is parsed once.
+            statements = self._session._parse(text, None)
         except _errors.ReproError as error:
             raise _mapped(error) from error
         writes = any(
@@ -585,7 +586,7 @@ def _seed_session(
         for relation, attributes in source.keys:
             session.declare_key(relation, attributes)
         if source.script:
-            session.run_script(source.script)
+            session.run(source.script)
         return session
     if isinstance(source, ISQLSession):
         return source

@@ -55,19 +55,19 @@ class TestCatalogParity:
             session.register("Flights", flights)
 
     def test_register_after_split_reaches_every_world(self, session):
-        session.execute("F <- select * from Flights choice of Dep;")
+        session.run("F <- select * from Flights choice of Dep;")
         session.register("Extra", Relation(("X",), [(1,)]))
         for world in session.world_set.worlds:
             assert world["Extra"].rows == {(1,)}
 
     def test_assignment_splits_session(self, session):
-        session.execute("F <- select * from Flights choice of Dep;")
+        session.run("F <- select * from Flights choice of Dep;")
         assert session.world_count() == 3
         assert session.relation_names() == ("Flights", "F")
 
     def test_closed_assignment_over_split_state(self, session):
-        session.execute("F <- select * from Flights choice of Dep;")
-        session.execute("C <- select certain Arr from F;")
+        session.run("F <- select * from Flights choice of Dep;")
+        session.run("C <- select certain Arr from F;")
         assert session.world_count() == 3
         for world in session.world_set.worlds:
             assert world["C"].rows == {("ATL",)}
@@ -77,7 +77,7 @@ class TestInlineSpecifics:
     def test_state_is_an_inlined_representation(self, flights):
         s = ISQLSession(backend="inline")
         s.register("Flights", flights)
-        s.execute("F <- select * from Flights choice of Dep;")
+        s.run("F <- select * from Flights choice of Dep;")
         representation = s.backend.representation
         assert isinstance(representation, InlinedRepresentation)
         assert representation.id_attrs  # worlds exist only as id columns
@@ -183,8 +183,8 @@ class TestInlineSpecifics:
     def test_fresh_ids_never_collide_across_statements(self, flights):
         s = ISQLSession(backend="inline")
         s.register("Flights", flights)
-        s.execute("F <- select * from Flights choice of Dep;")
-        s.execute("G <- select * from Flights choice of Dep;")
+        s.run("F <- select * from Flights choice of Dep;")
+        s.run("G <- select * from Flights choice of Dep;")
         assert s.world_count() == 9
         assert len(set(s.backend.representation.id_attrs)) == 2
 
@@ -194,7 +194,7 @@ class TestInlineSpecifics:
             "R", Relation(("A", "B"), [(i, j) for i in range(3) for j in range(2)])
         )
         with pytest.raises(EvaluationError, match="worlds"):
-            s.execute("X <- select * from R repair by key A;")
+            s.run("X <- select * from R repair by key A;")
 
     def test_initial_representation_is_one_empty_world(self):
         backend = InlineBackend()
@@ -211,17 +211,17 @@ class TestDMLParity:
         return s
 
     def test_insert_discarded_on_violation(self, keyed):
-        assert not keyed.execute("insert into F values (1, 'c');")[0].applied
+        assert not keyed.run("insert into F values (1, 'c');")[0].applied
         assert keyed.world_set.the_world()["F"].rows == {(1, "a"), (2, "b")}
 
     def test_insert_update_delete_roundtrip(self, keyed):
-        assert keyed.execute("insert into F values (3, 'c');")[0].applied
-        assert keyed.execute("update F set V = 'z' where K = 3;")[0].applied
-        keyed.execute("delete from F where V = 'z';")
+        assert keyed.run("insert into F values (3, 'c');")[0].applied
+        assert keyed.run("update F set V = 'z' where K = 3;")[0].applied
+        keyed.run("delete from F where V = 'z';")
         assert keyed.world_set.the_world()["F"].rows == {(1, "a"), (2, "b")}
 
     def test_update_discarded_on_violation(self, keyed):
-        assert not keyed.execute("update F set K = 1 where K = 2;")[0].applied
+        assert not keyed.run("update F set K = 1 where K = 2;")[0].applied
         assert keyed.world_set.the_world()["F"].rows == {(1, "a"), (2, "b")}
 
     @pytest.mark.parametrize("backend", ["explicit", "inline"])
@@ -230,18 +230,18 @@ class TestDMLParity:
         s = ISQLSession(backend=backend)
         s.register("T", Relation(("A", "B"), [(1, 5)]))
         s.register("S", Relation(("C",), [(10,)]))
-        s.execute("update T set B = (select C from S) + 1 where A = 1;")
+        s.run("update T set B = (select C from S) + 1 where A = 1;")
         assert s.world_set.the_world()["T"].rows == {(1, 11)}
 
     @pytest.mark.parametrize("backend", ["explicit", "inline"])
     def test_violation_in_one_world_discards_everywhere(self, backend):
         s = ISQLSession(backend=backend)
         s.register("R", Relation(("K", "V"), [(1, "a"), (1, "b"), (2, "c")]))
-        s.execute("Rep <- select * from R repair by key K;")
+        s.run("Rep <- select * from R repair by key K;")
         s.declare_key("Rep", ("K",))
         # (2, 'c') survives in every repair, so inserting a second K=2
         # row violates the key in *all* worlds; a fresh key is fine.
-        assert not s.execute("insert into Rep values (2, 'x');")[0].applied
-        assert s.execute("insert into Rep values (3, 'x');")[0].applied
+        assert not s.run("insert into Rep values (2, 'x');")[0].applied
+        assert s.run("insert into Rep values (3, 'x');")[0].applied
         for world in s.world_set.worlds:
             assert (3, "x") in world["Rep"].rows

@@ -222,7 +222,7 @@ def test_fault_replay_on_a_warm_cache(label, backend):
     reference = _fresh(scenario, backend, cache=False)
     reference.run(scenario.script)
     probe = _fresh(scenario, backend, cache=False)
-    total = count_ops(lambda: probe.run_script(scenario.script))
+    total = count_ops(lambda: probe.run(scenario.script))
     if total == 0:
         pytest.skip("script crosses no kernel-op boundary")
     for at in sweep_points(total, 3):
@@ -230,13 +230,13 @@ def test_fault_replay_on_a_warm_cache(label, backend):
         before = session.world_set
         with inject_fault(at) as counter:
             with pytest.raises(EvaluationError) as info:
-                session.run_script(scenario.script, atomic=True)
+                session.run(scenario.script, atomic=True)
             assert isinstance(info.value.__cause__, InjectedFault)
             assert counter.fired, (label, at)
         assert session.world_set == before, (
             f"{label}: fault at op {at}/{total} tore cache-on state"
         )
-        session.run_script(scenario.script, atomic=True)
+        session.run(scenario.script, atomic=True)
         assert session.world_set == reference.world_set, (
             f"{label}: warm-cache replay after fault diverged"
         )

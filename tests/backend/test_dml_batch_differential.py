@@ -1,12 +1,13 @@
 """Batched DML ≡ statement-at-a-time, property-based (ISSUE 5).
 
-``ISQLSession.run_script`` coalesces consecutive subquery-free DML
-statements against one relation into a single ``backend.run_dml_batch``
-call; the inline backend applies the whole run in one pass over the
-flat table and commits once. That is allowed to change *cost* only:
-this suite holds ``run_script`` to row-for-row (and applied-flag-for-
-applied-flag) equivalence with ``execute`` on every backend — explicit,
-inline physical, Figure 6 translate — under both execution kernels, and
+``ISQLSession.run`` coalesces consecutive subquery-free DML statements
+against one relation into a single ``backend.run_dml_batch`` call; the
+inline backend applies the whole run in one pass over the flat table
+and commits once. That is allowed to change *cost* only: this suite
+holds ``run(script)`` to row-for-row (and applied-flag-for-applied-flag)
+equivalence with one ``run()`` call per statement — a reference that
+is checked never to coalesce a batch — on every backend (explicit,
+inline physical, Figure 6 translate) under every execution kernel, and
 additionally holds all backends to each other on the batched route.
 
 Randomized scripts mix inserts, updates and deletes over a split
@@ -28,11 +29,15 @@ import random
 import pytest
 
 from repro.backend import InlineBackend
-from repro.backend.testing import assert_backends_agree, fuzz_range
+from repro.backend.testing import (
+    assert_backends_agree,
+    fuzz_range,
+    no_dml_batches,
+    statement_texts,
+)
 from repro.datagen import Scenario
 from repro.errors import SchemaError
 from repro.isql import ISQLSession
-from repro.isql.session import DMLResult
 from repro.relational import Relation
 from repro.relational.array_kernel import have_numpy
 
@@ -135,6 +140,16 @@ def _batch_case(rng: random.Random, index: int) -> Scenario:
     )
 
 
+def _run(session: ISQLSession, script: str, batched: bool):
+    """``run(script)``, or the reference: one ``run()`` per statement."""
+    if batched:
+        return session.run(script)
+    with no_dml_batches(session):
+        return [
+            result for text in statement_texts(script) for result in session.run(text)
+        ]
+
+
 def _replay(scenario: Scenario, backend, batched: bool):
     resolved = backend() if callable(backend) else backend
     session = ISQLSession(backend=resolved)
@@ -142,19 +157,18 @@ def _replay(scenario: Scenario, backend, batched: bool):
         session.register(name, relation)
     for relation, attributes in scenario.keys:
         session.declare_key(relation, attributes)
-    runner = session.run_script if batched else session.execute
-    results = runner(scenario.script)
     flags = [
         (result.kind, result.applied)
-        for result in results
-        if isinstance(result, DMLResult)
+        for result in _run(session, scenario.script, batched)
+        if result.applied is not None
     ]
     return session, flags
 
 
 @pytest.mark.parametrize("index", fuzz_range(48))
 def test_batched_equals_statement_at_a_time_per_backend(index):
-    """run_script vs execute: same flags, same state, every backend."""
+    """run(script) vs run() per statement: same flags, same state,
+    every backend."""
     rng = random.Random(5000 + index)
     scenario = _batch_case(rng, index)
     for label, backend in BACKENDS:
@@ -174,7 +188,7 @@ def test_batched_equals_statement_at_a_time_per_backend(index):
 @pytest.mark.parametrize("index", fuzz_range(24))
 def test_batched_backends_agree_with_each_other(index):
     """The batched route itself, differentially across all backends
-    (run_scenario executes scripts through run_script)."""
+    (run_scenario runs each script through one run() call)."""
     rng = random.Random(5000 + index)
     assert_backends_agree(_batch_case(rng, index), BACKENDS)
 
@@ -209,7 +223,7 @@ class TestBatchEdges:
         """A discarded statement is discarded *alone*: earlier and later
         statements of the same batch still apply, in order."""
         session = _session(backend)
-        results = session.run_script(
+        results = session.run(
             "insert into T values (4, 2, 40);"   # applies
             "insert into T values (1, 9, 99);"   # key collision: discarded
             "update T set K = 1 where V = 0;"    # collides (two V=0 rows → K=1): discarded
@@ -228,8 +242,8 @@ class TestBatchEdges:
         lazily stored table over the session's world ids."""
         session = _session(backend, key=False)
         session.register("Solo", Relation(("P",), [(7,), (8,)]))
-        session.execute("Split <- select * from T choice of V;")
-        session.run_script(
+        session.run("Split <- select * from T choice of V;")
+        session.run(
             "delete from Solo where P = 99;"
             "update Solo set P = 0 where P = 99;"
         )
@@ -241,8 +255,8 @@ class TestBatchEdges:
             assert inline_rep.table_id_attrs("Solo") == ()
 
     def test_mid_batch_error_commits_applied_prefix(self, backend):
-        """An arity error mid-batch raises like execute() — with the
-        statements before it already applied."""
+        """An arity error mid-batch raises like the statement-at-a-time
+        reference — with the statements before it already applied."""
         for batched in (False, True):
             session = _session(backend, key=False)
             script = (
@@ -250,9 +264,8 @@ class TestBatchEdges:
                 "insert into T values (5, 5);"  # arity 2 ≠ 3: raises
                 "delete from T where K = 2;"
             )
-            runner = session.run_script if batched else session.execute
             with pytest.raises(SchemaError):
-                runner(script)
+                _run(session, script, batched)
             assert session.world_set.the_world()["T"].rows == {
                 (2, 1, 20),
                 (3, 0, 30),
@@ -262,7 +275,7 @@ class TestBatchEdges:
         """Inserting an existing row is a set-semantics no-op (applied),
         and a batch of identical inserts collapses to one row."""
         session = _session(backend, key=False)
-        results = session.run_script(
+        results = session.run(
             "insert into T values (1, 0, 10);"
             "insert into T values (6, 0, 60);"
             "insert into T values (6, 0, 60);"
@@ -279,8 +292,8 @@ class TestBatchEdges:
         """An insert inside a batch lands in every world of a split
         relation; a later delete in the same batch sees it."""
         session = _session(backend, key=False)
-        session.execute("Split <- select * from T choice of V;")
-        results = session.run_script(
+        session.run("Split <- select * from T choice of V;")
+        results = session.run(
             "insert into Split values (9, 9, 90);"
             "update Split set W = 91 where K = 9;"
             "delete from Split where V = 1;"
@@ -301,11 +314,12 @@ def test_empty_declared_key_is_no_constraint_in_batches(backend):
     for batched in (False, True):
         session = _session(backend, key=False)
         session.declare_key("T", ())
-        runner = session.run_script if batched else session.execute
-        results = runner(
+        results = _run(
+            session,
             "insert into T values (4, 4, 40);"
             "insert into T values (5, 5, 50);"
-            "update T set W = 0 where K = 4;"
+            "update T set W = 0 where K = 4;",
+            batched,
         )
         assert [r.applied for r in results] == [True, True, True], (
             backend,
@@ -337,8 +351,8 @@ def test_translatable_batch_never_binds_row_conditions(kernel, monkeypatch):
 
     monkeypatch.setattr(Engine, "bind_row_condition", counting)
     session = _session(InlineBackend(kernel=kernel), key=False)
-    session.execute("Split <- select * from T choice of V;")
-    results = session.run_script(
+    session.run("Split <- select * from T choice of V;")
+    results = session.run(
         "update Split set W = 0 where K >= 2;"
         "update Split set V = 5 where W = 10;"
         "delete from Split where K = 3;"
@@ -353,17 +367,28 @@ def test_translatable_batch_never_binds_row_conditions(kernel, monkeypatch):
     }
 
 
-def test_run_script_matches_execute_results_shape():
+def test_batched_run_keeps_statement_kinds():
     """Non-DML statements pass through unchanged, one result per
-    statement, DMLResult kinds preserved."""
+    statement, DML kinds preserved across a coalesced batch."""
     session = _session("inline", key=False)
-    results = session.run_script(
+    results = session.run(
         "Split <- select * from T choice of V;"
         "insert into T values (7, 7, 70);"
         "delete from T where K = 7;"
         "select possible K from Split;"
     )
-    assert results[0] is None
-    assert isinstance(results[1], DMLResult) and results[1].kind == "insert"
-    assert isinstance(results[2], DMLResult) and results[2].kind == "delete"
+    assert [r.kind for r in results] == ["assign", "insert", "delete", "select"]
+    assert results[0].answer is None
     assert results[3].possible() == Relation(("K",), [(1,), (2,), (3,)])
+
+
+def test_reference_guard_catches_a_coalesced_batch():
+    """The statement-at-a-time reference is checked never to batch: the
+    guard fires as soon as a DML run reaches ``run_dml_batch``."""
+    session = _session("inline", key=False)
+    with no_dml_batches(session):
+        session.run("delete from T where K = 1;")
+    with pytest.raises(AssertionError, match="coalesced DML batches of \\[2\\]"):
+        with no_dml_batches(session):
+            session.run("delete from T where K = 2; delete from T where K = 3;")
+    assert session.world_set.the_world()["T"].rows == set()

@@ -151,14 +151,14 @@ class TestDeterministicEdges:
         s = _session(backend)
         s.register("Multi", Relation(("X", "Y"), [(0, 1), (0, 2)]))
         with pytest.raises(EvaluationError, match="more than one row"):
-            s.execute("update T set W = (select Y from Multi where X = V) "
+            s.run("update T set W = (select Y from Multi where X = V) "
                       "where V = 0;")
 
     def test_scalar_error_is_lazy_when_no_row_matches(self, backend):
         """No matched row ever reads the ambiguous group: no error."""
         s = _session(backend)
         s.register("Multi", Relation(("X", "Y"), [(9, 1), (9, 2)]))
-        s.execute("update T set W = (select Y from Multi where X = V) "
+        s.run("update T set W = (select Y from Multi where X = V) "
                   "where V in (select X from Multi);")
         assert s.world_set.the_world()["T"].rows == {
             (1, 0, 10), (2, 1, 20), (3, 0, 30)
@@ -167,7 +167,7 @@ class TestDeterministicEdges:
     def test_empty_scalar_subquery_defaults_to_zero(self, backend):
         """The engine's empty scalar subquery evaluates to 0."""
         s = _session(backend)
-        s.execute("update T set W = (select Y from H where X = W) "
+        s.run("update T set W = (select Y from H where X = W) "
                   "where V = 1;")
         assert s.world_set.the_world()["T"].rows == {
             (1, 0, 10), (2, 1, 0), (3, 0, 30)
@@ -175,10 +175,10 @@ class TestDeterministicEdges:
 
     def test_key_violation_discards_in_all_worlds(self, backend):
         s = _session(backend, keys={"Split": ("K",)})
-        s.execute("Split <- select * from T choice of V;")
+        s.run("Split <- select * from T choice of V;")
         # V=0 worlds hold K ∈ {1, 3}: collapsing K to 9 collides there,
         # so the update must be discarded in *every* world.
-        s.execute("update Split set K = 9 "
+        s.run("update Split set K = 9 "
                   "where V in (select X from H where Y >= 100);")
         worlds = {frozenset(w["Split"].rows) for w in s.world_set.worlds}
         assert worlds == {
@@ -189,8 +189,8 @@ class TestDeterministicEdges:
     def test_delete_emptying_one_world_keeps_the_world(self, backend):
         """A world whose table empties still exists (dangling world id)."""
         s = _session(backend)
-        s.execute("Split <- select * from T choice of V;")
-        s.execute("delete from Split where exists "
+        s.run("Split <- select * from T choice of V;")
+        s.run("delete from Split where exists "
                   "(select * from H where X = V and Y <= 100);")
         assert s.world_count() == 2
         worlds = {frozenset(w["Split"].rows) for w in s.world_set.worlds}
@@ -200,15 +200,15 @@ class TestDeterministicEdges:
         s = ISQLSession(backend=backend)
         s.register("T", Relation(("K", "V", "W"), []))
         s.register("H", Relation(("X", "Y"), [(0, 100)]))
-        s.execute("delete from T where V in (select X from H);")
-        s.execute("update T set W = (select Y from H where X = V) "
+        s.run("delete from T where V in (select X from H);")
+        s.run("update T set W = (select Y from H where X = V) "
                   "where exists (select * from H where X = V);")
         assert s.world_set.the_world()["T"].rows == set()
 
     def test_update_reads_preupdate_rows(self, backend):
         """Every set clause evaluates against the original row."""
         s = _session(backend)
-        s.execute("update T set V = W, W = (select count(Y) from H "
+        s.run("update T set V = W, W = (select count(Y) from H "
                   "where X = V) where K in (select X from H) or K >= 1;")
         # V := old W; W := count keyed on old V (0→1 match, 1→1 match).
         assert s.world_set.the_world()["T"].rows == {
@@ -219,7 +219,7 @@ class TestDeterministicEdges:
         """A world-splitting DML subquery raises on every route alike."""
         s = _session(backend)
         with pytest.raises(EvaluationError):
-            s.execute("delete from T where V in "
+            s.run("delete from T where V in "
                       "(select X from H choice of X);")
 
 
@@ -294,10 +294,10 @@ class TestNoOpDMLStaysLazy:
         s.register("T", Relation(("K", "V"), [(1, 0), (2, 1), (3, 2)]))
         s.register("H", Relation(("X", "Y"), [(0, 100), (1, 200)]))
         s.register("U", Relation(("P",), [(7,), (8,)]))
-        s.execute("Split <- select * from T choice of V;")  # 3 worlds
+        s.run("Split <- select * from T choice of V;")  # 3 worlds
         before = s.backend.representation.tables["U"]
         assert s.backend.representation.table_id_attrs("U") == ()
-        s.execute(statement)  # matches nothing; H/Split ids must not leak
+        s.run(statement)  # matches nothing; H/Split ids must not leak
         after = s.backend.representation.tables["U"]
         assert s.backend.representation.table_id_attrs("U") == ()
         assert after.rows == before.rows

@@ -14,8 +14,8 @@ After every injected crash the suite asserts
 * the session state is *identical* to the oracle: the pre-statement
   state for statement-at-a-time execution, the pre-script state for
   ``atomic=True`` scripts, and some committed statement-prefix state
-  for default ``run_script`` (whose batches commit their applied
-  prefix),
+  for a default ``run()`` of the whole script (whose batches commit
+  their applied prefix),
 * the session stays usable — the interrupted work replays cleanly to
   the same end state a never-faulted run reaches.
 
@@ -29,10 +29,9 @@ import os
 import pytest
 
 from repro.backend import InlineBackend
-from repro.backend.testing import run_scenario
+from repro.backend.testing import no_dml_batches, run_scenario, statement_texts
 from repro.datagen import Scenario, scenarios
 from repro.errors import EvaluationError
-from repro.isql.parser import parse_script
 from repro.isql.session import ISQLSession
 from repro.relational import Relation
 from repro.relational.array_kernel import have_numpy
@@ -103,20 +102,21 @@ def test_statement_sweep_leaves_prestatement_state(label, backend, name):
     through the whole script."""
     scenario = SCRIPTED[name]
     session = _fresh(scenario, backend)
-    for statement in parse_script(scenario.script):
+    for text in statement_texts(scenario.script):
         before = session.world_set
         before_views = dict(session.views)
         # Dry-count the statement's op boundaries, then undo it: the
         # savepoint machinery is both the tool and part of what is
         # under test here.
         mark = session.savepoint()
-        total = count_ops(lambda: session.execute_statement(statement))
+        with no_dml_batches(session):
+            total = count_ops(lambda: session.run(text))
         session.rollback_to(mark)
         session.release(mark)
         for at in sweep_points(total, _limit(3)):
             with inject_fault(at) as counter:
                 with pytest.raises(EvaluationError) as info:
-                    session.execute_statement(statement)
+                    session.run(text)
                 assert isinstance(info.value.__cause__, InjectedFault)
                 assert counter.fired
             assert session.world_set == before, (
@@ -124,7 +124,7 @@ def test_statement_sweep_leaves_prestatement_state(label, backend, name):
             )
             assert session.views == before_views
         # The session is usable: the same statement now applies cleanly.
-        session.execute_statement(statement)
+        session.run(text)
     reference_session, reference_result = run_scenario(scenario, backend)
     assert session.query(scenario.query).answers() == reference_result.answers()
     assert session.world_set == reference_session.world_set
@@ -138,7 +138,7 @@ def test_atomic_script_rolls_back_to_prescript_state(label, backend, name):
     scenario = SCRIPTED[name]
     reference_session, reference_result = run_scenario(scenario, backend)
     probe = _fresh(scenario, backend)
-    total = count_ops(lambda: probe.run_script(scenario.script))
+    total = count_ops(lambda: probe.run(scenario.script))
     if total == 0:
         pytest.skip("script crosses no kernel-op boundary (view-only)")
     for at in sweep_points(total, _limit(3)):
@@ -146,13 +146,13 @@ def test_atomic_script_rolls_back_to_prescript_state(label, backend, name):
         before = session.world_set
         with inject_fault(at) as counter:
             with pytest.raises(EvaluationError) as info:
-                session.run_script(scenario.script, atomic=True)
+                session.run(scenario.script, atomic=True)
             assert isinstance(info.value.__cause__, InjectedFault)
             assert counter.fired
         assert session.world_set == before, (
             f"{label}/{name}: atomic rollback missed at op {at}/{total}"
         )
-        session.run_script(scenario.script, atomic=True)
+        session.run(scenario.script, atomic=True)
         assert session.world_set == reference_session.world_set
         assert session.query(scenario.query).answers() == reference_result.answers()
 
@@ -163,14 +163,14 @@ def test_default_script_keeps_a_committed_statement_prefix(label, backend, name)
     after some statement prefix — never a torn statement, even inside a
     coalesced DML batch (whose applied prefix commits)."""
     scenario = SCRIPTED[name]
-    statements = parse_script(scenario.script)
     oracle = _fresh(scenario, backend)
     prefix_states = [oracle.world_set]
-    for statement in statements:
-        oracle.execute_statement(statement)
-        prefix_states.append(oracle.world_set)
+    with no_dml_batches(oracle):
+        for text in statement_texts(scenario.script):
+            oracle.run(text)
+            prefix_states.append(oracle.world_set)
     probe = _fresh(scenario, backend)
-    total = count_ops(lambda: probe.run_script(scenario.script))
+    total = count_ops(lambda: probe.run(scenario.script))
     if total == 0:
         pytest.skip("script crosses no kernel-op boundary (view-only)")
     anchor = scenario.relations[0][0]
@@ -178,7 +178,7 @@ def test_default_script_keeps_a_committed_statement_prefix(label, backend, name)
         session = _fresh(scenario, backend)
         with inject_fault(at):
             with pytest.raises(EvaluationError) as info:
-                session.run_script(scenario.script)
+                session.run(scenario.script)
             assert isinstance(info.value.__cause__, InjectedFault)
         state = session.world_set
         assert any(state == prefix for prefix in prefix_states), (
@@ -201,7 +201,7 @@ def test_query_sweep_leaves_state_untouched(label, backend, name):
     scenario = {s.name: s for s in scenarios("small")}[name]
     session = _fresh(scenario, backend)
     if scenario.script:
-        session.run_script(scenario.script)
+        session.run(scenario.script)
     before = session.world_set
     total = count_ops(lambda: session.query(scenario.query))
     reference = session.query(scenario.query).answers()
@@ -267,22 +267,22 @@ def test_blocks_batch_faults_inside_every_batch_op(label, backend):
     """The batch pipeline crosses the checkpoint seam at every one of its
     kernel ops, so a fault lands inside each of them — and leaves a
     committed statement prefix, after which the session still answers."""
-    statements = parse_script(BLOCKS.script)
     oracle = _fresh(BLOCKS, backend)
     prefix_states = [oracle.world_set]
-    for statement in statements:
-        oracle.execute_statement(statement)
-        prefix_states.append(oracle.world_set)
+    with no_dml_batches(oracle):
+        for text in statement_texts(BLOCKS.script):
+            oracle.run(text)
+            prefix_states.append(oracle.world_set)
     reference = oracle.query(BLOCKS.query).answers()
     for op in BATCH_OPS:
         probe = _fresh(BLOCKS, backend)
-        total = count_ops(lambda: probe.run_script(BLOCKS.script), op=op)
+        total = count_ops(lambda: probe.run(BLOCKS.script), op=op)
         assert total > 0, f"{label}: the batch crossed no {op!r} checkpoint"
         for at in sweep_points(total, _limit(2)):
             session = _fresh(BLOCKS, backend)
             with inject_fault(at, op=op) as counter:
                 with pytest.raises(EvaluationError) as info:
-                    session.run_script(BLOCKS.script)
+                    session.run(BLOCKS.script)
                 assert isinstance(info.value.__cause__, InjectedFault)
                 assert counter.fired
             assert any(session.world_set == state for state in prefix_states), (

@@ -22,10 +22,9 @@ import random
 import pytest
 
 from repro.backend import InlineBackend
-from repro.backend.testing import assert_backends_agree, fuzz_range
+from repro.backend.testing import assert_backends_agree, fuzz_range, statement_texts
 from repro.datagen import Scenario
 from repro.errors import EvaluationError
-from repro.isql.parser import parse_script
 from repro.isql.session import ISQLSession
 from repro.relational.array_kernel import have_numpy
 from repro.relational.relation import Relation
@@ -155,21 +154,21 @@ def test_random_repair_scripts_fault_sweep(label, backend, seed):
         session.register(name, relation)
     for relation, attributes in scenario.keys:
         session.declare_key(relation, attributes)
-    for statement in parse_script(scenario.script):
+    for text in statement_texts(scenario.script):
         before = session.world_set
         mark = session.savepoint()
-        total = count_ops(lambda: session.execute_statement(statement))
+        total = count_ops(lambda: session.run(text))
         session.rollback_to(mark)
         session.release(mark)
         for at in sweep_points(total, 2):
             with inject_fault(at) as counter:
                 with pytest.raises(EvaluationError) as info:
-                    session.execute_statement(statement)
+                    session.run(text)
                 assert isinstance(info.value.__cause__, InjectedFault)
                 assert counter.fired
             assert session.world_set == before, (
                 f"{label}/seed {seed}: fault at op {at}/{total} "
                 "left a torn state"
             )
-        session.execute_statement(statement)
+        session.run(text)
     session.query(scenario.query)

@@ -78,7 +78,7 @@ class TestAggregates:
 class TestAggregatesAcrossWorlds:
     def test_per_world_revenue(self, sales_session):
         """Aggregation happens inside each world independently."""
-        sales_session.execute("Y <- select * from Sales choice of Year;")
+        sales_session.run("Y <- select * from Sales choice of Year;")
         result = sales_session.query("select sum(Price) as Revenue from Y;")
         assert result.answers() == frozenset(
             {Relation(("Revenue",), [(7,)]), Relation(("Revenue",), [(13,)])}
@@ -100,7 +100,7 @@ class TestAggregatesAcrossWorlds:
                 ],
             ),
         )
-        s.execute(
+        s.run(
             """YQ <- select A.Year, sum(A.Price) as Revenue
                from (select * from Lineitem choice of Year) as A
                where Quantity not in
@@ -127,7 +127,7 @@ class TestAggregatesAcrossWorlds:
                 [("a", 100, 10, 2006), ("b", 200, 90, 2006), ("a", 100, 50, 2007)],
             ),
         )
-        s.execute(
+        s.run(
             """YQ <- select A.Year, sum(A.Price) as Revenue
                from (select * from Lineitem choice of Year) as A
                where Quantity not in

@@ -101,13 +101,13 @@ class TestSubqueries:
 
 class TestViews:
     def test_view_expansion_in_from(self, session):
-        session.execute(
+        session.run(
             "create view Short as select * from Flights where Arr = 'ATL';"
         )
         result = session.query("select Dep from Short;")
         assert result.relation.rows == {("FRA",), ("PAR",), ("PHL",)}
 
     def test_view_of_view(self, session):
-        session.execute("create view V1 as select * from Flights;")
-        session.execute("create view V2 as select Dep from V1;")
+        session.run("create view V1 as select * from Flights;")
+        session.run("create view V2 as select Dep from V1;")
         assert len(session.query("select * from V2;").relation) == 3

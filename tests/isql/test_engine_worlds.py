@@ -65,7 +65,7 @@ class TestRepairByKey:
     def test_assignment_materializes_repairs(self):
         s = ISQLSession()
         s.register("R", Relation(("A", "B"), [(1, "x"), (1, "y")]))
-        s.execute("Rep <- select * from R repair by key A;")
+        s.run("Rep <- select * from R repair by key A;")
         assert s.world_count() == 2
 
 
@@ -85,7 +85,7 @@ class TestGroupWorldsBy:
     def test_subquery_grouping(self):
         s = ISQLSession()
         s.register("R", Relation(("A", "B"), [(1, "x"), (1, "y"), (2, "z")]))
-        s.execute("C <- select * from R choice of A, B;")
+        s.run("C <- select * from R choice of A, B;")
         result = s.query(
             "select certain B from C group worlds by (select A from C);"
         )
@@ -110,12 +110,12 @@ class TestGroupWorldsBy:
 
 class TestClosingAcrossWorlds:
     def test_possible_unions_across_worlds(self, session):
-        session.execute("F <- select * from Flights choice of Dep;")
+        session.run("F <- select * from Flights choice of Dep;")
         result = session.query("select possible Arr from F;")
         assert result.relation.rows == {("ATL",), ("BCN",)}
 
     def test_certain_intersects_across_worlds(self, session):
-        session.execute("F <- select * from Flights choice of Dep;")
+        session.run("F <- select * from Flights choice of Dep;")
         result = session.query("select certain Arr from F;")
         assert result.relation.rows == {("ATL",)}
         # Example 3.1: the three worlds persist, each extended.

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.errors import ParseError, ReproError
+from repro.errors import ParseError, ReproError, SchemaError
 from repro.isql.parser import parse_script, parse_statement
 from repro.isql.session import ISQLSession
 from repro.relational import Relation
@@ -85,7 +85,7 @@ class TestStatementSpans:
             "delete from Flights where Nope = 1;\n"
         )
         with pytest.raises(ReproError) as info:
-            session.run_script(script)
+            session.run(script)
         notes = getattr(info.value, "__notes__", [])
         assert any(
             note.startswith("while executing: ")
@@ -101,13 +101,13 @@ class TestStatementSpans:
             "delete from Flights where Nope = 2;\n"
         )
         with pytest.raises(ReproError) as info:
-            session.run_script(script)
+            session.run(script)
         notes = getattr(info.value, "__notes__", [])
         assert any("Nope = 1" in note and "Nope = 2" in note for note in notes)
 
     def test_note_is_attached_once_not_per_frame(self, session):
         with pytest.raises(ReproError) as info:
-            session.run_script("delete from Flights where Nope = 1;")
+            session.run("delete from Flights where Nope = 1;")
         notes = [
             note
             for note in getattr(info.value, "__notes__", [])
@@ -115,13 +115,16 @@ class TestStatementSpans:
         ]
         assert len(notes) == 1
 
-    def test_programmatic_statements_have_no_span_and_no_note(self, session):
+    def test_programmatic_statements_have_no_span_and_no_note(self):
         from repro.isql import ast
+        from repro.isql.session import _annotate_statement
 
         statement = ast.Delete("Flights", None)
         assert statement.span is None
-        # Spanless nodes execute fine and errors pass through unannotated.
-        session.execute_statement(statement)
+        # Errors raised by spanless nodes pass through unannotated.
+        error = SchemaError("unknown relation")
+        _annotate_statement(error, statement, "delete from Flights;")
+        assert not getattr(error, "__notes__", [])
 
 
 VALID_SCRIPTS = [
@@ -159,7 +162,7 @@ class TestExceptionHygiene:
                 "Flights", Relation(("Dep", "Arr"), [("FRA", "BCN"), ("PAR", "ATL")])
             )
             try:
-                session.run_script(script)
+                session.run(script)
             except ReproError:
                 pass  # the only exception family allowed out
             except Exception as error:  # pragma: no cover - the failure path
@@ -178,7 +181,7 @@ class TestExceptionHygiene:
             "select Dep from Flights group worlds by Dep;",  # needs a closing
         ]:
             with pytest.raises(ReproError):
-                session.run_script(script)
+                session.run(script)
 
     def test_internal_faults_surface_wrapped_with_cause(self, session):
         with inject_fault(1) as counter:

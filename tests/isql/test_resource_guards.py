@@ -47,11 +47,11 @@ def test_max_seconds_zero_aborts_deterministically(backend, flights):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_limit_error_leaves_state_at_last_commit(backend, flights):
     session = _session(backend, flights)
-    session.execute("H <- select * from Flights choice of Dep;")
+    session.run("H <- select * from Flights choice of Dep;")
     before = session.world_set
     session.max_rows = 1
     with pytest.raises(ResourceLimitError):
-        session.execute("delete from H where Arr = 'ATL';")
+        session.run("delete from H where Arr = 'ATL';")
     assert session.world_set == before
 
 
@@ -79,7 +79,7 @@ def test_budget_is_per_statement_not_per_script(flights):
     """Each statement gets a fresh budget: a script whose statements each
     fit under max_rows runs even though their sum exceeds it."""
     session = _session("inline", flights, max_rows=200)
-    session.run_script(
+    session.run(
         "insert into Flights values ('LIS', 'FRA');"
         "insert into Flights values ('LIS', 'BCN');"
         "delete from Flights where Dep = 'LIS';"
@@ -96,10 +96,10 @@ def test_limit_inside_atomic_script_rolls_back_wholesale(flights):
     )
     session.max_rows = 2  # the insert fits; the choice-of split cannot
     with pytest.raises(ResourceLimitError):
-        session.run_script(script, atomic=True)
+        session.run(script, atomic=True)
     assert session.world_set == before
     session.max_rows = None
-    session.run_script(script, atomic=True)  # recovered, replays fine
+    session.run(script, atomic=True)  # recovered, replays fine
 
 
 def test_explicit_world_splitting_is_budgeted(flights):
@@ -107,7 +107,7 @@ def test_explicit_world_splitting_is_budgeted(flights):
     so budgets interrupt the world expansion itself."""
     session = _session("explicit", flights, max_rows=3)
     with pytest.raises(ResourceLimitError) as info:
-        session.execute("H <- select * from Flights choice of Dep;")
+        session.run("H <- select * from Flights choice of Dep;")
     assert "choice_split" in str(info.value) or "cumulative" in str(info.value)
 
 

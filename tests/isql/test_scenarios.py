@@ -19,17 +19,17 @@ class TestCompanyAcquisition:
         return s
 
     def test_full_script(self, session):
-        session.execute("U <- select * from Company_Emp choice of CID;")
+        session.run("U <- select * from Company_Emp choice of CID;")
         assert session.world_count() == 2
 
-        session.execute(
+        session.run(
             """V <- select R1.CID, R1.EID
                from Company_Emp R1, (select * from U choice of EID) R2
                where R1.CID = R2.CID and R1.EID != R2.EID;"""
         )
         assert session.world_count() == 5
 
-        session.execute(
+        session.run(
             """W <- select certain CID, Skill
                from V, Emp_Skills
                where V.EID = Emp_Skills.EID
@@ -52,7 +52,7 @@ class TestTripPlanning:
         s = ISQLSession()
         s.register("Flights", paper_flights())
         s.register("Hometowns", Relation(("Dep",), [("FRA",), ("PAR",), ("PHL",)]))
-        s.execute(
+        s.run(
             "create view HFlights as select * from Flights where Dep in Hometowns;"
         )
         result = s.query("select certain Arr from HFlights choice of Dep;")
@@ -80,7 +80,7 @@ class TestTpchWhatIf:
             years=(2004, 2005), n_products=6, n_quantities=3, rows_per_year=15, seed=3
         )
         s.register("Lineitem", items)
-        s.execute(
+        s.run(
             """create view YearQuantity as
                select A.Year, sum(A.Price) as Revenue
                from (select * from Lineitem choice of Year) as A
@@ -105,7 +105,7 @@ class TestTpchWhatIf:
             "Lineitem",
             lineitem(years=(2004, 2005), n_quantities=3, rows_per_year=15, seed=5),
         )
-        s.execute(
+        s.run(
             """create view YearQuantity as
                select A.Year, sum(A.Price) as Revenue
                from (select * from Lineitem choice of Year) as A
@@ -152,7 +152,7 @@ class TestCensusRepair:
                 ],
             ),
         )
-        s.execute("Clean <- select * from Census repair by key SSN;")
+        s.run("Clean <- select * from Census repair by key SSN;")
         result = s.query("select certain SSN, Name from Clean;")
         # Both repairs contain (1, Ann) and (2, Bob) at the name level.
         assert result.relation.rows == {(1, "Ann"), (2, "Bob")}

@@ -23,29 +23,29 @@ class TestCatalog:
     def test_view_name_clash_rejected(self, flights):
         s = ISQLSession()
         s.register("Flights", flights)
-        s.execute("create view V as select * from Flights;")
+        s.run("create view V as select * from Flights;")
         with pytest.raises(SchemaError):
             s.register("V", flights)
         with pytest.raises(SchemaError):
-            s.execute("create view Flights as select * from Flights;")
+            s.run("create view Flights as select * from Flights;")
 
     def test_assignment_name_clash_rejected(self, flights):
         s = ISQLSession()
         s.register("Flights", flights)
         with pytest.raises(SchemaError):
-            s.execute("Flights <- select * from Flights;")
+            s.run("Flights <- select * from Flights;")
 
 
 class TestExecution:
-    def test_execute_returns_one_result_per_statement(self, flights):
+    def test_run_returns_one_result_per_statement(self, flights):
         s = ISQLSession()
         s.register("Flights", flights)
-        results = s.execute(
+        results = s.run(
             "F <- select * from Flights choice of Dep;"
             "select certain Arr from F;"
             "delete from F where Arr = 'ATL';"
         )
-        assert results[0] is None  # assignment
+        assert results[0].kind == "assign" and results[0].answer is None
         assert results[1].relation.rows == {("ATL",)}
         assert results[2].applied
 
@@ -71,12 +71,12 @@ class TestExecution:
             "R", Relation(("A", "B"), [(i, j) for i in range(3) for j in range(2)])
         )
         with pytest.raises(EvaluationError, match="limit"):
-            s.execute("X <- select * from R repair by key A;")
+            s.run("X <- select * from R repair by key A;")
 
     def test_assignment_with_world_split_persists(self, flights):
         s = ISQLSession()
         s.register("Flights", flights)
-        s.execute("F <- select * from Flights choice of Dep;")
+        s.run("F <- select * from Flights choice of Dep;")
         assert s.world_count() == 3
         assert s.relation_names() == ("Flights", "F")
 
@@ -85,7 +85,7 @@ class TestExecution:
         guess-and-check of Proposition 4.2 depends on this."""
         s = ISQLSession()
         s.register("R", Relation(("K", "V"), [(1, "a"), (1, "b")]))
-        s.execute("Rep <- select * from R repair by key K;")
+        s.run("Rep <- select * from R repair by key K;")
         result = s.query(
             "select possible X.V from Rep X, Rep Y where X.V != Y.V;"
         )

@@ -27,7 +27,7 @@ from repro.backend import ExplicitBackend, InlineBackend
 from repro.cache import MISS, CacheInfo, LRUCache, StatementCache
 from repro.errors import EvaluationError
 from repro.isql import ISQLSession
-from repro.isql.session import DMLResult, StatementResult
+from repro.isql.session import StatementResult
 from repro.relational import Relation
 
 
@@ -114,11 +114,11 @@ def test_dml_plans_are_cached_too():
     ``cache="bypass"``.)"""
     session = _session()
     delete = "delete from B where exists (select * from A where X = 99);"
-    session.execute(delete)
+    session.run(delete)
     assert session.backend.last_cache == "miss"
-    session.execute(delete)
+    session.run(delete)
     assert session.backend.last_cache == "hit"
-    session.execute("delete from B where P = 7;")
+    session.run("delete from B where P = 7;")
     assert session.backend.last_cache == "bypass"  # subquery-free: no plan
 
 
@@ -420,16 +420,6 @@ def test_run_records_phase_timings():
     assert "execute" in result.phases or "compile" in result.phases
     (again,) = session.run(SELECT_A)
     assert "cache_lookup" in again.phases
-
-
-def test_old_shapes_still_work():
-    """Backward compatibility: execute/run_script keep returning the
-    legacy result objects (deprecated in favor of run())."""
-    session = _session()
-    legacy = session.execute("insert into B values (4);" + SELECT_B)
-    assert isinstance(legacy[0], DMLResult)
-    assert legacy[0].applied is True and legacy[0].kind == "insert"
-    assert legacy[-1].answers() == session.query(SELECT_B).answers()
 
 
 def test_statement_result_repr_mentions_cache():

@@ -2,7 +2,7 @@
 
 Statement-level atomicity is structural (backends commit by swapping
 immutable state references); this suite pins the *multi-statement*
-layer built on top: ``execute``/``run_script`` with ``atomic=True``,
+layer built on top: ``run`` with ``atomic=True``,
 the :meth:`ISQLSession.transaction` context manager, and the
 savepoint stack — including that rollback restores views and declared
 keys, not just the possible-worlds state.
@@ -36,7 +36,7 @@ def _refs(session):
 class TestAtomicScripts:
     def test_atomic_script_commits_on_success(self, backend, bookings):
         session = _session(backend, bookings)
-        results = session.run_script(
+        results = session.run(
             "insert into Bookings values (4, 'PAR');"
             "delete from Bookings where City = 'ATL';",
             atomic=True,
@@ -48,7 +48,7 @@ class TestAtomicScripts:
         session = _session(backend, bookings)
         before = session.world_set
         with pytest.raises(ReproError):
-            session.run_script(
+            session.run(
                 "insert into Bookings values (4, 'PAR');"
                 "delete from Bookings where Nope = 1;",  # unknown column
                 atomic=True,
@@ -58,7 +58,7 @@ class TestAtomicScripts:
     def test_default_script_keeps_committed_prefix(self, backend, bookings):
         session = _session(backend, bookings)
         with pytest.raises(ReproError):
-            session.run_script(
+            session.run(
                 "insert into Bookings values (4, 'PAR');"
                 "select * from Nowhere;"
             )
@@ -67,14 +67,14 @@ class TestAtomicScripts:
     def test_atomic_execute_rolls_back_views_too(self, backend, bookings):
         session = _session(backend, bookings)
         with pytest.raises(ReproError):
-            session.execute(
+            session.run(
                 "create view Cities as select City from Bookings;"
                 "select * from Nowhere;",
                 atomic=True,
             )
         assert "Cities" not in session.views
         # The name is free again: re-creating it succeeds.
-        session.execute("create view Cities as select City from Bookings;")
+        session.run("create view Cities as select City from Bookings;")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -82,7 +82,7 @@ class TestTransactionBlocks:
     def test_commit_on_clean_exit(self, backend, bookings):
         session = _session(backend, bookings)
         with session.transaction():
-            session.execute("insert into Bookings values (4, 'PAR');")
+            session.run("insert into Bookings values (4, 'PAR');")
         assert _refs(session) == Relation(("Ref",), [(1,), (2,), (3,), (4,)])
 
     def test_rollback_restores_state_views_and_keys(self, backend, bookings):
@@ -90,8 +90,8 @@ class TestTransactionBlocks:
         before = session.world_set
         with pytest.raises(RuntimeError):
             with session.transaction():
-                session.execute("insert into Bookings values (4, 'PAR');")
-                session.execute("create view Cities as select City from Bookings;")
+                session.run("insert into Bookings values (4, 'PAR');")
+                session.run("create view Cities as select City from Bookings;")
                 session.declare_key("Bookings", ("Ref",))
                 raise RuntimeError("abort")
         assert session.world_set == before
@@ -101,10 +101,10 @@ class TestTransactionBlocks:
     def test_nested_transactions_roll_back_independently(self, backend, bookings):
         session = _session(backend, bookings)
         with session.transaction():
-            session.execute("insert into Bookings values (4, 'PAR');")
+            session.run("insert into Bookings values (4, 'PAR');")
             with pytest.raises(RuntimeError):
                 with session.transaction():
-                    session.execute("delete from Bookings;")
+                    session.run("delete from Bookings;")
                     raise RuntimeError("inner abort")
             # Outer work survives the inner rollback.
             assert _refs(session) == Relation(("Ref",), [(1,), (2,), (3,), (4,)])
@@ -128,14 +128,14 @@ class TestSavepoints:
         session = _session(backend, bookings)
         mark = session.savepoint("clean")
         for _ in range(2):  # a savepoint survives its own rollback
-            session.execute("insert into Bookings values (4, 'PAR');")
+            session.run("insert into Bookings values (4, 'PAR');")
             session.rollback_to(mark)
             assert _refs(session) == Relation(("Ref",), [(1,), (2,), (3,)])
 
     def test_rollback_discards_later_savepoints(self, backend, bookings):
         session = _session(backend, bookings)
         first = session.savepoint("first")
-        session.execute("insert into Bookings values (4, 'PAR');")
+        session.run("insert into Bookings values (4, 'PAR');")
         second = session.savepoint("second")
         session.rollback_to(first)
         with pytest.raises(EvaluationError, match="unknown or released"):
@@ -144,7 +144,7 @@ class TestSavepoints:
     def test_release_keeps_work_but_invalidates_token(self, backend, bookings):
         session = _session(backend, bookings)
         mark = session.savepoint()
-        session.execute("insert into Bookings values (4, 'PAR');")
+        session.run("insert into Bookings values (4, 'PAR');")
         session.release(mark)
         assert _refs(session) == Relation(("Ref",), [(1,), (2,), (3,), (4,)])
         with pytest.raises(EvaluationError, match="unknown or released"):
@@ -178,7 +178,7 @@ class TestSavepoints:
         session = _session(backend, bookings)
         mark = session.savepoint()
         session.declare_key("Bookings", ("Ref",))
-        session.execute("create view Cities as select City from Bookings;")
+        session.run("create view Cities as select City from Bookings;")
         session.rollback_to(mark)
         assert session.keys == {}
         assert session.views == {}
@@ -197,10 +197,10 @@ def test_register_conflict_after_rollback_is_gone(bookings):
     before = session.world_set
     with pytest.raises(RuntimeError):
         with session.transaction():
-            session.execute("B <- select * from Bookings choice of City;")
+            session.run("B <- select * from Bookings choice of City;")
             raise RuntimeError("abort")
     assert session.world_set == before
-    session.execute("B <- select * from Bookings choice of City;")  # name free
+    session.run("B <- select * from Bookings choice of City;")  # name free
 
 
 def test_transaction_restores_across_world_splits(bookings):
@@ -210,7 +210,7 @@ def test_transaction_restores_across_world_splits(bookings):
         assert session.world_count() == 1
         with pytest.raises(RuntimeError):
             with session.transaction():
-                session.execute("B <- select * from Bookings choice of City;")
+                session.run("B <- select * from Bookings choice of City;")
                 assert session.world_count() == 3
                 raise RuntimeError("abort")
         assert session.world_count() == 1

@@ -136,7 +136,7 @@ class Case:
             session.register(name, relation)
         for relation, attributes in self.keys:
             session.declare_key(relation, attributes)
-        session.run_script(self.setup)
+        session.run(self.setup)
         return session
 
 
@@ -150,12 +150,12 @@ def _outcome(results) -> object:
     is just its payload: the answer set for selects, the applied flag
     for DML, a marker for assignments.
     """
-    last = results[-1] if results else None
-    if last is None:
-        return ("assign",)
-    if hasattr(last, "answers"):
+    last = results[-1]
+    if last.kind == "select":
         return ("select", last.answers())
-    return ("dml", last.applied)
+    if last.applied is not None:
+        return ("dml", last.applied)
+    return ("assign",)
 
 
 def _cursor_outcome(cursor) -> object:
@@ -260,7 +260,7 @@ def _run_serialized(case: Case, backend_factory) -> tuple[list, ISQLSession]:
         unit = case.units[thread_index][cursors[thread_index]]
         cursors[thread_index] += 1
         try:
-            outcomes.append(_outcome(session.run_script(unit)))
+            outcomes.append(_outcome(session.run(unit)))
         except ReproError as error:
             outcomes.append(_error_outcome(error))
     return outcomes, session

@@ -184,6 +184,30 @@ def test_parse_and_schema_errors_map_to_programming_error(conn):
         conn.execute("select possible K from NoSuchRelation;")
 
 
+def test_each_statement_parses_once(conn, monkeypatch):
+    """The read/write classification and the run share the session's
+    parse cache: one parse for a cold statement, none on a repeat."""
+    import sys
+
+    from repro.isql.parser import parse_script
+
+    calls = []
+
+    def counting(source):
+        calls.append(source)
+        return parse_script(source)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "repro" and getattr(module, "parse_script", None) is parse_script:
+            monkeypatch.setattr(module, "parse_script", counting)
+    for statement in ("select possible K from T;", "insert into T values (4, 40);"):
+        conn.execute(statement)
+        assert len(calls) == 1, statement
+        conn.execute(statement)
+        assert len(calls) == 1, statement
+        calls.clear()
+
+
 def test_resource_budget_maps_to_operational_error():
     session = ISQLSession(backend="inline")
     session.register("T", Relation(("K",), [(k,) for k in range(50)]))

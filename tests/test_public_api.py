@@ -1,5 +1,7 @@
 """The package façade: everything advertised in ``repro.__all__`` works."""
 
+import pytest
+
 import repro
 
 
@@ -62,3 +64,62 @@ class TestQuickstart:
             TypingError,
         ):
             assert issubclass(error, ReproError)
+
+
+class TestStatementSurface:
+    """``ISQLSession.run`` is the one statement driver."""
+
+    def test_run_is_the_only_statement_driver(self):
+        """The public session surface, pinned whole: no second driver
+        and no second statement-result shape."""
+        import repro.isql
+        import repro.isql.session
+        from repro import ISQLSession
+
+        assert {n for n in vars(ISQLSession) if not n.startswith("_")} == {
+            "cache_info",
+            "close",
+            "declare_key",
+            "export_snapshot",
+            "fork",
+            "pin_thread",
+            "query",
+            "register",
+            "relation_names",
+            "release",
+            "restore_snapshot",
+            "rollback_to",
+            "run",
+            "savepoint",
+            "transaction",
+            "unpin_thread",
+            "world_count",
+            "world_set",
+        }
+        for module in (repro.isql, repro.isql.session):
+            results = {n for n in module.__all__ if n.endswith("Result")}
+            assert results == {"QueryResult", "StatementResult"}
+
+    def test_traced_entry_points_are_class_attributes(self):
+        """The end-to-end tracer wraps these by class attribute."""
+        from repro import ISQLSession, InlineBackend
+
+        assert {"run", "restore_snapshot"} <= set(vars(ISQLSession))
+        assert {
+            "run_select",
+            "run_insert",
+            "run_delete",
+            "run_update",
+            "run_dml_batch",
+        } <= set(vars(InlineBackend))
+
+    def test_query_takes_exactly_one_select(self):
+        from repro import EvaluationError, ISQLSession
+        from repro.datagen import paper_flights
+
+        session = ISQLSession()
+        session.register("Flights", paper_flights())
+        with pytest.raises(EvaluationError):
+            session.query("delete from Flights where Dep = 'FRA';")
+        with pytest.raises(EvaluationError):
+            session.query("select * from Flights; select * from Flights;")
