@@ -87,7 +87,6 @@ from repro.isql.compile import (
 from repro.isql.engine import Engine, _Resolver
 from repro.optimizer.rewriter import optimize as rewrite_plan
 from repro.relational import predicates
-from repro.relational.guards import checkpoint
 from repro.relational.columnar import (
     ColumnarRelation,
     as_columnar,
@@ -97,7 +96,7 @@ from repro.relational.columnar import (
     tuples_of,
 )
 from repro.relational.pad import PAD
-from repro.relational.relation import Relation, broadcast_rows, tuple_getter
+from repro.relational.relation import Relation, tuple_getter
 from repro.relational.schema import Schema
 from repro.worlds.worldset import WorldSet, fresh_name
 
@@ -778,43 +777,28 @@ class InlineBackend(Backend):
         """*relation* in the active kernel's representation (cached)."""
         return kernel_ops(self.kernel).convert(relation)
 
-    def _distinct_rows_relation(self, schema, rows):
-        """A kernel-native relation from already-distinct aligned rows."""
-        return kernel_ops(self.kernel).from_distinct_rows(schema, rows)
-
     @staticmethod
-    def _key_tuples(relation, key, table_ids) -> set[tuple] | None:
-        """The (V_i ∪ key) projection of every row, or None on a duplicate.
-
-        A duplicate means two rows of one world share the key — the flat
-        form of a per-world key violation. Rows are distinct, so the
-        projection is violation-free iff it has one entry per row; the
-        whole check is one C-speed pass over the id+key column slices
-        on either kernel. The returned set doubles as a probe index for
-        :meth:`run_insert`.
-        """
-        seen = set(tuples_of(relation, tuple(table_ids) + tuple(key)))
-        if len(seen) != len(relation):
-            return None
-        return seen
-
-    @classmethod
     def _satisfies_keys_flat(
-        cls, relation, key, table_ids, wild_attrs=frozenset()
+        relation, key, table_ids, wild_attrs=frozenset()
     ) -> bool:
         """Key holds in *every* world: (V_i ∪ key) determines the row.
 
-        On a table with wild (PAD-wildcard) id columns the distinctness
-        probe is replaced by a pattern-compatibility check — two rows
-        violate iff some world holds both — see :func:`_wild_key_satisfied`.
+        Rows are distinct, so the key holds iff the (V_i ∪ key)
+        projection keeps one entry per row: one kernel
+        ``distinct_count``. On a table with wild (PAD-wildcard) id
+        columns the distinctness probe is replaced by a
+        pattern-compatibility check — two rows violate iff some world
+        holds both — see :func:`_wild_key_satisfied`.
         """
         if not key:
             return True
         if wild_attrs and not wild_attrs.isdisjoint(table_ids):
             return _wild_key_satisfied(
-                relation, tuple(key), table_ids, frozenset(wild_attrs)
+                relation, tuple(key), tuple(table_ids), frozenset(wild_attrs)
             )
-        return cls._key_tuples(relation, key, table_ids) is not None
+        return relation.distinct_count(tuple(table_ids) + tuple(key)) == len(
+            relation
+        )
 
     def _dml_state(self, plan, context: ExecutionContext):
         """Evaluate a (rewritten) DML match plan against the session state.
@@ -896,116 +880,46 @@ class InlineBackend(Backend):
     def run_insert(self, statement: ast.Insert, context: ExecutionContext) -> bool:
         """Insert into every world; on a key violation, insert nowhere.
 
-        The key check runs *before* any new table is materialized: all
-        additions share one value part and differ only on world ids, so
-        a violation exists iff some existing row already claims the new
-        key in a world the insert reaches (or the table itself violates
-        the key, which the engine's whole-table check also rejects). A
-        violating insert on a 2¹⁶-world table therefore costs one
-        indexed scan — no O(worlds) garbage rows. An applied insert is
-        the kernel ``append``: the additions are deduplicated and
-        checked alone, the existing rows are reused as-is instead of
-        being re-validated through the ``Relation`` constructor.
+        A one-statement run of the kernel-op pipeline
+        (:meth:`_run_vectorized`), which every insert translates to.
         """
-        rep = self.representation
-        table = rep.tables[statement.relation]
-        value_attrs = rep.value_attributes(statement.relation)
-        if len(statement.values) != len(value_attrs):
-            raise SchemaError(
-                f"insert arity {len(statement.values)} does not match "
-                f"{statement.relation}{list(value_attrs)}"
-            )
-        assignment = dict(zip(value_attrs, statement.values))
-        table_ids = rep.table_id_attrs(statement.relation)
-        # Wild columns take PAD (one stored row reaches every world of
-        # those factors), concrete columns enumerate — never the joint
-        # product on a factored world.
-        sub_ids = rep.insert_sub_ids(statement.relation, self.kernel)
-        key = context.keys.get(statement.relation)
-        if key:
-            if rep.table_wild_attrs(statement.relation):
-                if not self._satisfies_keys_flat(
-                    table, tuple(key), table_ids, rep.wild_attrs
-                ):
-                    return False  # a pre-existing violation rejects too
-                # The addition is an every-world row, so it conflicts
-                # with *any* existing row claiming the key — every
-                # stored pattern shares at least one world with it.
-                new_key = tuple(assignment[a] for a in key)
-                if new_key in set(tuples_of(table, tuple(key))):
-                    return False
-            else:
-                seen = self._key_tuples(table, tuple(key), table_ids)
-                if seen is None:
-                    return False  # a pre-existing violation rejects too
-                new_key = tuple(assignment[a] for a in key)
-                if any(tuple(sub_id) + new_key in seen for sub_id in sub_ids):
-                    return False
-        with phase("dml_apply"):
-            additions = broadcast_rows(
-                [assignment.get(a) for a in table.schema.attributes],
-                table.schema.indices(table_ids),
-                sub_ids,
-            )
-            self._replace_table(
-                statement.relation, self._in_kernel(table).append(additions)
-            )
-        return True
+        return self._run_vectorized((statement,), context)[0]
 
     def run_delete(self, statement: ast.Delete, context: ExecutionContext) -> None:
         """Delete matching rows in every world — flat, even with subqueries.
 
-        Subquery-free conditions filter the flat table in one kernel
-        pass (the kept rows are shared, never rebuilt through the
-        ``Relation`` constructor). A condition with (world-local)
-        subqueries compiles to its match plan (``select * from R where
-        φ``), whose flat answer the kernel ``mask`` subtracts from the
-        id-expanded table per world id — the Section 3 rule without
-        decoding a single world. Only conditions the compiler rejects
-        (e.g. world-splitting subqueries, which the engine rejects too
-        when a row reaches them) fall back.
+        A subquery-free condition runs the kernel-op pipeline of
+        :meth:`_run_vectorized` (``predicate_mask``, then ``compress``).
+        A condition with (world-local) subqueries — or the subquery-free
+        residue the pipeline does not translate (unresolved or
+        qualified columns) — compiles to its match plan (``select *
+        from R where φ``), whose flat answer the kernel ``mask``
+        subtracts from the id-expanded table per world id — the
+        Section 3 rule without decoding a single world. Only conditions
+        the compiler rejects (e.g. world-splitting subqueries, which the
+        engine rejects too when a row reaches them) fall back.
         """
         subqueries = ast.condition_subqueries(statement.where)
-        if subqueries:
-            try:
-                plan, attrs = self._compiled_dml(
-                    "delete", statement, context, compile_delete
-                )
-            except FragmentError as reason:
-                self._note_fallback("delete", reason)
-                self._reinline(
-                    Engine(
-                        context.views, context.keys, context.max_worlds
-                    ).run_delete(statement, self.to_world_set())
-                )
-                return
-            if self._subqueries_world_uniform(subqueries, context.views):
-                state = self._uniform_dml_state(statement.relation, plan, context)
-                self._apply_delete_uniform(statement.relation, attrs, state)
-                return
-            state = self._dml_state(plan, context)
-            self._apply_delete(statement.relation, attrs, state)
+        if not subqueries and self._run_vectorized((statement,), context) is not None:
             return
-        table = self.representation.tables[statement.relation]
-        schema = table.schema
-        if statement.where is None:
-            with phase("dml_apply"):
-                self._replace_table(
-                    statement.relation, self._distinct_rows_relation(schema, [])
-                )
-            return
-        matches = Engine(context.views, context.keys).bind_row_condition(
-            statement.where, schema.attributes
-        )
-        with phase("dml_apply"):
-            kernel_table = self._in_kernel(table)
-            # The flat row scan is not a kernel op, but it is the same
-            # O(rows) work — checkpoint it like one.
-            checkpoint("dml_scan", len(kernel_table))
-            kept = [row for row in kernel_table if not matches(row)]
-            self._replace_table(
-                statement.relation, self._distinct_rows_relation(schema, kept)
+        try:
+            plan, attrs = self._compiled_dml(
+                "delete", statement, context, compile_delete
             )
+        except FragmentError as reason:
+            self._note_fallback("delete", reason)
+            self._reinline(
+                Engine(
+                    context.views, context.keys, context.max_worlds
+                ).run_delete(statement, self.to_world_set())
+            )
+            return
+        if self._subqueries_world_uniform(subqueries, context.views):
+            state = self._uniform_dml_state(statement.relation, plan, context)
+            self._apply_delete_uniform(statement.relation, attrs, state)
+            return
+        state = self._dml_state(plan, context)
+        self._apply_delete(statement.relation, attrs, state)
 
     def _apply_delete_uniform(
         self, name: str, attrs: tuple[str, ...], state
@@ -1042,77 +956,46 @@ class InlineBackend(Backend):
     def run_update(self, statement: ast.Update, context: ExecutionContext) -> bool:
         """Update matching rows in every world — flat, even with subqueries.
 
-        Subquery-free statements rewrite the flat table in one kernel
-        pass. With subqueries in the condition or the set expressions,
-        the compiled match plan (extended with one value column per
-        scalar-subquery set clause) is evaluated once; its flat answer
-        names every matched (world id, row) pair and carries the inputs
-        of the new values, so the kernel ``scatter_update`` rewrites the
-        table per world id without decoding worlds. The Section 3
-        discard rule then applies: a key violation in *any* world
-        rejects the update in all of them (checked as one vectorized
-        (V_i ∪ key)-distinctness pass).
+        A subquery-free statement whose set clauses write literals or
+        copy columns runs the kernel-op pipeline of
+        :meth:`_run_vectorized` (``predicate_mask``, then
+        ``masked_assign``). Any other statement — subqueries in the
+        condition or the set expressions, computed set values, or
+        unresolved columns — compiles to the match plan (extended with
+        one value column per scalar-subquery set clause), evaluated
+        once; its flat answer names every matched (world id, row) pair
+        and carries the inputs of the new values, so the kernel
+        ``scatter_update`` rewrites the table per world id without
+        decoding worlds. The Section 3 discard rule then applies: a key
+        violation in *any* world rejects the update in all of them
+        (checked as one vectorized (V_i ∪ key)-distinctness pass).
         """
         subqueries = list(ast.condition_subqueries(statement.where))
         for clause in statement.settings:
             subqueries.extend(ast.expression_subqueries(clause.expression))
-        if subqueries:
-            try:
-                plan, attrs, set_terms = self._compiled_dml(
-                    "update", statement, context, compile_update
-                )
-            except FragmentError as reason:
-                self._note_fallback("update", reason)
-                world_set, applied = Engine(
-                    context.views, context.keys, context.max_worlds
-                ).run_update(statement, self.to_world_set())
-                if applied:
-                    self._reinline(world_set)
-                return applied
-            if self._subqueries_world_uniform(subqueries, context.views):
-                state = self._uniform_dml_state(statement.relation, plan, context)
-                return self._apply_update_uniform(
-                    statement, attrs, set_terms, state, context
-                )
-            state = self._dml_state(plan, context)
-            return self._apply_update(statement, attrs, set_terms, state, context)
-        table = self.representation.tables[statement.relation]
-        engine = Engine(context.views, context.keys)
-        attributes = table.schema.attributes
-        matches = (
-            (lambda row: True)
-            if statement.where is None
-            else engine.bind_row_condition(statement.where, attributes)
-        )
-        settings = [
-            (
-                table.schema.index(clause.attribute),
-                engine.bind_row_expression(clause.expression, attributes),
+        if not subqueries:
+            applied = self._run_vectorized((statement,), context)
+            if applied is not None:
+                return applied[0]
+        try:
+            plan, attrs, set_terms = self._compiled_dml(
+                "update", statement, context, compile_update
             )
-            for clause in statement.settings
-        ]
-        with phase("dml_apply"):
-            kernel_table = self._in_kernel(table)
-            checkpoint("dml_scan", len(kernel_table))
-            rows: dict[tuple, None] = {}
-            for row in kernel_table:
-                if not matches(row):
-                    rows[row] = None
-                    continue
-                new_row = list(row)
-                for position, value in settings:
-                    new_row[position] = value(row)
-                rows[tuple(new_row)] = None
-            new_table = self._distinct_rows_relation(table.schema, list(rows))
-            if not self._satisfies_keys_flat(
-                new_table,
-                context.keys.get(statement.relation),
-                self.representation.table_id_attrs(statement.relation),
-                self.representation.wild_attrs,
-            ):
-                return False
-            self._replace_table(statement.relation, new_table)
-        return True
+        except FragmentError as reason:
+            self._note_fallback("update", reason)
+            world_set, applied = Engine(
+                context.views, context.keys, context.max_worlds
+            ).run_update(statement, self.to_world_set())
+            if applied:
+                self._reinline(world_set)
+            return applied
+        if self._subqueries_world_uniform(subqueries, context.views):
+            state = self._uniform_dml_state(statement.relation, plan, context)
+            return self._apply_update_uniform(
+                statement, attrs, set_terms, state, context
+            )
+        state = self._dml_state(plan, context)
+        return self._apply_update(statement, attrs, set_terms, state, context)
 
     def _apply_update_uniform(
         self,
@@ -1264,51 +1147,67 @@ class InlineBackend(Backend):
 
         ``ISQLSession.run`` hands over a maximal run of batchable
         statements (one target relation, conditions and set expressions
-        without subqueries). Each condition translates once into a
-        relational predicate, and the batch runs on kernel ops alone —
-        the same pipeline on every kernel, each op a whole-table pass in
-        the kernel's own storage:
+        without subqueries); :meth:`_run_vectorized` applies it on
+        kernel ops and commits once. A run holding a statement the
+        pipeline does not translate replays statement at a time through
+        the protocol default, each statement on its own route.
+        """
+        applied = self._run_vectorized(statements, context)
+        if applied is None:
+            return super().run_dml_batch(statements, context)
+        return applied
+
+    def _run_vectorized(
+        self, statements: tuple, context: ExecutionContext
+    ) -> list[bool] | None:
+        """Subquery-free DML on one relation as kernel ops; None to bail.
+
+        The one route of subquery-free DML, whether a single statement
+        or a coalesced batch. Each condition translates once into a
+        relational predicate, and the statements run on kernel ops
+        alone — the same pipeline on every kernel, each op a whole-table
+        pass in the kernel's own storage:
 
         * delete: ``predicate_mask`` of the kept rows, then ``compress``;
         * update: ``predicate_mask``, then ``masked_assign`` (rewrite
-          and dedup), and the Section 3 key check as a ``distinct_count``
-          over ``(V_i ∪ key)`` — a violating update is discarded alone;
-        * insert: a ``claimed_ids`` probe for the key check and for the
-          rows already present, then ``append_broadcast`` of the value
-          row over the unclaimed world ids.
+          and dedup), and the Section 3 key check (a ``distinct_count``
+          over ``(V_i ∪ key)``, or the PAD-pattern check on a wild
+          table) — a violating update is discarded alone;
+        * insert: ``claimed_ids`` probes for the rows already present
+          and for the key check, then ``append_broadcast`` of the value
+          row over the world ids still lacking it.
 
         **One** new table commits at the end (the representation is
-        validated once per batch). Statement semantics are exactly
+        validated once per run). Statement semantics are exactly
         statement-at-a-time (the property suite asserts row-for-row and
         flag-for-flag equivalence), including error behavior: a
-        statement that raises mid-batch first commits the statements
-        already applied, like separate executions would. A batch with a
-        condition or set clause that does not translate (arithmetic,
-        unresolved columns), or against a table with wild id columns,
-        replays statement at a time through the protocol default.
+        statement that raises mid-run first commits the statements
+        already applied, like separate executions would. Returns None,
+        running nothing, when a condition or set clause does not
+        translate (see :func:`_vector_plans`).
         """
         name = statements[0].relation
         rep = self.representation
         table = rep.tables[name]
         schema = table.schema
-        plans = (
-            None if rep.table_wild_attrs(name) else _vector_plans(statements, schema)
-        )
+        plans = _vector_plans(statements, schema)
         if plans is None:
-            return super().run_dml_batch(statements, context)
+            return None
         table_ids = rep.table_id_attrs(name)
         value_attrs = rep.value_attributes(name)
-        # Normalized to None when absent *or empty* — the per-statement
+        # Normalized to None when absent *or empty* — the match-plan
         # paths treat a degenerate () key as no constraint (`if key:`),
-        # and batched execution must match them decision for decision.
+        # and this route must match them decision for decision.
         key = context.keys.get(name) or None
         sub_ids: list[tuple] | None = None
         applied: list[bool] = []
 
-        def key_distinct(relation) -> bool:
+        def key_holds(relation) -> bool:
             # Resolved per check: a bad declared key raises at the
             # statement that first checks it, after earlier ones applied.
-            return relation.distinct_count(table_ids + tuple(key)) == len(relation)
+            return self._satisfies_keys_flat(
+                relation, key, table_ids, rep.wild_attrs
+            )
 
         with phase("dml_apply"):
             state = start = self._in_kernel(table)
@@ -1323,8 +1222,8 @@ class InlineBackend(Backend):
                         )
                         # An unmatched update leaves the table as it is,
                         # but the check still runs: a pre-existing
-                        # violation rejects, like statement-at-a-time.
-                        if key is not None and not key_distinct(candidate):
+                        # violation rejects, like the engine.
+                        if key is not None and not key_holds(candidate):
                             applied.append(False)  # discarded in all worlds
                             continue
                         state = candidate
@@ -1337,21 +1236,27 @@ class InlineBackend(Backend):
                             )
                         assignment = dict(zip(value_attrs, statement.values))
                         if sub_ids is None:
-                            # Touched factors only — never the joint product.
+                            # Wild columns take PAD, concrete ones
+                            # enumerate the touched factors only — never
+                            # the joint product.
                             sub_ids = rep.insert_sub_ids(name, self.kernel)
-                        if key is not None and (
-                            not key_distinct(state)
-                            or not state.claimed_ids(
-                                key, [assignment[a] for a in key], table_ids
-                            ).isdisjoint(sub_ids)
-                        ):
-                            applied.append(False)
-                            continue
                         # All additions share one value row: the worlds
                         # already holding it are a claimed-id probe.
                         present = state.claimed_ids(
                             value_attrs, statement.values, table_ids
                         )
+                        # Where the row is present the insert is a no-op;
+                        # any other row claiming the key conflicts, as the
+                        # insert reaches every world that row is in.
+                        if key is not None and (
+                            not key_holds(state)
+                            or state.claimed_ids(
+                                key, [assignment[a] for a in key], table_ids
+                            )
+                            - present
+                        ):
+                            applied.append(False)
+                            continue
                         state = state.append_broadcast(
                             [assignment.get(a) for a in schema.attributes],
                             schema.indices(table_ids),
@@ -1369,25 +1274,31 @@ class InlineBackend(Backend):
 def _wild_key_satisfied(relation, key, table_ids, wild_attrs) -> bool:
     """Key holds in every world of a wild (PAD-wildcard) table.
 
-    Two rows violate the key iff they share a key value *and* their id
-    patterns are compatible — equal on concrete columns, with PAD
-    matching anything on a wild one — i.e. some world holds both rows.
-    The pairwise check runs per key group, and key groups stay small by
-    construction: a repaired table has one group per violating input
-    key, each the size of that group's candidate list.
+    Two rows violate the key iff they share a key value, differ in
+    some other value, *and* their id patterns are compatible — equal on
+    concrete columns, with PAD matching anything on a wild one — i.e.
+    some world holds both rows. (Rows equal in value are one tuple in
+    the worlds holding both.) The pairwise check runs per key group,
+    and key groups stay small by construction: a repaired table has one
+    group per violating input key, each the size of that group's
+    candidate list.
     """
     wild_positions = frozenset(
         i for i, a in enumerate(table_ids) if a in wild_attrs
     )
-    groups: dict[tuple, list[tuple]] = {}
-    for sub_id, key_value in zip(
-        tuples_of(relation, table_ids), tuples_of(relation, key)
+    id_set = set(table_ids)
+    value_attrs = tuple(a for a in relation.schema.attributes if a not in id_set)
+    groups: dict[tuple, list[tuple[tuple, tuple]]] = {}
+    for sub_id, key_value, values in zip(
+        tuples_of(relation, table_ids),
+        tuples_of(relation, key),
+        tuples_of(relation, value_attrs),
     ):
-        groups.setdefault(key_value, []).append(sub_id)
-    for patterns in groups.values():
-        for i, first in enumerate(patterns):
-            for second in patterns[i + 1 :]:
-                if all(
+        groups.setdefault(key_value, []).append((sub_id, values))
+    for entries in groups.values():
+        for i, (first, first_values) in enumerate(entries):
+            for second, second_values in entries[i + 1 :]:
+                if first_values != second_values and all(
                     a == b
                     or (j in wild_positions and (a is PAD or b is PAD))
                     for j, (a, b) in enumerate(zip(first, second))
@@ -1411,6 +1322,12 @@ def _vector_term(expression, resolver: _Resolver, attributes: tuple[str, ...]):
         if position is None:
             return None
         return predicates.Attr(attributes[position])
+    if isinstance(expression, ast.Arithmetic):
+        left = _vector_term(expression.left, resolver, attributes)
+        right = _vector_term(expression.right, resolver, attributes)
+        if left is None or right is None:
+            return None
+        return predicates.Arith(expression.op, left, right)
     return None
 
 
@@ -1418,10 +1335,14 @@ def _vector_condition(condition, resolver: _Resolver, attributes: tuple[str, ...
     """An AST condition as a relational predicate, or None to bail.
 
     Only shapes with exact engine-row parity translate: comparisons
-    over direct column reads and literals (TypeError → False on both
-    paths) combined with and/or/not. Arithmetic, subqueries, and
-    unresolved or ambiguous columns send the whole batch statement at a
-    time, which reports them exactly like separate executions.
+    over column reads, literals and arithmetic over those, combined
+    with and/or/not. A comparison meeting mixed types is False on both
+    routes; arithmetic raises the engine's
+    :func:`~repro.relational.predicates.arithmetic` errors, and every
+    kernel evaluates a predicate holding it through the bound row
+    closure, which keeps and/or short-circuiting. Subqueries and
+    unresolved, qualified or ambiguous columns bail to the match-plan
+    route, which reports them exactly like the engine.
     """
     if isinstance(condition, ast.Comparison):
         left = _vector_term(condition.left, resolver, attributes)

@@ -28,6 +28,7 @@ from repro.errors import EvaluationError, SchemaError
 from repro.core.ast import repairs_of_rows
 from repro.isql import ast
 from repro.relational.guards import checkpoint
+from repro.relational.predicates import arithmetic
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.worlds.world import World
@@ -86,36 +87,6 @@ class Engine:
         self.keys = dict(keys or {})
         self.max_worlds = max_worlds
         self._hidden_counter = 0
-
-    # -- world-free row evaluation (used by the inline backend's DML) --------------
-
-    def bind_row_condition(
-        self, condition: ast.Condition, attributes: tuple[str, ...]
-    ):
-        """A row → bool predicate for a condition without subqueries.
-
-        Evaluation happens outside any world context, so conditions
-        containing subqueries raise :class:`EvaluationError` when (and
-        only when) a row actually reaches one — callers that must
-        support subqueries should evaluate per world instead.
-        """
-        resolver = _Resolver(attributes)
-
-        def check(row: tuple) -> bool:
-            return self._condition(condition, resolver, row, None, {}, {})
-
-        return check
-
-    def bind_row_expression(
-        self, expression: ast.ValueExpr, attributes: tuple[str, ...]
-    ):
-        """A row → value evaluator for a subquery-free value expression."""
-        resolver = _Resolver(attributes)
-
-        def value(row: tuple) -> object:
-            return self._value(expression, resolver, row, None, {}, {})
-
-        return value
 
     # -- select ------------------------------------------------------------------
 
@@ -429,7 +400,7 @@ class Engine:
         if isinstance(expression, ast.Arithmetic):
             left = self._group_value(expression.left, resolver, representative, group_rows)
             right = self._group_value(expression.right, resolver, representative, group_rows)
-            return _arith(expression.op, left, right)
+            return arithmetic(expression.op, left, right)
         if isinstance(expression, ast.Literal):
             return expression.value
         if isinstance(expression, ast.Column):
@@ -615,7 +586,7 @@ class Engine:
         if isinstance(expression, ast.Arithmetic):
             left = self._value(expression.left, resolver, row, world, hoisted, outer)
             right = self._value(expression.right, resolver, row, world, hoisted, outer)
-            return _arith(expression.op, left, right)
+            return arithmetic(expression.op, left, right)
         if isinstance(expression, ast.ScalarSubquery):
             relation = self._subquery_relation(
                 expression.query, resolver, row, world, hoisted, outer
@@ -773,17 +744,3 @@ def _compare(op: str, left: object, right: object) -> bool:
     except TypeError:
         return False
     raise EvaluationError(f"unknown comparison {op!r}")
-
-
-def _arith(op: str, left: object, right: object) -> object:
-    if left is None or right is None:
-        raise EvaluationError("arithmetic over an undefined (empty) aggregate")
-    if op == "+":
-        return left + right  # type: ignore[operator]
-    if op == "-":
-        return left - right  # type: ignore[operator]
-    if op == "*":
-        return left * right  # type: ignore[operator]
-    if op == "/":
-        return left / right  # type: ignore[operator]
-    raise EvaluationError(f"unknown arithmetic operator {op!r}")

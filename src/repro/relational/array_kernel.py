@@ -35,7 +35,7 @@ Cross-kernel conversion (:func:`as_array`) is cached on the source
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 try:  # pragma: no cover - exercised via the numpy-absent tests
     import numpy as np
@@ -1121,34 +1121,6 @@ class ArrayRelation(ColumnarRelation):
             _concat_columns(a, b) for a, b in zip(self.arrays(), columns)
         )
         return type(self)._from_acols(self.schema, merged, self._nrows + k)
-
-    def append(self, rows: Iterable[Row]) -> "ArrayRelation":
-        additions = [row if isinstance(row, tuple) else tuple(row) for row in rows]
-        width = len(self.schema)
-        for row in additions:
-            if len(row) != width:
-                raise SchemaError(
-                    f"appended row {row!r} has {len(row)} values; schema "
-                    f"{list(self.schema)} expects {width}"
-                )
-        if not additions:
-            return self
-        if width == 0 or self._nrows == 0 or self._rowset is not None:
-            return super().append(additions)
-        checkpoint("append", self._nrows + len(additions))
-        additions = list(dict.fromkeys(additions))
-        incoming = ArrayRelation._from_rows(self.schema, additions)
-        codes_s, codes_a, domain = self._stacked_row_codes(incoming)
-        fresh_mask = ~_member_mask(codes_a, codes_s, domain)
-        if not fresh_mask.any():
-            return self
-        fresh = incoming._take(fresh_mask)
-        merged = tuple(
-            _concat_columns(a, b) for a, b in zip(self.arrays(), fresh.arrays())
-        )
-        return type(self)._from_acols(
-            self.schema, merged, self._nrows + len(fresh)
-        )
 
     # -- cert counting -----------------------------------------------------------
 

@@ -644,7 +644,7 @@ class ColumnarRelation:
             [d for d, vs in seen.items() if len(vs) >= need and required <= vs],
         )
 
-    # -- DML kernel ops: mask / scatter / append ----------------------------------
+    # -- DML kernel ops: mask / scatter -------------------------------------------
 
     def mask(
         self,
@@ -712,28 +712,6 @@ class ColumnarRelation:
                 append(tuple(new_row))
         kept = [row for row in self.row_list() if row not in drop]
         return type(self)._deduped(self.schema, rewritten + kept)
-
-    def append(self, rows: Iterable[Row]) -> "ColumnarRelation":
-        """The relation with the aligned tuples *rows* added.
-
-        O(additions) probe work against the cached row set plus one
-        pointer-copy of the existing row view — no per-row re-coercion
-        like the constructor (see :meth:`Relation.append`).
-        """
-        additions = [row if isinstance(row, tuple) else tuple(row) for row in rows]
-        checkpoint("append", self._nrows + len(additions))
-        width = len(self.schema)
-        for row in additions:
-            if len(row) != width:
-                raise SchemaError(
-                    f"appended row {row!r} has {len(row)} values; schema "
-                    f"{list(self.schema)} expects {width}"
-                )
-        present = self.rows
-        fresh = list(dict.fromkeys(row for row in additions if row not in present))
-        if not fresh:
-            return self
-        return type(self)._from_rows(self.schema, self.row_list() + fresh)
 
     # -- DML batch kernel ops (see Relation.predicate_mask) -----------------------
     #

@@ -37,14 +37,10 @@ _ARITH_OPS: dict[str, Callable[[object, object], object]] = {
     "/": operator.truediv,
 }
 
-_NEGATED: dict[str, str] = {
-    "=": "!=",
-    "!=": "=",
-    "<": ">=",
-    "<=": ">",
-    ">": "<=",
-    ">=": "<",
-}
+#: The comparisons whose negation is exactly the flipped operator.
+#: Orderings are not among them: over mixed types both ``a < b`` and
+#: ``a >= b`` are False (the :meth:`Comparison.bind` TypeError net).
+_NEGATED: dict[str, str] = {"=": "!=", "!=": "="}
 
 
 class Term:
@@ -143,14 +139,36 @@ class Const(Term):
         return hash(("Const", type(self.value).__name__, self.value))
 
 
+def arithmetic(op: str, left: object, right: object) -> object:
+    """``left op right`` under I-SQL's error contract.
+
+    The one arithmetic of every evaluation route (the engine, bound
+    predicates, column passes): an undefined operand (None — e.g.
+    ``min`` over an empty group), a type mismatch or a division by zero
+    raises :class:`EvaluationError`, never a bare Python exception.
+    """
+    combine = _ARITH_OPS.get(op)
+    if combine is None:
+        raise EvaluationError(f"unknown arithmetic operator {op!r}")
+    if left is None or right is None:
+        raise EvaluationError("arithmetic over an undefined (empty) aggregate")
+    try:
+        return combine(left, right)
+    except ZeroDivisionError as exc:
+        raise EvaluationError(f"arithmetic {op!r} divides by zero") from exc
+    except (TypeError, ArithmeticError) as exc:
+        raise EvaluationError(
+            f"arithmetic {op!r} over incompatible values"
+        ) from exc
+
+
 class Arith(Term):
     """Binary arithmetic over two terms: ``left op right``.
 
-    Mirrors the I-SQL engine's value arithmetic: an undefined operand
-    (None — e.g. ``min`` over an empty group) or a type mismatch raises
-    :class:`EvaluationError`, which deliberately escapes the
-    best-effort ``TypeError → False`` net of :meth:`Comparison.bind` so
-    both evaluation routes fail the same statements.
+    Evaluates through :func:`arithmetic`, whose
+    :class:`EvaluationError` deliberately escapes the best-effort
+    ``TypeError → False`` net of :meth:`Comparison.bind` so every
+    evaluation route fails the same statements.
     """
 
     __slots__ = ("op", "left", "right")
@@ -171,43 +189,16 @@ class Arith(Term):
     def bind(self, schema: Schema) -> Callable[[tuple], object]:
         left = self.left.bind(schema)
         right = self.right.bind(schema)
-        combine = _ARITH_OPS[self.op]
-
-        def value(row: tuple) -> object:
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                raise EvaluationError(
-                    "arithmetic over an undefined (empty) aggregate"
-                )
-            try:
-                return combine(a, b)
-            except TypeError as exc:
-                raise EvaluationError(
-                    f"arithmetic {self.op!r} over incompatible values"
-                ) from exc
-
-        return value
+        op = self.op
+        return lambda row: arithmetic(op, left(row), right(row))
 
     def column(self, relation):
         left = self.left.column(relation)
         right = self.right.column(relation)
         if left is None or right is None:
             return None
-        combine = _ARITH_OPS[self.op]
-        out = []
-        for a, b in zip(left, right):
-            if a is None or b is None:
-                raise EvaluationError(
-                    "arithmetic over an undefined (empty) aggregate"
-                )
-            try:
-                out.append(combine(a, b))
-            except TypeError as exc:
-                raise EvaluationError(
-                    f"arithmetic {self.op!r} over incompatible values"
-                ) from exc
-        return out
+        op = self.op
+        return [arithmetic(op, a, b) for a, b in zip(left, right)]
 
     def __repr__(self) -> str:
         return f"({self.left!r}{self.op}{self.right!r})"
@@ -418,8 +409,10 @@ class Comparison(Predicate):
 
         return check
 
-    def negate(self) -> "Comparison":
-        return Comparison(self.left, _NEGATED[self.op], self.right)
+    def negate(self) -> Predicate:
+        if self.op in _NEGATED:
+            return Comparison(self.left, _NEGATED[self.op], self.right)
+        return Not(self)
 
     def equality_pairs(self) -> list[tuple[str, str]] | None:
         if self.op == "=" and isinstance(self.left, Attr) and isinstance(self.right, Attr):

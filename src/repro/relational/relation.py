@@ -580,7 +580,7 @@ class Relation:
             (d for d, vs in seen.items() if len(vs) >= need and required <= vs),
         )
 
-    # -- DML kernel ops: mask / scatter / append ----------------------------------
+    # -- DML kernel ops: mask / scatter -------------------------------------------
 
     def mask(
         self, matched: "Relation", attributes: Sequence[str] | None = None
@@ -643,29 +643,6 @@ class Relation:
             rewritten.append(tuple(new_row))
         kept = [row for row in self.rows if row not in drop]
         return Relation._raw(self.schema, frozenset(rewritten).union(kept))
-
-    def append(self, rows: Iterable[Row]) -> "Relation":
-        """The relation with the aligned tuples *rows* added.
-
-        The incremental twin of rebuilding through the constructor: the
-        existing rows are reused as-is (one C-speed set copy, no per-row
-        re-coercion or interning), only the additions are checked for
-        arity and deduplicated. Rows already present are no-ops (set
-        semantics) — an insert hitting an existing row changes nothing.
-        """
-        additions = [row if isinstance(row, tuple) else tuple(row) for row in rows]
-        checkpoint("append", len(self.rows) + len(additions))
-        width = len(self.schema)
-        for row in additions:
-            if len(row) != width:
-                raise SchemaError(
-                    f"appended row {row!r} has {len(row)} values; schema "
-                    f"{list(self.schema)} expects {width}"
-                )
-        fresh = frozenset(additions) - self.rows
-        if not fresh:
-            return self
-        return Relation._raw(self.schema, self.rows | fresh)
 
     # -- DML batch kernel ops: row masks ------------------------------------------
     #

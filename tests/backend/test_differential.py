@@ -14,6 +14,8 @@ import pytest
 
 from repro.backend.testing import assert_backends_agree, run_scenario
 from repro.datagen import scenarios
+from repro.isql import ISQLSession
+from repro.relational import Relation
 
 SMALL = {s.name: s for s in scenarios("small")}
 
@@ -50,3 +52,26 @@ def test_scenarios_have_plausible_world_counts(name):
     scenario = SMALL[name]
     session, _ = run_scenario(scenario, "inline")
     assert 1 <= session.world_count() <= scenario.approx_worlds
+
+
+NEGATED_MIXED_TYPE_ORDERINGS = (
+    "select * from S where not (W < 'b');",
+    "select K from S where not (W >= 5 or K = 9);",
+    "select K from S where not (W > 'a' or K = 0) and K != 3;",
+    "update S set W = K * 100 where not (W < 'b');",
+)
+
+
+@pytest.mark.parametrize("statement", NEGATED_MIXED_TYPE_ORDERINGS)
+def test_negated_mixed_type_orderings_agree(statement):
+    """An ordering that meets mixed types is False, so its ``not`` is
+    True on every backend — flipping ``<`` into ``>=`` would make both
+    False on the compiled routes."""
+    outcomes = []
+    for backend in ("explicit", "inline", "inline-translate"):
+        session = ISQLSession(backend=backend)
+        session.register("S", Relation(("K", "W"), [(1, 10), (2, "c"), (3, "a")]))
+        (result,) = session.run(statement)
+        answer = result.relation if result.kind == "select" else result.applied
+        outcomes.append((answer, session.world_set))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]

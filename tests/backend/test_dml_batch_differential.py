@@ -11,15 +11,17 @@ inline physical, Figure 6 translate) under every execution kernel, and
 additionally holds all backends to each other on the batched route.
 
 Randomized scripts mix inserts, updates and deletes over a split
-relation and a complete one (batch boundaries arise from relation
-switches), with key constraints generating mid-batch discards. A string
-column draws mixed-type comparisons (str vs int) and mixed-type
-storage, and a collapsing update makes rewritten rows collide. The
+relation (by choice, or by repair with PAD-wildcard id columns) and a
+complete one (batch boundaries arise from relation switches), with
+key constraints generating mid-batch discards. A string column draws
+mixed-type comparisons (str vs int) and mixed-type storage, and a
+collapsing update makes rewritten rows collide. The
 deterministic edge tests pin the corners randomized scripts would make
 flaky: key-violation rejection *ordering* inside a batch, the
 no-op-DML laziness edge (a batch over a lazily stored table must not
-make it grow id columns), mid-batch error parity, and insert
-deduplication.
+make it grow id columns), mid-batch error parity, insert
+deduplication (also under a key), DML on repaired tables, and the
+kernel-op route every subquery-free statement takes.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.errors import SchemaError
 from repro.isql import ISQLSession
 from repro.relational import Relation
 from repro.relational.array_kernel import have_numpy
+from repro.testing.faults import count_ops
 
 BACKENDS = (
     ("explicit", "explicit"),
@@ -125,18 +128,20 @@ def _statement(rng: random.Random, target: str) -> str:
 def _batch_case(rng: random.Random, index: int) -> Scenario:
     # A split target and a complete one; consecutive same-relation
     # statements batch, relation switches close batches mid-script.
-    statements = ["Split <- select * from T choice of V;"]
+    # The split is a choice (concrete id columns) or a repair (wild,
+    # PAD-pattern id columns).
     targets = [rng.choice(("Split", "Split", "T", "U")) for _ in range(rng.randrange(2, 7))]
-    statements.extend(_statement(rng, target) for target in targets)
+    statements = [_statement(rng, target) for target in targets]
     keys = (("Split", ("K",)),) if rng.random() < 0.5 else ()
     closing = rng.choice(("possible", "certain"))
+    split = rng.choice(("choice of V", "repair by key V"))
     return Scenario(
         name=f"dml_batch_{index}",
         relations=_relations(rng),
         keys=keys,
-        script="".join(statements),
+        script=f"Split <- select * from T {split};" + "".join(statements),
         query=f"select {closing} K, V, W, S from Split;",
-        approx_worlds=4,
+        approx_worlds=8,
     )
 
 
@@ -288,6 +293,30 @@ class TestBatchEdges:
             (6, 0, 60),
         }
 
+    def test_reinserting_a_present_row_under_a_key_applies(self, backend):
+        """A row already present is no key violation in the worlds
+        holding it (set semantics): the insert applies, lands in the
+        worlds lacking it, and only a *different* row claiming the key
+        rejects."""
+        for batched in (False, True):
+            session = _session(backend)
+            session.run("Split <- select * from T choice of V;")
+            session.declare_key("Split", ("K",))
+            results = _run(
+                session,
+                "insert into T values (1, 0, 10);"
+                "insert into Split values (1, 0, 10);"
+                "insert into Split values (2, 0, 99);",
+                batched,
+            )
+            label = (backend, "batched" if batched else "plain")
+            assert [r.applied for r in results] == [True, True, False], label
+            worlds = {frozenset(w["Split"].rows) for w in session.world_set.worlds}
+            assert worlds == {
+                frozenset({(1, 0, 10), (3, 0, 30)}),
+                frozenset({(1, 0, 10), (2, 1, 20)}),
+            }, label
+
     def test_batch_over_split_relation_inserts_per_world(self, backend):
         """An insert inside a batch lands in every world of a split
         relation; a later delete in the same batch sees it."""
@@ -334,37 +363,93 @@ def test_empty_declared_key_is_no_constraint_in_batches(backend):
         }
 
 
-@pytest.mark.parametrize(
-    "kernel", ("columnar", "tuple") + (("array",) if have_numpy() else ())
-)
-def test_translatable_batch_never_binds_row_conditions(kernel, monkeypatch):
-    """A batch of comparison-only statements runs on kernel ops alone:
-    no engine row closure is ever bound, on any kernel."""
-    from repro.isql.engine import Engine
-
-    calls = []
-    original = Engine.bind_row_condition
-
-    def counting(self, condition, attributes):
-        calls.append(condition)
-        return original(self, condition, attributes)
-
-    monkeypatch.setattr(Engine, "bind_row_condition", counting)
-    session = _session(InlineBackend(kernel=kernel), key=False)
-    session.run("Split <- select * from T choice of V;")
-    results = session.run(
+PIPELINE_SCRIPTS = (
+    ("update Split set W = 0 where K >= 2;", 1),
+    ("delete from Split where K = 3;", 1),
+    ("delete from Split where K + V > 2;", 1),  # arithmetic condition
+    ("update Split set V = 5 where W / 10 = 1 or K - V = 0;", 1),
+    ("insert into Split values (9, 9, 90);", 0),
+    (
         "update Split set W = 0 where K >= 2;"
         "update Split set V = 5 where W = 10;"
         "delete from Split where K = 3;"
-        "insert into Split values (9, 9, 90);"
+        "insert into Split values (9, 9, 90);",
+        3,
+    ),
+)
+
+
+@pytest.mark.parametrize("script,masks", PIPELINE_SCRIPTS)
+@pytest.mark.parametrize(
+    "kernel", ("columnar", "tuple") + (("array",) if have_numpy() else ())
+)
+def test_subquery_free_dml_runs_the_kernel_op_pipeline(kernel, script, masks):
+    """A subquery-free delete/update — alone or batched, with or without
+    arithmetic — crosses ``predicate_mask`` once, on every kernel, and
+    ends in the explicit engine's worlds."""
+    reference = _session("explicit", key=False)
+    reference.run("Split <- select * from T choice of V;")
+    expected = [r.applied for r in reference.run(script)]
+    session = _session(InlineBackend(kernel=kernel), key=False)
+    session.run("Split <- select * from T choice of V;")
+    results = []
+    crossings = count_ops(
+        lambda: results.extend(session.run(script)), op="predicate_mask"
     )
-    assert [r.applied for r in results] == [True, True, True, True]
-    assert calls == []
-    worlds = {frozenset(w["Split"].rows) for w in session.world_set.worlds}
-    assert worlds == {
-        frozenset({(1, 5, 10), (9, 9, 90)}),
-        frozenset({(2, 1, 0), (9, 9, 90)}),
-    }
+    assert crossings == masks
+    assert [r.applied for r in results] == expected
+    assert not session.backend.fallback_events
+    assert session.world_set == reference.world_set
+
+
+WILD_SCRIPTS = (
+    # (1, 1, 10) is present in the worlds that kept it and rivalled by
+    # (1, 2, 20) in the others: a violation somewhere, so discarded.
+    "insert into C values (1, 1, 10);"
+    "update C set W = 0 where V = 1;"
+    "delete from C where W >= 30;",
+    # Equal value rows under compatible id patterns are one tuple in
+    # the worlds holding both — no key violation, and a re-insert of a
+    # row present everywhere applies without adding one.
+    "update C set V = 1, W = 10 where K = 1;"
+    "update C set K = 1, V = 1, W = 10 where K = 2;"
+    "insert into C values (1, 1, 10);"
+    "insert into C values (3, 0, 0);",
+)
+
+
+def _wild_session(backend) -> ISQLSession:
+    session = ISQLSession(backend=backend)
+    session.register(
+        "T",
+        Relation(("K", "V", "W"), [(1, 1, 10), (1, 2, 20), (2, 1, 30), (3, 3, 30)]),
+    )
+    session.run("C <- select * from T repair by key K;")
+    session.declare_key("C", ("K",))
+    return session
+
+
+@pytest.mark.parametrize("script", WILD_SCRIPTS, ids=["rival-row", "equal-rows"])
+@pytest.mark.parametrize(
+    "backend", [b for _, b in BACKENDS[1:]], ids=[label for label, _ in BACKENDS[1:]]
+)
+def test_dml_on_wild_tables_matches_explicit(backend, script):
+    """Subquery-free DML on a repaired (PAD-wildcard) table, one
+    statement at a time and as one batch, equals the explicit engine
+    flag for flag and world for world — and never grows the table."""
+    reference = _wild_session("explicit")
+    expected = [r.applied for r in reference.run(script)]
+    for batched in (False, True):
+        session = _wild_session(backend())
+        representation = session.backend.representation
+        assert representation.table_wild_attrs("C")
+        rows = len(representation.tables["C"])
+        flags = [r.applied for r in _run(session, script, batched)]
+        label = "batched" if batched else "plain"
+        assert flags == expected, label
+        assert session.world_set == reference.world_set, label
+        assert len(session.backend.representation.tables["C"]) <= rows, label
+        assert not session.backend.fallback_events, label
 
 
 def test_batched_run_keeps_statement_kinds():

@@ -4,8 +4,9 @@ import pytest
 
 from repro.errors import EvaluationError
 from repro.isql import ISQLSession, ast
-from repro.isql.engine import _Resolver, _arith, _compare, _unqualified
+from repro.isql.engine import _Resolver, _compare, _unqualified
 from repro.relational import Relation
+from repro.relational.predicates import arithmetic
 
 
 class TestResolver:
@@ -70,14 +71,14 @@ class TestValueEvaluation:
             _compare("~", 1, 1)
 
     def test_arithmetic(self):
-        assert _arith("+", 2, 3) == 5
-        assert _arith("-", 2, 3) == -1
-        assert _arith("*", 2, 3) == 6
-        assert _arith("/", 3, 2) == 1.5
+        assert arithmetic("+", 2, 3) == 5
+        assert arithmetic("-", 2, 3) == -1
+        assert arithmetic("*", 2, 3) == 6
+        assert arithmetic("/", 3, 2) == 1.5
 
     def test_arithmetic_over_none_rejected(self):
         with pytest.raises(EvaluationError, match="empty"):
-            _arith("+", None, 1)
+            arithmetic("+", None, 1)
 
 
 class TestScalarSubqueryErrors:

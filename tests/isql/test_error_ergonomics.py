@@ -10,14 +10,16 @@ Three user-facing guarantees:
   culprit statement (or the whole coalesced batch);
 * only :class:`~repro.errors.ReproError` subclasses ever escape the
   public session API — pinned here by a deterministic mutation fuzz
-  over scripts plus an injected-fault probe.
+  over scripts plus an injected-fault probe — and a failing arithmetic
+  expression is an evaluation error with the same message on every
+  backend, never an "internal error".
 """
 
 import random
 
 import pytest
 
-from repro.errors import ParseError, ReproError, SchemaError
+from repro.errors import EvaluationError, ParseError, ReproError, SchemaError
 from repro.isql.parser import parse_script, parse_statement
 from repro.isql.session import ISQLSession
 from repro.relational import Relation
@@ -194,3 +196,44 @@ class TestExceptionHygiene:
     def test_query_on_non_select_raises_library_error(self, session):
         with pytest.raises(ReproError):
             session.query("insert into Flights values ('LIS', 'FRA');")
+
+
+ARITHMETIC_FAILURES = (
+    ("'a' + K = 1", "incompatible"),  # str + int
+    ("W / 0 = 1", "by zero"),
+    ("K = 1 or W - 'x' > 0", "incompatible"),  # reached by the K = 2 row
+)
+ARITHMETIC_STATEMENTS = tuple(
+    (template.format(condition), reason)
+    for template in (
+        "select * from S where {};",
+        "update S set W = 0 where {};",
+        "delete from S where {};",
+    )
+    for condition, reason in ARITHMETIC_FAILURES
+) + (
+    ("update S set W = W / (K - K);", "by zero"),
+    ("update S set W = K + 'x' where K = 2;", "incompatible"),
+)
+
+
+@pytest.mark.parametrize("statement,reason", ARITHMETIC_STATEMENTS)
+def test_arithmetic_errors_are_evaluation_errors_on_every_backend(
+    statement, reason
+):
+    """Undefined operands, type mismatches and division by zero raise
+    one EvaluationError message on explicit, inline and translate —
+    never an "internal error" wrapping a Python TypeError or
+    ZeroDivisionError — and leave the state untouched."""
+    messages = set()
+    for backend in ("explicit", "inline", "inline-translate"):
+        session = ISQLSession(backend=backend)
+        session.register("S", Relation(("K", "W"), [(1, 10), (2, 20)]))
+        with pytest.raises(EvaluationError) as info:
+            session.run(statement)
+        message = str(info.value)
+        assert "internal error" not in message, (backend, statement, message)
+        assert reason in message, (backend, statement, message)
+        messages.add(message)
+        assert session.world_set.the_world()["S"].rows == {(1, 10), (2, 20)}
+    assert len(messages) == 1, (statement, messages)

@@ -409,8 +409,8 @@ def test_statement_result_without_answer_raises():
 
 def test_rejected_dml_counts_zero():
     session = _session()
-    session.declare_key("B", ("P",))
-    (result,) = session.run("insert into B values (1);")  # duplicate key
+    session.declare_key("A", ("X",))
+    (result,) = session.run("insert into A values (1, 99);")  # X = 1 is taken
     assert result.applied is False and result.applied_count == 0
 
 

@@ -321,7 +321,7 @@ def test_kernel_results_stay_in_kernel(convert, kernel_cls):
         assert isinstance(result, kernel_cls), type(result)
 
 
-# -- the DML kernel ops: mask / scatter_update / append ------------------------------
+# -- the DML kernel ops: mask / scatter_update ---------------------------------------
 
 
 @for_each_kernel
@@ -369,32 +369,13 @@ def test_scatter_update_matches(convert, relation, matches, count):
 
 
 @for_each_kernel
-@settings(max_examples=60, deadline=None)
-@given(
-    relation=relations(("A", "B")),
-    additions=st.lists(st.tuples(VALUES, VALUES), max_size=6),
-)
-def test_append_matches(convert, relation, additions):
-    in_kernel = convert(relation).append(additions)
-    assert_same(in_kernel, relation.append(additions), "append")
-    # Set semantics: appending is rebuilding through the constructor.
-    assert as_tuple(in_kernel) == Relation(
-        relation.schema, list(relation.rows) + additions
-    )
-
-
-@for_each_kernel
-def test_mask_scatter_append_edges(convert):
+def test_mask_scatter_edges(convert):
     relation = Relation(("A", "B"), [(1, "x"), (2, "y")])
     empty_match = Relation(("A", "B"), [])
     # Masking with an empty match set keeps every row (and both kernels
     # may return the operand itself).
     assert relation.mask(empty_match) == relation
     assert as_tuple(convert(relation).mask(empty_match)) == relation
-    # Appending nothing (or only already-present rows) is a no-op.
-    assert relation.append([]) is relation
-    assert relation.append([(1, "x")]) is relation
-    assert convert(relation).append([(1, "x")]) is convert(relation)
     # A rewrite colliding with a kept row deduplicates (set semantics).
     matches = Relation(("A", "B"), [(2, "y")])
     collided = relation.scatter_update(matches, [("A", lambda m: 1), ("B", lambda m: "x")])
@@ -402,10 +383,8 @@ def test_mask_scatter_append_edges(convert):
     assert as_tuple(
         convert(relation).scatter_update(matches, [("A", lambda m: 1), ("B", lambda m: "x")])
     ) == collided
-    # Arity and unknown-attribute errors raise alike on every kernel.
+    # Unknown-attribute errors raise alike on every kernel.
     for engine in (relation, convert(relation)):
-        with pytest.raises(SchemaError):
-            engine.append([(1, "x", "extra")])
         with pytest.raises(SchemaError):
             engine.mask(empty_match, ("Nope",))
         with pytest.raises(SchemaError):

@@ -82,7 +82,15 @@ class TestConnectives:
 class TestNegation:
     def test_comparison_negation_flips_operator(self):
         assert eq("A", "B").negate().op == "!="
-        assert lt("A", "B").negate().op == ">="
+        assert neq("A", "B").negate().op == "="
+
+    def test_ordering_negation_is_exact_on_mixed_types(self):
+        """``A < B`` and ``A >= B`` are both False when the types mix,
+        so an ordering's negation stays a ``Not`` instead of flipping."""
+        for comparison in (lt("A", "B"), le("A", "B"), gt("A", "B"), ge("A", "B")):
+            assert comparison.negate() == Not(comparison)
+            assert not holds(comparison, (1, "x"))
+            assert holds(comparison.negate(), (1, "x"))
 
     def test_de_morgan(self):
         p = And(eq("A", Const(1)), eq("B", Const(2))).negate()
