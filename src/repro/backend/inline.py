@@ -122,7 +122,7 @@ class FallbackEvent(NamedTuple):
 class InlineQueryResult(BaseQueryResult):
     """A select outcome held as flat tables; worlds decoded on demand."""
 
-    __slots__ = ("_representation", "_state", "name", "_decoded")
+    __slots__ = ("_representation", "_state", "name", "_decoded", "_answers")
 
     def __init__(
         self,
@@ -134,9 +134,13 @@ class InlineQueryResult(BaseQueryResult):
         self._state = state
         self.name = name
         self._decoded: WorldSet | None = None
+        self._answers: frozenset[Relation] | None = None
 
     def answers(self) -> frozenset[Relation]:
-        return frozenset(self._state.answers_by_world().values())
+        """The distinct per-world answers, decoded once per result."""
+        if self._answers is None:
+            self._answers = frozenset(self._state.answers_by_world().values())
+        return self._answers
 
     def possible(self) -> Relation:
         """poss closure straight off the flat answer table: π_U(Rᵀ)."""

@@ -469,44 +469,12 @@ class PhysicalEvaluator:
             return PhysicalState(
                 state._answer.project(query.proj_attrs), (), None
             )
-        answer = state._answer
-
-        # One pass: per world, its group fingerprint and projected rows.
-        per_world_groups: dict[tuple, set[tuple]] = {}
-        per_world_rows: dict[tuple, set[tuple]] = {}
-        for world_id, group_row, proj_row in zip(
-            tuples_of(answer, state.ids),
-            tuples_of(answer, query.group_attrs),
-            tuples_of(answer, query.proj_attrs),
-        ):
-            groups = per_world_groups.get(world_id)
-            if groups is None:
-                per_world_groups[world_id] = {group_row}
-                per_world_rows[world_id] = {proj_row}
-            else:
-                groups.add(group_row)
-                per_world_rows[world_id].add(proj_row)
-
-        # Hash worlds by fingerprint, fold their projections per group.
-        certain = isinstance(query, CertGroup)
-        folded: dict[frozenset, set[tuple] | None] = {}
-        members: dict[tuple, frozenset] = {}
-        for world_id, fingerprint_rows in per_world_groups.items():
-            fingerprint = frozenset(fingerprint_rows)
-            members[world_id] = fingerprint
-            rows = per_world_rows[world_id]
-            if fingerprint not in folded:
-                folded[fingerprint] = set(rows)
-            elif certain:
-                folded[fingerprint] &= rows  # type: ignore[operator]
-            else:
-                folded[fingerprint] |= rows  # type: ignore[operator]
-
-        out_rows = []
-        for world_id, fingerprint in members.items():
-            for value in folded[fingerprint] or ():
-                out_rows.append(value + world_id)
-        answer = self._relation(query.proj_attrs + state.ids, out_rows)
+        answer = state._answer.group_worlds(
+            state.ids,
+            query.group_attrs,
+            query.proj_attrs,
+            certain=isinstance(query, CertGroup),
+        )
         return PhysicalState(answer, state.ids, state._world)
 
     def _eval_aggregate(self, query: Aggregate) -> PhysicalState:

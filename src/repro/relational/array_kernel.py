@@ -11,6 +11,10 @@ operators the inline evaluator leans on become whole-array passes —
 * ``mask``/``difference``/semijoins reduce to integer *row codes* —
   per-column factorizations combined into one int64 key per row — and a
   single ``np.isin`` membership pass;
+* ``join_on`` finds each left row's partners as one ``searchsorted``
+  run over the stably sorted right keys, then gathers both sides;
+* grouping (``aggregate_by``, ``group_worlds``) numbers groups by row
+  code, so counts, int64 folds and world fingerprints are array passes;
 * deduplication (projection, union) is ``np.unique`` over row codes
   instead of a per-row ``dict.fromkeys`` pass;
 * ``cert`` counting is ``np.bincount`` over one column's codes;
@@ -43,6 +47,7 @@ except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
 from repro.errors import EvaluationError, SchemaError
+from repro.relational import aggregates
 from repro.relational.guards import checkpoint
 from repro.relational.columnar import (
     ColumnarRelation,
@@ -66,6 +71,9 @@ from repro.relational.schema import Schema
 #: Largest per-row key the multiply-add code combiner may reach before
 #: it compresses through np.unique (headroom below int64 overflow).
 _CODE_LIMIT = 1 << 62
+
+#: Every int of at most this magnitude converts to float64 exactly.
+_FLOAT_EXACT = 1 << 53
 
 
 def have_numpy() -> bool:
@@ -315,6 +323,18 @@ def _assign_column(target: _Column, mask, source: _Column) -> _Column:
     return _Column(fresh)
 
 
+def _inexact_as_float(values) -> bool:
+    """Whether an int64 array holds a value float64 cannot represent.
+
+    numpy compares int64 with float64 after casting the ints to float,
+    which rounds beyond 2**53 (``2**53 + 1 == 2.0**53`` there, not in
+    Python); such comparisons take the exact row path instead.
+    """
+    return bool(len(values)) and (
+        int(values.max()) > _FLOAT_EXACT or int(values.min()) < -_FLOAT_EXACT
+    )
+
+
 def _dense_span(values, extra: int = 0):
     """``(vmin, width)`` when an int64 array's value range is narrow
     enough for O(n) shift-coding; ``None`` sends the caller to the
@@ -405,6 +425,67 @@ def _combine_codes(first, pairs):
         code_r = code_r * k + cr
         size *= k
     return code_l, code_r, size
+
+
+def _fold_codes(code, size, other, k):
+    """``(keys, domain)``: *code* (domain *size*) paired with *other*
+    (domain *k*) into one key, compressed through ``np.unique`` when the
+    multiply-add would pass 62 bits."""
+    k = max(k, 1)
+    if size > _CODE_LIMIT // k:
+        uniques, inverse = np.unique(code, return_inverse=True)
+        code = inverse.astype(np.int64, copy=False)
+        size = len(uniques)
+    return code * k + other, size * k
+
+
+def _group_index(code, domain):
+    """``(group, first)``: each row's group number and each group's
+    first row, groups numbered in first-occurrence order."""
+    if domain <= 4 * len(code) + 1024:
+        first = _first_rows(code, domain)
+        slot = np.empty(domain, dtype=np.int64)
+        slot[code[first]] = np.arange(len(first), dtype=np.int64)
+        return slot[code], first
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order), dtype=np.int64)
+    return rank[inverse.reshape(-1)], first[order]
+
+
+def _runs(starts, counts):
+    """``(owner, position)``: entry i's run ``starts[i] .. +counts[i]``
+    flattened — the vectorized ``for i: for j in range(counts[i])``."""
+    owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    offsets = np.cumsum(counts) - counts
+    position = np.repeat(starts - offsets, counts) + np.arange(
+        len(owner), dtype=np.int64
+    )
+    return owner, position
+
+
+def _int_fold(function: str, values, group, ngroups):
+    """``sum``/``avg``/``min``/``max`` of an int64 column per group, or
+    None when a ``sum`` could overflow int64 (the caller folds in
+    Python ints then). ``avg`` divides the exact int sum in Python, so
+    it rounds exactly as the shared fold does."""
+    order = np.argsort(group, kind="stable")
+    counts = np.bincount(group, minlength=ngroups)
+    starts = np.cumsum(counts) - counts
+    ordered = values[order]
+    if function in ("min", "max"):
+        reduce = np.minimum if function == "min" else np.maximum
+        return _Column(reduce.reduceat(ordered, starts))
+    largest = max(-int(values.min()), int(values.max()))
+    if largest * int(counts.max()) >= 1 << 63:
+        return None
+    sums = np.add.reduceat(ordered, starts)
+    if function == "sum":
+        return _Column(sums)
+    return _Column.from_values(
+        [total / count for total, count in zip(sums.tolist(), counts.tolist())]
+    )
 
 
 def _first_rows(code, domain):
@@ -574,17 +655,10 @@ class ArrayRelation(ColumnarRelation):
         size = 1
         for p in positions:
             col = acols[p]
-            c = col.codes()
-            k = max(col._nuniq, 1)
             if code is None:
-                code, size = c, k
-                continue
-            if size > _CODE_LIMIT // k:
-                uniques, inverse = np.unique(code, return_inverse=True)
-                code = inverse.astype(np.int64, copy=False)
-                size = len(uniques)
-            code = code * k + c
-            size *= k
+                code, size = col.codes(), max(col.nuniq, 1)
+            else:
+                code, size = _fold_codes(code, size, col.codes(), col.nuniq)
         if code is None:
             code = np.zeros(self._nrows, dtype=np.int64)
         return code, size
@@ -613,28 +687,18 @@ class ArrayRelation(ColumnarRelation):
             )
         return _combine_codes(pairs[0], pairs[1:])
 
+    @staticmethod
+    def _operand(other: "ColumnarRelation | Relation") -> "ArrayRelation":
+        """*other* as an ArrayRelation."""
+        if isinstance(other, ArrayRelation):
+            return other
+        if isinstance(other, ColumnarRelation):
+            return ArrayRelation._from_rows(other.schema, other.row_list())
+        return as_array(other)
+
     def _aligned_array(self, other: "ColumnarRelation | Relation") -> "ArrayRelation":
         """*other* as an ArrayRelation in this relation's attribute order."""
-        if isinstance(other, ArrayRelation):
-            aligned = other
-        elif isinstance(other, ColumnarRelation):
-            aligned = ArrayRelation._from_rows(other.schema, other.row_list())
-        else:
-            aligned = as_array(other)
-        return aligned._reordered(self.schema.attributes)
-
-    def _operand_columns(
-        self, other: "ColumnarRelation | Relation", attributes: Sequence[str]
-    ) -> list[_Column]:
-        """*other*'s columns for *attributes*, as typed arrays."""
-        if isinstance(other, ArrayRelation):
-            ocols = other.arrays()
-            return [ocols[other.schema.index(a)] for a in attributes]
-        source = as_columnar(other)
-        return [
-            _Column.from_values(list(source.column_values(a)))
-            for a in attributes
-        ]
+        return self._operand(other)._reordered(self.schema.attributes)
 
     # -- vectorized operators --------------------------------------------------
 
@@ -762,21 +826,40 @@ class ArrayRelation(ColumnarRelation):
             return self.product(other)
         left_set = self.schema.as_set()
         check_join_pairs_cover_shared(left_set, other.schema, pairs)
-        right_rest = tuple(
-            i for i, a in enumerate(other.schema) if a not in left_set
-        )
-        if right_rest:
-            # General join: the row-path build/probe (still returns an
-            # ArrayRelation through the type(self) constructors).
-            return super().join_on(other, pairs)
-        # Right side is pure key: the join degenerates to a semijoin
-        # (the answer ⋈ world-projection pattern of the lazy §5.3 form)
-        # — one joint factorization and one np.isin pass.
-        return self._semijoin_on(
+        left_attrs = tuple(a for a, _ in pairs)
+        right_attrs = tuple(b for _, b in pairs)
+        right_rest = tuple(a for a in other.schema if a not in left_set)
+        if not right_rest:
+            # Right side is pure key: the join degenerates to a semijoin
+            # (the answer ⋈ world-projection pattern of the lazy §5.3
+            # form) — one joint factorization and one np.isin pass.
+            return self._semijoin_on(
+                other, left_attrs, right_attrs, keep_matching=True
+            )
+        checkpoint("join_on", self._nrows + len(other))
+        other = self._operand(other)
+        codes_s, codes_o, _ = self._stacked_row_codes(
             other,
-            tuple(a for a, _ in pairs),
-            tuple(b for _, b in pairs),
-            keep_matching=True,
+            self.schema.indices(left_attrs),
+            other.schema.indices(right_attrs),
+        )
+        # Each left row's partners are one run of the right rows stably
+        # sorted by key: the build is an argsort, the probe two
+        # searchsorted passes, and the output two gathers.
+        order = np.argsort(codes_o, kind="stable")
+        ordered = codes_o[order]
+        starts = np.searchsorted(ordered, codes_s, side="left")
+        counts = np.searchsorted(ordered, codes_s, side="right") - starts
+        left_rows, sorted_rows = _runs(starts, counts)
+        right_rows = order[sorted_rows]
+        ocols = other.arrays()
+        columns = tuple(c.take(left_rows) for c in self.arrays()) + tuple(
+            ocols[p].take(right_rows) for p in other.schema.indices(right_rest)
+        )
+        # Distinct: equal-keyed right rows differ off the key, and every
+        # right attribute off the key is kept.
+        return type(self)._from_acols(
+            Schema(self.schema.attributes + right_rest), columns, len(left_rows)
         )
 
     def _semijoin_on(
@@ -787,18 +870,10 @@ class ArrayRelation(ColumnarRelation):
         keep_matching: bool,
     ) -> "ArrayRelation":
         checkpoint("semijoin", self._nrows + len(other))
-        positions = self.schema.indices(left_attrs)
-        acols = self.arrays()
-        ocols = self._operand_columns(other, right_attrs)
-        col_pairs = [
-            _pair_codes(acols[p], ocol) for p, ocol in zip(positions, ocols)
-        ]
-        if not col_pairs:
-            codes_s = np.zeros(self._nrows, dtype=np.int64)
-            codes_o = np.zeros(len(other), dtype=np.int64)
-            domain = 1
-        else:
-            codes_s, codes_o, domain = _combine_codes(col_pairs[0], col_pairs[1:])
+        other = self._operand(other)
+        codes_s, codes_o, domain = self._stacked_row_codes(
+            other, self.schema.indices(left_attrs), other.schema.indices(right_attrs)
+        )
         keep = _member_mask(codes_s, codes_o, domain)
         if not keep_matching:
             keep = ~keep
@@ -926,6 +1001,10 @@ class ArrayRelation(ColumnarRelation):
             # is elementwise False, inequality elementwise True,
             # orderings False.
             return self._const_mask(op == "!=")
+        if (kind == "i" and type(constant) is float and _inexact_as_float(values)) or (
+            kind == "f" and type(constant) is int and abs(constant) > _FLOAT_EXACT
+        ):
+            return None
         try:
             return np.asarray(_NP_OPS[op](values, constant), dtype=np.bool_)
         except (TypeError, OverflowError):
@@ -938,6 +1017,10 @@ class ArrayRelation(ColumnarRelation):
             return None
         if (lk in "ifb") != (rk in "ifb"):
             return self._const_mask(op == "!=")
+        if ((lk, rk) == ("i", "f") and _inexact_as_float(left.values)) or (
+            (lk, rk) == ("f", "i") and _inexact_as_float(right.values)
+        ):
+            return None
         try:
             return np.asarray(
                 _NP_OPS[op](left.values, right.values), dtype=np.bool_
@@ -1122,6 +1205,128 @@ class ArrayRelation(ColumnarRelation):
         )
         return type(self)._from_acols(self.schema, merged, self._nrows + k)
 
+    # -- grouping ----------------------------------------------------------------
+
+    def aggregate_by(self, keys: Sequence[str], specs) -> "ArrayRelation":
+        """Grouped SQL aggregation over group codes (see
+        :meth:`ColumnarRelation.aggregate_by`).
+
+        Groups come from :meth:`_row_codes`, numbered in first-occurrence
+        order. ``count``, ``count(A)`` and ``single`` (distinct values
+        through codes) are vectorized on every dtype, ``sum``/``avg``/
+        ``min``/``max`` on int64 columns; float, bool and object columns
+        keep the shared fold, whose order and signed zeros they depend on.
+        """
+        checkpoint("aggregate_by", self._nrows)
+        keys = tuple(keys)
+        schema = Schema(keys + tuple(spec.output for spec in specs))
+        if not self._nrows:
+            rows = [] if keys else [aggregates.default_row(specs)]
+            return type(self)._from_rows(schema, rows)
+        positions = self.schema.indices(keys)
+        group, first = _group_index(*self._row_codes(positions))
+        acols = self.arrays()
+        columns = [acols[p].take(first) for p in positions]
+        for spec in specs:
+            columns.append(self._aggregate_column(spec, group, first))
+        return type(self)._from_acols(schema, columns, len(first))
+
+    def _aggregate_column(self, spec, group, first) -> _Column:
+        """One aggregate's value per group (groups indexed like *first*)."""
+        ngroups = len(first)
+        if spec.argument is None:  # count(*)
+            return _Column(np.bincount(group, minlength=ngroups))
+        column = self.arrays()[self.schema.index(spec.argument)]
+        if spec.function in ("count", "single"):
+            pairs, domain = _fold_codes(group, ngroups, column.codes(), column.nuniq)
+            distinct = np.bincount(
+                group[_first_rows(pairs, domain)], minlength=ngroups
+            )
+            if spec.function == "count":
+                return _Column(distinct)
+            return _Column.from_values(
+                [
+                    value if count == 1 else aggregates.AMBIGUOUS
+                    for value, count in zip(
+                        column.values[first].tolist(), distinct.tolist()
+                    )
+                ]
+            )
+        if column.values.dtype == np.int64:
+            folded = _int_fold(spec.function, column.values, group, ngroups)
+            if folded is not None:
+                return folded
+        out = aggregates.aggregate_rows(
+            zip(group.tolist()), zip(column.tolist()), (spec,)
+        )
+        return _Column.from_values([row[1] for row in out])
+
+    def group_worlds(
+        self,
+        ids: Sequence[str],
+        group_attrs: Sequence[str],
+        proj_attrs: Sequence[str],
+        certain: bool,
+    ) -> "ArrayRelation":
+        """Group worlds by their *group_attrs* rows and fold each class's
+        *proj_attrs* rows (see :func:`~repro.relational.columnar.group_worlds_rows`),
+        in code passes.
+
+        A world's fingerprint is the sorted tuple of its distinct group
+        codes — one Python pass over the distinct (world, group) pairs,
+        not the rows. The per-class union (``certain`` false) or
+        intersection of projection codes is then gathered back per world.
+        """
+        checkpoint("group_worlds", self._nrows)
+        ids, proj_attrs = tuple(ids), tuple(proj_attrs)
+        schema = Schema(proj_attrs + ids)
+        if not self._nrows:
+            return type(self)._from_rows(schema, [])
+        world, world_first = _group_index(*self._row_codes(self.schema.indices(ids)))
+        nworlds = len(world_first)
+        group, group_domain = self._row_codes(self.schema.indices(group_attrs))
+        distinct = _first_rows(*_fold_codes(world, nworlds, group, group_domain))
+        pair_world, pair_group = world[distinct], group[distinct]
+        fingerprints = pair_group[np.lexsort((pair_group, pair_world))].tolist()
+        bounds = np.cumsum(np.bincount(pair_world, minlength=nworlds)).tolist()
+        classes: dict[tuple, int] = {}
+        class_of, start = [], 0
+        for end in bounds:
+            fingerprint = tuple(fingerprints[start:end])
+            class_of.append(classes.setdefault(fingerprint, len(classes)))
+            start = end
+        class_of = np.array(class_of, dtype=np.int64)
+        nclasses = len(classes)
+
+        proj_positions = self.schema.indices(proj_attrs)
+        proj, proj_domain = self._row_codes(proj_positions)
+        # Distinct (world, projection) rows; their class-level keys.
+        held = _first_rows(*_fold_codes(world, nworlds, proj, proj_domain))
+        held_class = class_of[world[held]]
+        keys, key_domain = _fold_codes(held_class, nclasses, proj[held], proj_domain)
+        if certain:
+            # Kept iff the row holds in every world of its class.
+            key_group, kept = _group_index(keys, key_domain)
+            holding = np.bincount(key_group, minlength=len(kept))
+            class_size = np.bincount(class_of, minlength=nclasses)
+            kept = kept[holding == class_size[held_class[kept]]]
+        else:
+            kept = _first_rows(keys, key_domain)
+        folded_rows, folded_class = held[kept], held_class[kept]
+
+        # Gather back: each world emits its class's folded rows.
+        by_class = np.argsort(folded_class, kind="stable")
+        per_class = np.bincount(folded_class, minlength=nclasses)
+        class_start = np.cumsum(per_class) - per_class
+        owner, position = _runs(class_start[class_of], per_class[class_of])
+        source_rows = folded_rows[by_class[position]]
+        world_rows = world_first[owner]
+        acols = self.arrays()
+        columns = tuple(acols[p].take(source_rows) for p in proj_positions) + tuple(
+            acols[p].take(world_rows) for p in self.schema.indices(ids)
+        )
+        return type(self)._from_acols(schema, columns, len(owner))
+
     # -- cert counting -----------------------------------------------------------
 
     def certain_rows(self, attributes: Sequence[str], need: int) -> list[Row]:
@@ -1142,17 +1347,8 @@ class ArrayRelation(ColumnarRelation):
             if not len(hits):
                 return []
             return [(value,) for value in col.decode(hits)]
-        code, domain = self._row_codes(positions)
-        if domain <= 4 * len(code) + 1024:
-            counts = np.bincount(code, minlength=domain)
-            first = np.full(domain, -1, dtype=np.int64)
-            first[code[::-1]] = np.arange(len(code) - 1, -1, -1, dtype=np.int64)
-            chosen = first[counts == need]
-        else:
-            _, first, counts = np.unique(
-                code, return_index=True, return_counts=True
-            )
-            chosen = first[counts == need]
+        group, first = _group_index(*self._row_codes(positions))
+        chosen = first[np.bincount(group, minlength=len(first)) == need]
         if not len(chosen):
             return []
         acols = self.arrays()

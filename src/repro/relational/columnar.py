@@ -860,6 +860,21 @@ class ColumnarRelation:
             out = [default_row(specs)]
         return type(self)._from_rows(schema, out)
 
+    def group_worlds(
+        self,
+        ids: Sequence[str],
+        group_attrs: Sequence[str],
+        proj_attrs: Sequence[str],
+        certain: bool,
+    ) -> "ColumnarRelation":
+        """Group worlds by their *group_attrs* rows and fold each class's
+        *proj_attrs* rows (see :func:`group_worlds_rows`)."""
+        checkpoint("group_worlds", self._nrows)
+        return type(self)._from_rows(
+            Schema(tuple(proj_attrs) + tuple(ids)),
+            group_worlds_rows(self, ids, group_attrs, proj_attrs, certain),
+        )
+
     def left_outer_join_padded(self, other: "ColumnarRelation | Relation") -> "ColumnarRelation":
         other = as_columnar(other)
         checkpoint("left_outer_join_padded", self._nrows + len(other))
@@ -949,6 +964,57 @@ def tuples_of(
     if not attributes:
         return repeat((), len(relation.rows))
     return map(tuple_getter(relation.schema.indices(attributes)), relation.rows)
+
+
+def group_worlds_rows(
+    relation: "Relation | ColumnarRelation",
+    ids: Sequence[str],
+    group_attrs: Sequence[str],
+    proj_attrs: Sequence[str],
+    certain: bool,
+) -> list[Row]:
+    """The rows of group-worlds-by over a flat answer table.
+
+    Each world (its *ids* value) is fingerprinted by the set of its
+    *group_attrs* rows; worlds with equal fingerprints form a class
+    whose *proj_attrs* rows fold by union, or by intersection when
+    *certain*. Every world then holds its class's folded rows:
+    ``proj_attrs + ids`` rows, distinct. One hashing pass over the
+    answer, O(worlds × rows) rather than the pairwise equivalence of
+    Figure 6 — the tuple and columnar kernels' shared loop.
+    """
+    per_world_groups: dict[tuple, set[tuple]] = {}
+    per_world_rows: dict[tuple, set[tuple]] = {}
+    for world_id, group_row, proj_row in zip(
+        tuples_of(relation, ids),
+        tuples_of(relation, group_attrs),
+        tuples_of(relation, proj_attrs),
+    ):
+        groups = per_world_groups.get(world_id)
+        if groups is None:
+            per_world_groups[world_id] = {group_row}
+            per_world_rows[world_id] = {proj_row}
+        else:
+            groups.add(group_row)
+            per_world_rows[world_id].add(proj_row)
+
+    folded: dict[frozenset, set[tuple]] = {}
+    members: dict[tuple, frozenset] = {}
+    for world_id, fingerprint_rows in per_world_groups.items():
+        fingerprint = frozenset(fingerprint_rows)
+        members[world_id] = fingerprint
+        rows = per_world_rows[world_id]
+        if fingerprint not in folded:
+            folded[fingerprint] = set(rows)
+        elif certain:
+            folded[fingerprint] &= rows
+        else:
+            folded[fingerprint] |= rows
+    return [
+        value + world_id
+        for world_id, fingerprint in members.items()
+        for value in folded[fingerprint]
+    ]
 
 
 # -- kernel registry ----------------------------------------------------------------

@@ -753,6 +753,23 @@ class Relation:
             out = [default_row(specs)]
         return Relation._raw(schema, out)
 
+    def group_worlds(
+        self,
+        ids: Sequence[str],
+        group_attrs: Sequence[str],
+        proj_attrs: Sequence[str],
+        certain: bool,
+    ) -> "Relation":
+        """Group worlds by their *group_attrs* rows and fold each class's
+        *proj_attrs* rows (see ``columnar.group_worlds_rows``)."""
+        from repro.relational.columnar import group_worlds_rows
+
+        checkpoint("group_worlds", len(self.rows))
+        return Relation._raw(
+            Schema(tuple(proj_attrs) + tuple(ids)),
+            group_worlds_rows(self, ids, group_attrs, proj_attrs, certain),
+        )
+
     def left_outer_join_padded(self, other: "Relation") -> "Relation":
         """The modified left outer join ``=⊳⊲`` of Remark 5.5.
 

@@ -17,9 +17,14 @@ from repro.backend import InlineBackend
 from repro.backend.testing import assert_backends_agree
 from repro.core import evaluate, rel
 from repro.datagen import random_query, random_world_set, scenarios
+from repro.datagen.workloads import ACQUISITION_SCRIPT, TPCH_SCRIPT, company, lineitem
+from repro.inline.physical import PhysicalState
 from repro.inline.representation import InlinedRepresentation
+from repro.isql import ISQLSession
 from repro.relational import Relation
 from repro.relational.array_kernel import have_numpy
+from repro.relational.guards import op_hook
+from repro.service import connect
 
 SMALL = {s.name: s for s in scenarios("small")}
 
@@ -146,3 +151,98 @@ def test_kernel_registry_lists_all_kernels():
 
     names = kernel_names()
     assert "columnar" in names and "tuple" in names and "array" in names
+
+
+# -- the array kernel keeps what-if plans in typed columns --------------------------
+
+#: name → (set-up script, what-if select, kernel ops its plan crosses).
+WHAT_IF = {
+    "acquisition": (
+        ACQUISITION_SCRIPT,
+        "select certain CID, Skill from V, Emp_Skills "
+        "where V.EID = Emp_Skills.EID and V.EID != 'e4' group worlds by CID;",
+        {"join_on", "group_worlds"},
+    ),
+    "tpch": (
+        TPCH_SCRIPT,
+        "select possible Year from YearQuantity as Y "
+        "where (select sum(Price) from Lineitem "
+        "where Lineitem.Year = Y.Year) - Y.Revenue > 300;",
+        {"join_on", "aggregate_by"},
+    ),
+}
+
+
+def _what_if_session(name: str, backend) -> ISQLSession:
+    if name == "acquisition":
+        company_emp, emp_skills = company(3, 3, 6, 2, seed=1)
+        relations = {"Company_Emp": company_emp, "Emp_Skills": emp_skills}
+    else:
+        relations = {
+            "Lineitem": lineitem(
+                years=(2001, 2002, 2003), n_products=4, n_quantities=3,
+                rows_per_year=4, seed=1,
+            )
+        }
+    session = ISQLSession(backend=backend)
+    for relation_name, relation in relations.items():
+        session.register(relation_name, relation)
+    session.run(WHAT_IF[name][0])
+    return session
+
+
+@pytest.mark.skipif(not have_numpy(), reason="the array kernel needs numpy")
+@pytest.mark.parametrize("name", sorted(WHAT_IF))
+def test_array_what_if_plans_never_enter_the_row_path(name, monkeypatch):
+    """The acquisition and TPC-H what-if selects run their joins and
+    aggregates as array ops: the inherited row-path ``join_on``/
+    ``aggregate_by`` and the shared Python fold are never entered."""
+    from repro.relational import aggregates
+    from repro.relational.columnar import ColumnarRelation
+
+    session = _what_if_session(name, InlineBackend(kernel="array"))
+    entered = []
+    for owner, attribute in (
+        (ColumnarRelation, "join_on"),
+        (ColumnarRelation, "aggregate_by"),
+        (aggregates, "aggregate_rows"),
+    ):
+        original = getattr(owner, attribute)
+
+        def counted(*args, original=original, attribute=attribute, **kwargs):
+            entered.append(attribute)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attribute, counted)
+    ops = set()
+    with op_hook(lambda op, rows: ops.add(op)):
+        result = session.run(WHAT_IF[name][1])[-1]
+        answers = result.answers()
+    assert result.route == "inline"
+    assert entered == []
+    assert WHAT_IF[name][2] <= ops
+    monkeypatch.undo()
+    explicit = _what_if_session(name, "explicit")
+    assert answers == explicit.run(WHAT_IF[name][1])[-1].answers()
+    assert any(len(answer) for answer in answers)
+
+
+@pytest.mark.parametrize("kernel", list(KERNEL_NAMES))
+def test_cursor_decodes_a_world_splitting_answer_once(kernel, monkeypatch):
+    """The cursor's bind and the caller's ``result.answers()`` share one
+    decode of the per-world answers."""
+    session = _what_if_session("acquisition", InlineBackend(kernel=kernel))
+    calls = []
+    original = PhysicalState.answers_by_world
+
+    def counted(state):
+        calls.append(state)
+        return original(state)
+
+    monkeypatch.setattr(PhysicalState, "answers_by_world", counted)
+    cursor = connect(session).cursor()
+    cursor.execute(WHAT_IF["acquisition"][1])
+    answers = cursor.result.answers()
+    assert len(answers) > 1
+    assert cursor.result.answers() is answers
+    assert len(calls) == 1

@@ -10,6 +10,8 @@ rows, and mixed value types. Every test is parametrized over the
 non-tuple kernels, so the same property holds 3-way.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,18 +50,28 @@ for_each_kernel_cls = pytest.mark.parametrize(
 for_each_kernel_pair = pytest.mark.parametrize("convert,kernel_cls", KERNEL_PARAMS)
 
 
+#: Numbers where int64 and float64 part ways: 2**53 + 1 has no float64,
+#: and -0.0 == 0 with a sign a fold order can flip.
+EDGE_NUMBERS = st.sampled_from([2**53 + 1, 2.0**53, 1.5, -0.0])
+
 VALUES = st.one_of(
     st.integers(min_value=-2, max_value=3),
     st.sampled_from(["x", "y", "z"]),
     st.booleans(),
     st.none(),
     st.just(PAD),
+    EDGE_NUMBERS,
 )
 
+#: Values sum/avg/min/max accept: int-only columns (the int64 array
+#: path) and mixed numeric columns (the shared fold).
+INTS = st.one_of(st.integers(min_value=-3, max_value=3), st.just(2**53 + 1))
+NUMBERS = st.one_of(INTS, EDGE_NUMBERS, st.booleans())
 
-def relations(attributes: tuple[str, ...], max_rows: int = 7):
+
+def relations(attributes: tuple[str, ...], max_rows: int = 7, values=VALUES):
     """A strategy of tuple-engine relations over *attributes*."""
-    row = st.tuples(*(VALUES for _ in attributes))
+    row = st.tuples(*(values for _ in attributes))
     return st.lists(row, max_size=max_rows).map(
         lambda rows: Relation(attributes, rows)
     )
@@ -192,6 +204,21 @@ def test_join_operators_match(convert, left, right):
 
 
 @for_each_kernel
+def test_join_on_with_right_only_columns_and_duplicate_keys(convert):
+    left = Relation(("A", "B"), [(1, "x"), (2, "y"), (2, "z"), (3, None)])
+    right = Relation(
+        ("B", "C", "D"),
+        [("x", 1, 10), ("x", 1, 11), ("y", 2, 12), ("z", 2, 13), ("z", 9, 14)],
+    )
+    pairs = [("B", "B"), ("A", "C")]  # a shared key and a cross-named one
+    expected = left.join_on(right, pairs)
+    assert len(expected) == 4
+    assert_same(convert(left).join_on(convert(right), pairs), expected, "join_on")
+    # Operands of another kernel are accepted on the right.
+    assert_same(convert(left).join_on(right, pairs), expected, "join_on/tuple")
+
+
+@for_each_kernel
 @settings(max_examples=60, deadline=None)
 @given(left=relations(("A", "B")), right=relations(("C", "D")))
 def test_product_theta_equi_match(convert, left, right):
@@ -222,29 +249,119 @@ def test_divide_matches(convert, dividend, divisor):
     )
 
 
+def _aggregate_matches(convert, relation, specs) -> None:
+    for keys in (("A",), ("B", "A"), ()):
+        # Global (empty-key) aggregation included — with SQL's one empty
+        # group over the empty relation.
+        assert_same(
+            convert(relation).aggregate_by(keys, specs),
+            relation.aggregate_by(keys, specs),
+            f"aggregate_by{keys}",
+        )
+
+
 @for_each_kernel
 @settings(max_examples=40, deadline=None)
 @given(relation=relations(("A", "B", "C"), max_rows=9))
 def test_aggregate_by_matches(convert, relation):
-    """aggregate_by: grouped count(*)/count(C), 3-way vs the tuple engine."""
+    """aggregate_by: grouped count(*)/count(C)/single(C), 3-way vs the
+    tuple engine, over every value kind."""
     from repro.relational.aggregates import AggSpec
 
     specs = (
         AggSpec("N", "count", None),
         AggSpec("K", "count", "C"),
+        AggSpec("S", "single", "C"),
     )
-    assert_same(
-        convert(relation).aggregate_by(("A",), specs),
-        relation.aggregate_by(("A",), specs),
-        "aggregate_by",
+    _aggregate_matches(convert, relation, specs)
+
+
+@for_each_kernel
+@settings(max_examples=60, deadline=None)
+@given(
+    relation=st.one_of(
+        st.tuples(relations(("A",), 9), relations(("B", "C"), 9, INTS)),
+        st.tuples(relations(("A",), 9), relations(("B", "C"), 9, NUMBERS)),
+    ).map(lambda pair: pair[0].product(pair[1]))
+)
+def test_numeric_aggregates_match(convert, relation):
+    """sum/avg/min/max over int-only and mixed numeric columns."""
+    from repro.relational.aggregates import AggSpec
+
+    specs = tuple(
+        AggSpec(function.upper(), function, "C")
+        for function in ("sum", "avg", "min", "max")
+    ) + (AggSpec("N", "count", None),)
+    _aggregate_matches(convert, relation, specs)
+
+
+@for_each_kernel
+def test_int_sum_beyond_int64_matches_the_tuple_engine(convert):
+    from repro.relational.aggregates import AggSpec
+
+    relation = Relation(("A", "B", "C"), [(0, b, 2**62) for b in range(3)])
+    specs = (AggSpec("S", "sum", "C"), AggSpec("V", "avg", "C"))
+    expected = relation.aggregate_by(("A",), specs)
+    assert expected == Relation(("A", "S", "V"), [(0, 3 * 2**62, 2.0**62)])
+    assert_same(convert(relation).aggregate_by(("A",), specs), expected, "sum")
+
+
+@for_each_kernel
+def test_grouping_over_wide_key_domains(convert):
+    """Keys whose combined code domain dwarfs the row count take the
+    sort-based grouping path instead of the dense scatter."""
+    from repro.relational.aggregates import AggSpec
+
+    rng = random.Random(7)
+    relation = Relation(
+        ("A", "G", "P", "W"),
+        [
+            (f"a{rng.randrange(300)}", rng.randrange(3), rng.randrange(300), rng.randrange(40))
+            for _ in range(600)
+        ],
     )
-    # Global (empty-key) aggregation agrees too — including SQL's one
-    # empty group over the empty relation.
-    assert_same(
-        convert(relation).aggregate_by((), specs),
-        relation.aggregate_by((), specs),
-        "aggregate_by[]",
+    specs = (
+        AggSpec("N", "count", None),
+        AggSpec("K", "count", "P"),
+        AggSpec("S", "sum", "P"),
+        AggSpec("V", "avg", "P"),
+        AggSpec("L", "min", "P"),
+        AggSpec("H", "max", "P"),
+        AggSpec("O", "single", "G"),
     )
+    for keys in (("A", "P"), ("W", "A")):
+        assert_same(
+            convert(relation).aggregate_by(keys, specs),
+            relation.aggregate_by(keys, specs),
+            f"aggregate_by{keys}",
+        )
+    for certain in (False, True):
+        for ids, group in ((("W", "A"), ("G",)), (("W",), ("G", "A"))):
+            assert_same(
+                convert(relation).group_worlds(ids, group, ("P",), certain),
+                relation.group_worlds(ids, group, ("P",), certain),
+                f"group_worlds{ids}{group}",
+            )
+
+
+@for_each_kernel
+@settings(max_examples=80, deadline=None)
+@given(
+    relation=relations(("A", "G", "P", "W"), max_rows=12),
+    certain=st.booleans(),
+)
+def test_group_worlds_matches(convert, relation, certain):
+    """group_worlds 3-way vs the tuple engine, W the world id."""
+    for ids, group, proj in (
+        (("W",), ("G",), ("P",)),
+        (("W",), ("G", "A"), ("P", "A")),
+        (("A", "W"), (), ("P",)),
+    ):
+        assert_same(
+            convert(relation).group_worlds(ids, group, proj, certain),
+            relation.group_worlds(ids, group, proj, certain),
+            f"group_worlds{ids}{group}{proj}",
+        )
 
 
 # -- deterministic edge cases -------------------------------------------------------
@@ -490,6 +607,31 @@ def test_distinct_probes_match(convert, relation):
             assert engine.distinct_count(attributes) == len(expected)
             distinct = engine.distinct_tuples(attributes)
             assert len(distinct) == len(expected) and set(distinct) == expected
+
+
+BEYOND_2_53 = [
+    (Relation(("A",), [(2**53 + 1,), (5,)]), eq("A", Const(2.0**53))),
+    (Relation(("A",), [(2.0**53,), (5.0,)]), eq("A", Const(2**53 + 1))),
+    (Relation(("A", "B"), [(2**53 + 1, 2.0**53), (5, 5.0)]), eq("A", "B")),
+    (Relation(("A", "B"), [(2.0**53, 2**53 + 1), (5.0, 5)]), lt("A", "B")),
+    (Relation(("A",), [(-(2**53) - 1,), (5,)]), ge("A", Const(-(2.0**53)))),
+]
+
+
+@for_each_kernel
+@pytest.mark.parametrize("case", range(len(BEYOND_2_53)))
+def test_int_meets_float_beyond_2_53_compares_exactly(convert, case):
+    """int64 against float64 is exact in Python, lossy in a numpy cast:
+    2**53 + 1 != 2.0**53, on selection and on the DML mask alike."""
+    relation, predicate = BEYOND_2_53[case]
+    expected = relation.select(predicate)
+    in_kernel = convert(relation)
+    assert_same(in_kernel.select(predicate), expected, repr(predicate))
+    assert_same(
+        in_kernel.compress(in_kernel.predicate_mask(predicate)),
+        expected,
+        repr(predicate),
+    )
 
 
 @pytest.mark.parametrize(
