@@ -137,9 +137,11 @@ class InlineQueryResult(BaseQueryResult):
         self._answers: frozenset[Relation] | None = None
 
     def answers(self) -> frozenset[Relation]:
-        """The distinct per-world answers, decoded once per result."""
+        """The distinct per-world answers, decoded once per result by the
+        kernel's ``world_answers`` op (fingerprint classes on the array
+        kernel: one relation per distinct answer, not per world)."""
         if self._answers is None:
-            self._answers = frozenset(self._state.answers_by_world().values())
+            self._answers = self._state.world_answers()
         return self._answers
 
     def possible(self) -> Relation:

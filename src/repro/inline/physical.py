@@ -76,6 +76,7 @@ from repro.inline.translate import SchemaLike, _schema_env, lower_query
 from repro.relational.array_kernel import ArrayRelation
 from repro.relational.columnar import (
     ColumnarRelation,
+    answers_per_world,
     as_tuple,
     kernel_ops,
     kernel_unit,
@@ -213,28 +214,20 @@ class PhysicalState:
     def answers_by_world(self) -> dict[tuple, Relation]:
         """Decode: the answer relation per world id (empty worlds kept)."""
         state = self.plain()
-        if state is not self:
-            return state.answers_by_world()
-        values = self.value_attributes()
-        answer = self._answer
-        if not self.ids:
-            return {(): as_tuple(answer.project(values))}
-        grouped: dict[tuple, set[tuple]] = {
-            row: set() for row in tuples_of(self._world_or_unit_any(), self.ids)
-        }
-        for world_id, value in zip(
-            tuples_of(answer, self.ids), tuples_of(answer, values)
-        ):
-            bucket = grouped.get(world_id)
-            if bucket is None:
-                grouped[world_id] = {value}
-            else:
-                bucket.add(value)
-        schema = Schema(values)
-        return {
-            world_id: Relation._raw(schema, frozenset(rows))
-            for world_id, rows in grouped.items()
-        }
+        return answers_per_world(
+            state._answer,
+            state.ids,
+            state.value_attributes(),
+            state._world_or_unit_any(),
+        )
+
+    def world_answers(self) -> frozenset[Relation]:
+        """The distinct per-world answers, as one ``world_answers``
+        kernel op (no per-world decode on the array kernel)."""
+        state = self.plain()
+        return state._answer.world_answers(
+            state.ids, state.value_attributes(), state._world_or_unit_any()
+        )
 
 
 class PhysicalEvaluator:

@@ -54,6 +54,7 @@ from repro.relational.columnar import (
     KernelOps,
     _transpose,
     as_columnar,
+    as_tuple,
 )
 from repro.relational.predicates import (
     And,
@@ -65,7 +66,12 @@ from repro.relational.predicates import (
     Predicate,
     _Boolean,
 )
-from repro.relational.relation import Relation, Row, check_join_pairs_cover_shared
+from repro.relational.relation import (
+    Relation,
+    Row,
+    check_join_pairs_cover_shared,
+    written_constant,
+)
 from repro.relational.schema import Schema
 
 #: Largest per-row key the multiply-add code combiner may reach before
@@ -247,62 +253,85 @@ def _const_fits(dtype, value) -> bool:
     return False
 
 
+def _const_dtype(dtype, value):
+    """The dtype a column of *dtype* takes once *value* is written in:
+    itself when the write is lossless, a wider U for a longer string,
+    object otherwise."""
+    if dtype != object and _const_fits(dtype, value):
+        return dtype
+    if dtype.kind == "U" and type(value) is str and not value.endswith("\x00"):
+        return np.dtype(f"<U{max(len(value), dtype.itemsize // 4)}")
+    return np.dtype(object)
+
+
+def _const_code(column: _Column, value):
+    """``(code, uniques)``: *value*'s code in *column*'s cached
+    factorization, the unique table extended when *value* is new.
+
+    ``(-1, None)`` when the column holds no codes, or its typed table
+    cannot hold *value* exactly (the fresh column then factorizes on
+    demand). List tables look up by Python equality, like the dict
+    that built them.
+    """
+    if column._codes is None:
+        return -1, None
+    uniques = column._uniques
+    if isinstance(uniques, list):
+        try:
+            return uniques.index(value), uniques
+        except ValueError:
+            return len(uniques), uniques + [value]
+    dtype = _const_dtype(uniques.dtype, value)
+    if dtype == object:
+        return -1, None
+    hits = np.flatnonzero(uniques == value)
+    if len(hits):
+        return int(hits[0]), uniques
+    return len(uniques), np.concatenate([uniques, np.array([value], dtype=dtype)])
+
+
+def _recast(values, dtype, extra: int = 0):
+    """A fresh *dtype* copy of *values* with *extra* unset slots after."""
+    fresh = np.empty(len(values) + extra, dtype=dtype)
+    fresh[: len(values)] = values
+    return fresh
+
+
 def _assign_const(column: _Column, mask, value) -> _Column:
     """*column* with *value* written at the masked positions.
 
-    Keeps the dtype when the value fits (widening U strings rather
-    than dropping to object), and seeds the fresh column's
-    factorization from the source's cached codes — a rewritten column
-    then deduplicates without another full :func:`np.unique` pass.
+    The dtype follows :func:`_const_dtype`, and the fresh column's
+    codes are the source's cached ones with *value*'s code written at
+    the same positions — a rewritten column then deduplicates without
+    another full :func:`np.unique` pass.
     """
     values = column.values
-    kind = values.dtype.kind
-    if values.dtype != object and _const_fits(values.dtype, value):
-        fresh_values = values.copy()
-        fresh_values[mask] = value
-    elif (
-        kind == "U"
-        and type(value) is str
-        and not value.endswith("\x00")
-    ):
-        wide = np.dtype(f"<U{max(len(value), values.dtype.itemsize // 4)}")
-        fresh_values = values.astype(wide)
-        fresh_values[mask] = value
-    else:
-        fresh_values = np.empty(len(values), dtype=object)
-        fresh_values[:] = values.tolist()
-        fresh_values[mask] = value
-    fresh = _Column(fresh_values)
-    if column._codes is not None:
-        uniques = column._uniques
-        code = -1
-        if isinstance(uniques, list):
-            try:
-                code = uniques.index(value)
-            except ValueError:
-                uniques = uniques + [value]
-                code = len(uniques) - 1
-        else:
-            try:
-                hits = np.flatnonzero(uniques == value)
-            except (TypeError, OverflowError):  # pragma: no cover - np quirk
-                hits = ()
-            if len(hits):
-                code = int(hits[0])
-            else:
-                try:
-                    uniques = np.concatenate(
-                        [uniques, np.array([value])]
-                    )
-                    code = len(uniques) - 1
-                except (TypeError, ValueError, OverflowError):
-                    code = -1  # incompatible uniques dtype: factorize fresh
-        if code >= 0:
-            codes = column._codes.copy()
-            codes[mask] = code
-            fresh._codes = codes
-            fresh._nuniq = max(column._nuniq, code + 1)
-            fresh._uniques = uniques
+    fresh = _Column(_recast(values, _const_dtype(values.dtype, value)))
+    fresh.values[mask] = value
+    code, uniques = _const_code(column, value)
+    if code >= 0:
+        codes = column._codes.copy()
+        codes[mask] = code
+        fresh._codes, fresh._nuniq, fresh._uniques = (
+            codes, max(column._nuniq, code + 1), uniques
+        )
+    return fresh
+
+
+def _append_const(column: _Column, value, k: int) -> _Column:
+    """*column* extended by *k* copies of *value*: one repeated code
+    after the cached ones, dtype and codes as in :func:`_assign_const`."""
+    values = column.values
+    n = len(values)
+    fresh = _Column(_recast(values, _const_dtype(values.dtype, value), k))
+    fresh.values[n:] = value
+    code, uniques = _const_code(column, value)
+    if code >= 0:
+        codes = _recast(column._codes, np.int64, k)
+        codes[n:] = code
+        fresh._codes, fresh._nuniq, fresh._uniques = (
+            codes, max(column._nuniq, code + 1), uniques
+        )
     return fresh
 
 
@@ -521,6 +550,29 @@ def _distinct_count(code, domain) -> int:
         seen[code] = True
         return int(seen.sum())
     return len(np.unique(code))
+
+
+def _world_classes(world, nworlds: int, code, domain: int):
+    """``(class_of, nclasses)``: worlds classed by exact fingerprint.
+
+    *world* numbers each row's world in ``[0, nworlds)``; a world's
+    fingerprint is the sorted tuple of the distinct *code*s (domain
+    *domain*) its rows hold — one Python pass over the distinct
+    (world, code) pairs, not the rows. Code equality is Python
+    equality, so equal fingerprints are equal row sets. Classes are
+    numbered in world order.
+    """
+    distinct = _first_rows(*_fold_codes(world, nworlds, code, domain))
+    pair_world, pair_code = world[distinct], code[distinct]
+    fingerprints = pair_code[np.lexsort((pair_code, pair_world))].tolist()
+    bounds = np.cumsum(np.bincount(pair_world, minlength=nworlds)).tolist()
+    classes: dict[tuple, int] = {}
+    class_of, start = [], 0
+    for end in bounds:
+        fingerprint = tuple(fingerprints[start:end])
+        class_of.append(classes.setdefault(fingerprint, len(classes)))
+        start = end
+    return np.array(class_of, dtype=np.int64), len(classes)
 
 
 class ArrayRelation(ColumnarRelation):
@@ -1110,7 +1162,8 @@ class ArrayRelation(ColumnarRelation):
         its dtype when the incoming values fit and widens to object
         otherwise. Rows that collide after the rewrite collapse to the
         first occurrence, like the other kernels' ``dict.fromkeys``
-        dedup. Self when the mask selects nothing.
+        dedup; when a constant is written, only the rows holding its
+        code are deduplicated. Self when the mask selects nothing.
         """
         checkpoint("masked_assign", self._nrows)
         if not mask.any():
@@ -1129,11 +1182,28 @@ class ArrayRelation(ColumnarRelation):
         )
         if not new_cols:
             return candidate
-        codes, domain = candidate._row_codes(range(len(self.schema)))
-        first = _first_rows(codes, domain)
-        if len(first) == candidate._nrows:
+        everything = range(len(self.schema))
+        written = written_constant(settings)
+        if written is None:
+            # Column copies may collide with any row: dedup the table.
+            codes, domain = candidate._row_codes(everything)
+            first = _first_rows(codes, domain)
+            if len(first) == candidate._nrows:
+                return candidate
+            return candidate._take(first)
+        # Kept rows are distinct already, so a collision needs a
+        # rewritten row — and both rows then hold the written constant.
+        # The rows holding its code are the rewritten ones plus the kept
+        # rows they may clash with; only those are row-coded.
+        column_codes = new_cols[written[0]].codes()
+        touched = np.flatnonzero(column_codes == column_codes[np.argmax(mask)])
+        first = _first_rows(*candidate._take(touched)._row_codes(everything))
+        if len(first) == len(touched):
             return candidate
-        return candidate._take(first)
+        keep = np.ones(candidate._nrows, dtype=np.bool_)
+        keep[touched] = False
+        keep[touched[first]] = True
+        return candidate._take(keep)
 
     def scatter_update(self, matches, setters) -> "ArrayRelation":
         matches = as_columnar(matches)
@@ -1179,31 +1249,29 @@ class ArrayRelation(ColumnarRelation):
         """Append *template* once per *id_rows* entry, ids patched in.
 
         The insert kernel for one value row replicated over world ids:
-        value columns extend by a repeated constant, id columns by the
-        id lists — no per-row tuples. The caller guarantees the
-        additions are distinct from each other and from existing rows
-        (``id_rows`` must already exclude claimed ids).
+        each value column extends by one repeated code (see
+        :func:`_append_const`), so its typed values and cached codes
+        survive, and id columns extend by the id lists — no per-row
+        tuples. The caller guarantees the additions are distinct from
+        each other and from existing rows (``id_rows`` must already
+        exclude claimed ids).
         """
         k = len(id_rows)
         if k == 0:
             return self
         checkpoint("append", self._nrows + k)
-        width = len(self.schema)
-        if width == 0:
+        if not self.schema:
             return type(self)._from_rows(self.schema, [()])
         by_id = {p: j for j, p in enumerate(id_positions)}
         columns = []
-        for position in range(width):
+        for position, column in enumerate(self.arrays()):
             j = by_id.get(position)
             if j is None:
-                values = [template[position]] * k
+                columns.append(_append_const(column, template[position], k))
             else:
-                values = [row[j] for row in id_rows]
-            columns.append(_Column.from_values(values))
-        merged = tuple(
-            _concat_columns(a, b) for a, b in zip(self.arrays(), columns)
-        )
-        return type(self)._from_acols(self.schema, merged, self._nrows + k)
+                ids = _Column.from_values([row[j] for row in id_rows])
+                columns.append(_concat_columns(column, ids))
+        return type(self)._from_acols(self.schema, columns, self._nrows + k)
 
     # -- grouping ----------------------------------------------------------------
 
@@ -1272,10 +1340,10 @@ class ArrayRelation(ColumnarRelation):
         *proj_attrs* rows (see :func:`~repro.relational.columnar.group_worlds_rows`),
         in code passes.
 
-        A world's fingerprint is the sorted tuple of its distinct group
-        codes — one Python pass over the distinct (world, group) pairs,
-        not the rows. The per-class union (``certain`` false) or
-        intersection of projection codes is then gathered back per world.
+        Worlds class by the fingerprint of their group codes (see
+        :func:`_world_classes`). The per-class union (``certain`` false)
+        or intersection of projection codes is then gathered back per
+        world.
         """
         checkpoint("group_worlds", self._nrows)
         ids, proj_attrs = tuple(ids), tuple(proj_attrs)
@@ -1284,19 +1352,9 @@ class ArrayRelation(ColumnarRelation):
             return type(self)._from_rows(schema, [])
         world, world_first = _group_index(*self._row_codes(self.schema.indices(ids)))
         nworlds = len(world_first)
-        group, group_domain = self._row_codes(self.schema.indices(group_attrs))
-        distinct = _first_rows(*_fold_codes(world, nworlds, group, group_domain))
-        pair_world, pair_group = world[distinct], group[distinct]
-        fingerprints = pair_group[np.lexsort((pair_group, pair_world))].tolist()
-        bounds = np.cumsum(np.bincount(pair_world, minlength=nworlds)).tolist()
-        classes: dict[tuple, int] = {}
-        class_of, start = [], 0
-        for end in bounds:
-            fingerprint = tuple(fingerprints[start:end])
-            class_of.append(classes.setdefault(fingerprint, len(classes)))
-            start = end
-        class_of = np.array(class_of, dtype=np.int64)
-        nclasses = len(classes)
+        class_of, nclasses = _world_classes(
+            world, nworlds, *self._row_codes(self.schema.indices(group_attrs))
+        )
 
         proj_positions = self.schema.indices(proj_attrs)
         proj, proj_domain = self._row_codes(proj_positions)
@@ -1326,6 +1384,54 @@ class ArrayRelation(ColumnarRelation):
             acols[p].take(world_rows) for p in self.schema.indices(ids)
         )
         return type(self)._from_acols(schema, columns, len(owner))
+
+    def world_answers(
+        self,
+        ids: Sequence[str],
+        values: Sequence[str],
+        world: "ColumnarRelation | Relation",
+    ) -> frozenset[Relation]:
+        """The distinct per-world answers (see
+        :func:`~repro.relational.columnar.answers_per_world`), in code
+        passes.
+
+        Worlds class by the fingerprint of their value codes (see
+        :func:`_world_classes`), and one :class:`Relation` materializes
+        per class from its first world's rows — plus the empty answer
+        when some world of *world* holds no row.
+        """
+        checkpoint("world_answers", self._nrows)
+        ids, values = tuple(ids), tuple(values)
+        if not ids:
+            return frozenset((as_tuple(self.project(values)),))
+        empty = Relation._raw(Schema(values), frozenset())
+        if not self._nrows:
+            return frozenset((empty,)) if len(world) else frozenset()
+        world = self._operand(world)
+        id_codes, world_codes, domain = self._stacked_row_codes(
+            world, self.schema.indices(ids), world.schema.indices(ids)
+        )
+        answers = set()
+        if not _member_mask(world_codes, id_codes, domain).all():
+            answers.add(empty)
+        world_of, world_first = _group_index(id_codes, domain)
+        nworlds = len(world_first)
+        class_of, nclasses = _world_classes(
+            world_of, nworlds, *self._row_codes(self.schema.indices(values))
+        )
+        # Classes number in world order: a class's first world is the
+        # first occurrence of its number.
+        chosen = np.zeros(nworlds, dtype=np.bool_)
+        chosen[_first_rows(class_of, nclasses)] = True
+        rows = np.flatnonzero(chosen[world_of])
+        row_class = class_of[world_of[rows]]
+        rows = rows[np.argsort(row_class, kind="stable")]
+        decoded = list(self._take(rows).tuples(values))
+        start = 0
+        for end in np.cumsum(np.bincount(row_class, minlength=nclasses)).tolist():
+            answers.add(Relation._raw(empty.schema, frozenset(decoded[start:end])))
+            start = end
+        return frozenset(answers)
 
     # -- cert counting -----------------------------------------------------------
 

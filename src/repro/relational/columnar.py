@@ -66,6 +66,7 @@ from repro.relational.relation import (
     oriented_equality_pairs,
     row_rewriter,
     tuple_getter,
+    written_constant,
 )
 from repro.relational.schema import Schema
 
@@ -789,11 +790,11 @@ class ColumnarRelation:
         rewritten = dict.fromkeys(map(row_rewriter(settings), compress(rows, mask)))
         kept = list(compress(rows, map(not_, mask)))
         clash = kept
-        for position, kind, payload in settings:
-            if kind == "const":
-                holds = map({payload}.__contains__, map(itemgetter(position), kept))
-                clash = compress(kept, holds)
-                break
+        written = written_constant(settings)
+        if written is not None:
+            position, value = written
+            holds = map({value}.__contains__, map(itemgetter(position), kept))
+            clash = compress(kept, holds)
         clash = set(clash)
         return type(self)._from_rows(
             self.schema, kept + [row for row in rewritten if row not in clash]
@@ -874,6 +875,16 @@ class ColumnarRelation:
             Schema(tuple(proj_attrs) + tuple(ids)),
             group_worlds_rows(self, ids, group_attrs, proj_attrs, certain),
         )
+
+    def world_answers(
+        self,
+        ids: Sequence[str],
+        values: Sequence[str],
+        world: "ColumnarRelation | Relation",
+    ) -> frozenset[Relation]:
+        """The distinct per-world answers (see :func:`answers_per_world`)."""
+        checkpoint("world_answers", self._nrows)
+        return frozenset(answers_per_world(self, ids, values, world).values())
 
     def left_outer_join_padded(self, other: "ColumnarRelation | Relation") -> "ColumnarRelation":
         other = as_columnar(other)
@@ -964,6 +975,39 @@ def tuples_of(
     if not attributes:
         return repeat((), len(relation.rows))
     return map(tuple_getter(relation.schema.indices(attributes)), relation.rows)
+
+
+def answers_per_world(
+    relation: "Relation | ColumnarRelation",
+    ids: Sequence[str],
+    values: Sequence[str],
+    world: "Relation | ColumnarRelation",
+) -> dict[tuple, Relation]:
+    """Decode a flat answer table: its *values* rows per *ids* value.
+
+    Every world of the *world* table is kept, an empty relation when no
+    row carries its id; with no *ids* the table is one world's answer.
+    One hashing pass over the rows — the tuple and columnar kernels'
+    shared decode loop.
+    """
+    if not ids:
+        return {(): as_tuple(relation.project(values))}
+    grouped: dict[tuple, set[tuple]] = {
+        row: set() for row in tuples_of(world, ids)
+    }
+    for world_id, value in zip(
+        tuples_of(relation, ids), tuples_of(relation, values)
+    ):
+        bucket = grouped.get(world_id)
+        if bucket is None:
+            grouped[world_id] = {value}
+        else:
+            bucket.add(value)
+    schema = Schema(values)
+    return {
+        world_id: Relation._raw(schema, frozenset(rows))
+        for world_id, rows in grouped.items()
+    }
 
 
 def group_worlds_rows(

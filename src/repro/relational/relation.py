@@ -150,6 +150,18 @@ def row_rewriter(settings) -> Callable[[Row], Row]:
     return rewrite
 
 
+def written_constant(settings) -> tuple[int, object] | None:
+    """``(position, value)``: a constant the ``masked_assign`` *settings*
+    leave in every rewritten row, or None when each position they
+    write ends with a column copy. A later setting of a position
+    overrides an earlier one, as in :func:`row_rewriter`."""
+    final = {position: (kind, payload) for position, kind, payload in settings}
+    for position, (kind, payload) in final.items():
+        if kind == "const":
+            return position, payload
+    return None
+
+
 def broadcast_rows(template, id_positions, id_rows) -> list[Row]:
     """*template* once per *id_rows* entry, ids patched in at *id_positions*."""
     if not template:
@@ -769,6 +781,17 @@ class Relation:
             Schema(tuple(proj_attrs) + tuple(ids)),
             group_worlds_rows(self, ids, group_attrs, proj_attrs, certain),
         )
+
+    def world_answers(
+        self, ids: Sequence[str], values: Sequence[str], world: "Relation"
+    ) -> frozenset["Relation"]:
+        """The distinct per-world answers: this flat answer table's
+        *values* rows grouped by world id (see
+        ``columnar.answers_per_world``), empty worlds of *world* kept."""
+        from repro.relational.columnar import answers_per_world
+
+        checkpoint("world_answers", len(self.rows))
+        return frozenset(answers_per_world(self, ids, values, world).values())
 
     def left_outer_join_padded(self, other: "Relation") -> "Relation":
         """The modified left outer join ``=⊳⊲`` of Remark 5.5.

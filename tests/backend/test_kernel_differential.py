@@ -17,7 +17,13 @@ from repro.backend import InlineBackend
 from repro.backend.testing import assert_backends_agree
 from repro.core import evaluate, rel
 from repro.datagen import random_query, random_world_set, scenarios
-from repro.datagen.workloads import ACQUISITION_SCRIPT, TPCH_SCRIPT, company, lineitem
+from repro.datagen.workloads import (
+    ACQUISITION_SCRIPT,
+    TPCH_SCRIPT,
+    census_blocks,
+    company,
+    lineitem,
+)
 from repro.inline.physical import PhysicalState
 from repro.inline.representation import InlinedRepresentation
 from repro.isql import ISQLSession
@@ -195,8 +201,9 @@ def _what_if_session(name: str, backend) -> ISQLSession:
 @pytest.mark.parametrize("name", sorted(WHAT_IF))
 def test_array_what_if_plans_never_enter_the_row_path(name, monkeypatch):
     """The acquisition and TPC-H what-if selects run their joins and
-    aggregates as array ops: the inherited row-path ``join_on``/
-    ``aggregate_by`` and the shared Python fold are never entered."""
+    aggregates as array ops, and decode their answers by world
+    fingerprints: the inherited row-path ``join_on``/``aggregate_by``,
+    the shared Python fold and the per-world decode are never entered."""
     from repro.relational import aggregates
     from repro.relational.columnar import ColumnarRelation
 
@@ -206,6 +213,7 @@ def test_array_what_if_plans_never_enter_the_row_path(name, monkeypatch):
         (ColumnarRelation, "join_on"),
         (ColumnarRelation, "aggregate_by"),
         (aggregates, "aggregate_rows"),
+        (PhysicalState, "answers_by_world"),
     ):
         original = getattr(owner, attribute)
 
@@ -227,22 +235,88 @@ def test_array_what_if_plans_never_enter_the_row_path(name, monkeypatch):
     assert any(len(answer) for answer in answers)
 
 
+#: A blocks-shaped DML batch: constant updates (the second meets kept
+#: rows already holding its value), a delete and an insert.
+BLOCKS_BATCH = (
+    "update Clean set Name = 'REDACTED' where SSN >= 40; "
+    "update Clean set POW = 'City0' where POW = 'City1'; "
+    "delete from Clean where SSN < 5; "
+    "insert into Clean values (-1, -7, 'AUDIT', 'City0', 'City0');"
+)
+BLOCKS_QUERY = "select certain SSN, Name from Clean;"
+
+
+def _blocks_session(backend) -> ISQLSession:
+    session = ISQLSession(backend=backend)
+    session.register("Census", census_blocks(16))
+    session.run("Clean <- select * from Census choice of Block;")
+    return session
+
+
+@pytest.mark.skipif(not have_numpy(), reason="the array kernel needs numpy")
+def test_array_dml_batch_stays_in_codes(monkeypatch):
+    """On the array kernel a constant update row-codes only the rows
+    that can collide — the rewritten ones and the kept ones already
+    holding the written value — and the batch commits a table whose
+    non-int columns all keep their cached codes (an insert extends
+    them by one repeated code)."""
+    from repro.relational.array_kernel import ArrayRelation, as_array
+    from repro.relational.relation import written_constant
+
+    session = _blocks_session(InlineBackend(kernel="array"))
+    assign, row_codes = ArrayRelation.masked_assign, ArrayRelation._row_codes
+    coded, updates = [], []
+
+    def counted_row_codes(self, positions):
+        coded.append(self._nrows)
+        return row_codes(self, positions)
+
+    def counted_assign(self, mask, settings):
+        position, value = written_constant(settings)
+        column = self.arrays()[position].tolist()
+        holding = sum(
+            1 for hit, held in zip(mask.tolist(), column) if hit or held == value
+        )
+        del coded[:]
+        result = assign(self, mask, settings)
+        updates.append((len(self), holding, list(coded)))
+        return result
+
+    monkeypatch.setattr(ArrayRelation, "_row_codes", counted_row_codes)
+    monkeypatch.setattr(ArrayRelation, "masked_assign", counted_assign)
+    ops = set()
+    with op_hook(lambda op, rows: ops.add(op)):
+        session.run(BLOCKS_BATCH)
+    monkeypatch.undo()
+    assert {"masked_assign", "compress", "append"} <= ops
+    assert len(updates) == 2
+    for rows, holding, sizes in updates:
+        assert sizes == [holding] and holding < rows
+    table = as_array(session.backend.representation.tables["Clean"])
+    columns = [c for c in table.arrays() if c.values.dtype.kind != "i"]
+    assert columns and all(c._codes is not None for c in columns)
+
+    explicit = _blocks_session("explicit")
+    explicit.run(BLOCKS_BATCH)
+    expected = explicit.run(BLOCKS_QUERY)[-1].answers()
+    assert session.run(BLOCKS_QUERY)[-1].answers() == expected
+
+
 @pytest.mark.parametrize("kernel", list(KERNEL_NAMES))
-def test_cursor_decodes_a_world_splitting_answer_once(kernel, monkeypatch):
+def test_cursor_decodes_a_world_splitting_answer_once(kernel):
     """The cursor's bind and the caller's ``result.answers()`` share one
-    decode of the per-world answers."""
+    decode of the per-world answers: one ``world_answers`` kernel op."""
     session = _what_if_session("acquisition", InlineBackend(kernel=kernel))
-    calls = []
-    original = PhysicalState.answers_by_world
+    decodes = []
 
-    def counted(state):
-        calls.append(state)
-        return original(state)
+    def record(op, rows):
+        if op == "world_answers":
+            decodes.append(rows)
 
-    monkeypatch.setattr(PhysicalState, "answers_by_world", counted)
     cursor = connect(session).cursor()
-    cursor.execute(WHAT_IF["acquisition"][1])
-    answers = cursor.result.answers()
+    with op_hook(record):
+        cursor.execute(WHAT_IF["acquisition"][1])
+        answers = cursor.result.answers()
+        assert cursor.result.answers() is answers
     assert len(answers) > 1
-    assert cursor.result.answers() is answers
-    assert len(calls) == 1
+    assert len(decodes) == 1

@@ -364,6 +364,75 @@ def test_group_worlds_matches(convert, relation, certain):
         )
 
 
+def _decoded_answers(relation, ids, world):
+    """The reference decode: one relation per world id, deduplicated."""
+    from repro.inline.physical import PhysicalState
+
+    return frozenset(PhysicalState(relation, ids, world).answers_by_world().values())
+
+
+def assert_world_answers_match(convert, relation, ids, world) -> None:
+    """world_answers on every kernel, with the world table in the
+    answer's kernel or as tuples, equals the reference decode."""
+    expected = _decoded_answers(relation, ids, world)
+    values = tuple(a for a in relation.schema if a not in ids)
+    in_kernel = convert(relation)
+    for engine, table in (
+        (relation, world),
+        (in_kernel, world),
+        (in_kernel, convert(world)),
+    ):
+        answers = engine.world_answers(ids, values, table)
+        assert answers == expected, (type(engine).__name__, ids)
+        assert all(isinstance(answer, Relation) for answer in answers)
+
+
+@for_each_kernel
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.lists(st.tuples(VALUES, VALUES, st.integers(0, 4)), max_size=12),
+    extra=st.lists(st.integers(0, 6), max_size=3),
+)
+def test_world_answers_match_the_per_world_decode(convert, rows, extra):
+    """world_answers vs the per-world decode, W (and A, B) the world
+    ids; *extra* ids hold no row — empty worlds."""
+    relation = Relation(("A", "B", "W"), rows)
+    for ids in (("W",), ("A", "W"), ("A", "B", "W")):
+        present = set(as_columnar(relation).tuples(ids))
+        padding = ("x",) * (len(ids) - 1)
+        world = Relation(ids, present | {padding + (w,) for w in extra})
+        assert_world_answers_match(convert, relation, ids, world)
+
+
+@for_each_kernel
+def test_world_answers_edges(convert):
+    """Distinct NaN objects stay distinct answers, 1/1.0/True are one,
+    PAD is a value, and zero value attributes still split on presence."""
+    nan, other_nan = float("nan"), float("nan")
+    relation = Relation(
+        ("A", "W"),
+        [
+            (nan, 0), (other_nan, 1), (nan, 2), (nan, 3), (other_nan, 3),
+            (1, 4), (1.0, 5), (True, 6), (PAD, 7), (PAD, 8), (-0.0, 9), (0, 10),
+        ],
+    )
+    world = Relation(("W",), [(w,) for w in range(12)])
+    assert_world_answers_match(convert, relation, ("W",), world)
+    assert len(_decoded_answers(relation, ("W",), world)) == 7
+    presence = Relation(("W",), [(0,), (2,)])
+    assert_world_answers_match(convert, presence, ("W",), world)
+    assert_world_answers_match(convert, presence, ("W",), presence)
+    # No rows: one empty answer per non-empty world table, else none.
+    empty = Relation(("A", "W"), [])
+    assert_world_answers_match(convert, empty, ("W",), world)
+    assert_world_answers_match(convert, empty, ("W",), Relation(("W",), []))
+    # No ids: the whole table is the one world's answer.
+    unit = Relation((), [()])
+    assert convert(relation).world_answers((), ("A", "W"), unit) == frozenset(
+        (relation,)
+    )
+
+
 # -- deterministic edge cases -------------------------------------------------------
 
 
@@ -530,6 +599,7 @@ ASSIGNMENTS = [
     ((0, "const", PAD), (1, "const", None)),
     ((1, "const", "x"), (0, "col", 1)),  # every source reads the pre-update row
     ((0, "col", 1), (1, "col", 0)),  # a swap
+    ((0, "const", 9), (0, "col", 1)),  # a later setting overrides
 ]
 
 
@@ -576,6 +646,52 @@ def test_masked_assign_matches_rebuilding(convert, relation, index, assignment):
         expected,
         f"{predicate!r} {settings_}",
     )
+
+
+#: name → (rows of (A, B), the masked_assign settings, the A values
+#: the mask selects) — each rewrite lands on some other row.
+COLLISIONS = {
+    "const meets a kept row": ([(1, "x"), (2, "x"), (3, "y")], ((0, "const", 1),), {2}),
+    "const meets a rewritten row": (
+        [(1, "x"), (2, "x"), (3, "y")], ((0, "const", 9),), {1, 2}
+    ),
+    "column copy": ([(1, 2), (2, 2), (3, 4)], ((0, "col", 1),), {1}),
+    "object-dtype const column": (
+        [(1, "x"), ("s", "x"), (None, "y"), (2.5, "x")], ((0, "const", 1.0),), {2.5}
+    ),
+    "bool meets an int": ([(1, "x"), (0, "x"), (2, "x")], ((0, "const", True),), {2}),
+    "const then column copy": (
+        [(2, 2), (3, 2), (5, 6)], ((0, "const", 9), (0, "col", 1)), {3}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "convert", [pytest.param(as_tuple, id="tuple")] + [
+        pytest.param(p.values[0], id=p.id) for p in KERNEL_PARAMS
+    ]
+)
+@pytest.mark.parametrize("case", sorted(COLLISIONS))
+def test_masked_assign_collapses_every_collision(convert, case):
+    """A rewritten row meeting a kept or another rewritten row collapses
+    into one, whichever rows the kernel chooses to dedup."""
+    from repro.relational.relation import row_rewriter
+
+    rows, settings_, selected = COLLISIONS[case]
+    relation = Relation(("A", "B"), rows)
+    rewrite = row_rewriter(settings_)
+    expected = Relation(
+        relation.schema,
+        [rewrite(row) if row[0] in selected else row for row in rows],
+    )
+    assert len(expected) < len(relation)
+    predicate = FALSE
+    for value in selected:
+        predicate = Or(predicate, eq("A", Const(value)))
+    in_kernel = convert(relation)
+    result = in_kernel.masked_assign(in_kernel.predicate_mask(predicate), settings_)
+    assert len(result) == len(expected)
+    assert as_tuple(result) == expected
 
 
 @for_each_kernel
