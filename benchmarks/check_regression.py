@@ -1,105 +1,41 @@
-"""Fail CI when inline benchmark timings regress past a threshold.
+"""Fail CI when a ``BENCH_backends.json`` metric regresses past its gate.
 
 Compares a freshly generated ``BENCH_backends.json`` against the
-committed baseline (the file as of the base commit) and exits non-zero
-if any scenario's **inline** time grew by more than ``--threshold``
-(default 2×).
+committed baseline (the file as of the base commit). Every rule is one
+row of :data:`GATES`; :func:`check` is one loop over that table. A gate
+names a row backend and a field, and says how the field may move:
 
-The committed baseline is usually recorded on different hardware than
-the CI runner, so raw seconds are only compared when the two rows share
-provenance (interpreter + platform). Otherwise the gate compares
-*hardware-normalized* metrics: the inline seconds divided by a
-same-file reference row of the same scenario — the explicit backend
-when it was measured, else the ``inline-tuple`` kernel row. A slower
-runner slows the reference by the same factor, so the ratio isolates
-real inline regressions from machine variance.
+* **relative** gates (``GREW``/``FELL``/``BECAME``) compare the current
+  value with the baseline's. A scenario the baseline did not measure
+  does not gate, and values below the gate's noise floor on either side
+  are timer jitter and skip.
+* **absolute** gates (``ABOVE``/``BELOW``) hold the paired same-process
+  ratios the benchmark records (guard, pooled-reader and replay
+  overheads) to a fixed bound on the current file alone — no baseline
+  and no cross-machine normalization needed. Their floor is a failure,
+  not a skip: a ratio whose paired sample ran below the floor measured
+  nothing, and must be re-measured on a longer sample.
 
-Rules:
+Raw seconds only compare across two rows of the same provenance
+(interpreter + platform): a committed baseline is usually recorded on
+other hardware than the CI runner. A ``NORMALIZED`` gate then compares
+the value divided by a same-file, same-provenance reference row of the
+scenario — the explicit backend when it was measured, else the
+``inline-tuple`` kernel row — so a uniformly slower runner cancels out.
+A ``SAME`` gate skips mismatched pairs; an ``ANY`` gate's values are
+hardware-independent (row counts, routes, same-file ratios).
 
-* only ``backend == "inline"`` rows gate (the explicit engine is the
-  reference implementation, not the product of perf work);
-* same-provenance rows measured at under ``--min-seconds`` (default
-  2 ms) are skipped — at that scale timer noise dominates;
-* infeasible rows (``seconds`` null) and scenarios missing from either
-  file are skipped, as are cross-provenance scenarios without a common
-  reference row;
-* a scenario that *became* infeasible while the baseline measured it is
-  reported as a regression (losing the ability to run is the worst
-  regression of all);
-* the recorded inline **route** gates too: a scenario whose baseline
-  row says ``route=direct`` must not come back as ``route=fallback`` —
-  silently re-routing through the explicit engine is an architectural
-  regression even when the seconds happen to pass. Newly-direct
-  scenarios (baseline ``route=fallback``, current ``route=direct``)
-  are gated on seconds like every other row from this run onward; the
-  next committed baseline then pins both the faster seconds and the
-  direct route;
-* the ``dml_apply`` **per-phase time** gates like the end-to-end
-  seconds (same-provenance rows only — phases are too small for the
-  cross-machine normalization to be meaningful): DML work hides inside
-  a scenario's total, and the dedicated phase is what keeps a
-  mask/scatter regression from drowning in plan-evaluation noise. A
-  baseline row that recorded the phase whose current row lost it is a
-  regression too — dropped instrumentation would silently disarm this
-  very gate;
-* **DML scenarios** (name contains ``dml``) are held to stricter
-  presence rules: one that vanishes from the current file entirely, or
-  whose ``inline-tuple`` kernel-vs-kernel row disappears, fails the
-  gate — the DML hot path must stay measured on both kernels, not just
-  fast last time it happened to run. (The benchmark writer carries
-  unmeasured rows over from the committed file, so partial CI runs
-  still satisfy this.)
-* the armed **resource-guard overhead** gates absolutely: the
-  ``inline-guarded`` row's ``guard_overhead`` (a paired same-process
-  guarded/unguarded ratio recorded by the benchmark) must stay ≤
-  ``--guard-threshold`` (default 1.1×) whenever the guarded run is
-  slow enough to measure, and a baseline file's guarded row must not
-  silently disappear — armed checkpoints becoming expensive is a
-  kernel-hot-path regression the end-to-end seconds would dilute;
-* the service layer's pooled **read path** gates the same way: the
-  ``inline-pool`` row's ``snapshot_overhead`` (a paired same-process
-  pooled-concurrent-readers / single-session ratio recorded by the
-  benchmark) must stay ≤ ``--snapshot-threshold`` (default 1.2×)
-  whenever the pooled run is slow enough to measure, and a baseline
-  file's pool row must not silently disappear — connection checkout,
-  snapshot sync and the DBAPI text path becoming expensive is exactly
-  the regression the ``pool_concurrent_readers`` benchmark exists to
-  catch;
-* the per-scenario **representation size** gates absolutely across
-  machines (row counts are hardware-independent): an inline-family
-  row (``inline``, ``inline-tuple``, ``inline-array``) whose committed
-  ``representation_size`` grows past ``--size-threshold`` (default
-  1.5×) fails — the factored per-group world-id encoding keeps
-  repaired scenarios *sum*-sized, and a regression back toward the
-  joint *product* encoding (e.g. ``census_repair_xl`` returning from
-  ~10² to ~2·10⁵ rows) is an architectural regression even when the
-  seconds happen to pass. A measured row that *loses* the field while
-  the baseline recorded it fails too — dropped instrumentation would
-  silently disarm this gate;
-* the prepared-statement **replay speedup** gates absolutely: the
-  ``inline-replay`` row's ``plan_cache_speedup`` (a paired same-process
-  uncached/cached ratio recorded by the benchmark — the same statement
-  re-executed 100× under interleaved DML) must stay ≥
-  ``--replay-threshold`` (default 3×) whenever the uncached side is
-  slow enough to measure, a baseline replay row must not silently
-  disappear, and a measured replay row must keep its
-  ``plan_cache_speedup`` *and* ``cache_hit_rate`` fields once the
-  baseline recorded them — dropped cache instrumentation would disarm
-  the very gate that guards the statement cache's reason to exist;
-* the ``array_speedup_over_columnar_kernel`` map gates on presence and
-  threshold: a scenario whose baseline file records an array-vs-
-  columnar speedup must still record one (the ``inline-array`` row and
-  the ratio must not silently disappear), and the current speedup must
-  not fall below the baseline's divided by ``--threshold`` — the array
-  kernel losing its edge is exactly the regression ISSUE 6's ≥ 5×
-  acceptance bar exists to catch. Ratios are computed between
-  same-provenance rows by the writer, so they compare cleanly across
-  machines.
+Two presence rules hold for every gate, so lost instrumentation cannot
+silently disarm one: a measured current row must keep every gated
+field its baseline row recorded (for ``seconds``, becoming infeasible
+is the loss), and the rows a gate's ``keep`` predicate selects must not
+disappear from the current file. The benchmark writer carries
+unmeasured rows over from the committed file, so partial runs still
+satisfy both.
 
 Usage::
 
-    python benchmarks/check_regression.py BASELINE.json CURRENT.json \
-        [--threshold 2.0] [--min-seconds 0.002]
+    python benchmarks/check_regression.py BASELINE.json CURRENT.json
 """
 
 from __future__ import annotations
@@ -107,58 +43,119 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-GATED_BACKEND = "inline"
+#: How a gated value fails, given the baseline value, the current value
+#: and the bound. ``ABOVE``/``BELOW`` ignore the baseline (absolute).
+GREW, FELL, BECAME = "grew past", "fell past", "became"
+ABOVE, BELOW = "above", "below"
+_FAILS = {
+    GREW: lambda old, new, bound: new > old * bound,
+    FELL: lambda old, new, bound: new < old / bound,
+    BECAME: lambda old, new, bound: new == bound != old,
+    ABOVE: lambda old, new, bound: new > bound,
+    BELOW: lambda old, new, bound: new < bound,
+}
+ABSOLUTE = (ABOVE, BELOW)
+
+#: Cross-machine pairs: compare as-is, skip, or normalize by a reference.
+ANY, SAME, NORMALIZED = "any", "same", "normalized"
 
 #: Same-file rows used to normalize away hardware differences, in
 #: preference order.
 REFERENCE_BACKENDS = ("explicit", "inline-tuple")
 
-#: The per-phase timings gated like end-to-end seconds (same-provenance
-#: rows only).
-GATED_PHASES = ("dml_apply",)
-
-#: Inline-family rows whose ``representation_size`` gates absolutely
-#: (sizes are deterministic row counts — no hardware normalization).
-SIZE_GATED_BACKENDS = ("inline", "inline-tuple", "inline-array")
-
-#: The representation-size bar: a committed factored (sum-sized) row
-#: must not regress toward the joint product encoding. Deliberately
-#: tighter than the timing threshold — sizes are noise-free.
-SIZE_THRESHOLD = 1.5
-
-#: Below this, a guarded-vs-unguarded ratio is timer jitter, not a
-#: measurement — guard rows on faster-than-this scenarios do not gate.
-GUARD_MIN_SECONDS = 0.05
-
-#: The armed resource-guard overhead bar: guarded/unguarded wall-clock
-#: on the paired same-process runs must stay within this factor.
-GUARD_THRESHOLD = 1.1
-
-#: Below this, a pooled-vs-plain ratio is timer jitter, not a
-#: measurement — pool rows on faster-than-this read batches do not gate.
-SNAPSHOT_MIN_SECONDS = 0.05
-
-#: The service-layer read-path bar: pooled concurrent readers against
-#: the paired same-process single-session replay (checkout, snapshot
-#: sync, the DBAPI text path, checkin) must stay within this factor.
-SNAPSHOT_THRESHOLD = 1.2
-
-#: Below this *uncached* wall-clock (cached seconds × speedup), a
-#: replay ratio is timer jitter, not a measurement.
-REPLAY_MIN_SECONDS = 0.05
-
-#: The prepared-statement replay bar: the paired same-process
-#: uncached/cached ratio on ``inline-replay`` rows must not collapse
-#: below this — the plan cache + result memo losing their edge is the
-#: regression the PR 10 ≥ 3× acceptance bar exists to catch.
-REPLAY_THRESHOLD = 3.0
-
 
 def _is_dml(scenario: str) -> bool:
-    """DML scenarios get the stricter presence rules."""
+    """DML scenarios must stay measured on every kernel they ran on."""
     return "dml" in scenario
+
+
+def _always(scenario: str) -> bool:
+    return True
+
+
+def _never(scenario: str) -> bool:
+    return False
+
+
+def _seconds(row: dict, ratio: float) -> float | None:
+    return row.get("seconds")
+
+
+def _uncached_seconds(row: dict, speedup: float) -> float | None:
+    """The replay row times the cached side; the paired uncached sample
+    ran ``seconds × speedup``."""
+    seconds = row.get("seconds")
+    return None if seconds is None else seconds * speedup
+
+
+@dataclass(frozen=True)
+class Gate:
+    #: The gated row backend; ``None`` reads ``field`` as a top-level
+    #: scenario → value map of the payload.
+    backend: str | None
+    #: A row field; ``phases.<name>`` reads one per-phase timing.
+    field: str
+    #: One of GREW / FELL / BECAME / ABOVE / BELOW; ``None`` gates only
+    #: the field's presence.
+    fails: str | None = None
+    bound: float | str | None = None
+    #: Relative gates skip values below it; absolute gates fail a row
+    #: whose ``floor_on`` seconds fall below it.
+    floor: float = 0.0
+    floor_on: Callable[[dict, float], float | None] = _seconds
+    #: Which baseline rows (by scenario) must still exist in the
+    #: current file.
+    keep: Callable[[str], bool] = _never
+    machines: str = ANY
+    why: str = ""
+
+    @property
+    def label(self) -> str:
+        return " ".join(filter(None, (self.backend, self.field)))
+
+
+_PRODUCT = "the factored encoding regressed toward product size"
+
+GATES = (
+    # End-to-end inline seconds: 2× over the baseline. A DML scenario
+    # must keep its inline row; losing the ability to run at all (now
+    # infeasible) is the worst regression.
+    Gate("inline", "seconds", GREW, 2.0, floor=0.002, keep=_is_dml,
+         machines=NORMALIZED),
+    # The DML apply phase hides inside a scenario's total; phases are
+    # too small for the cross-machine normalization to mean anything.
+    Gate("inline", "phases.dml_apply", GREW, 2.0, floor=0.002,
+         machines=SAME),
+    # Re-routing through the explicit engine is an architectural
+    # regression even when the seconds pass.
+    Gate("inline", "route", BECAME, "fallback",
+         why="re-routed through the explicit engine"),
+    # Representation sizes are deterministic row counts, so they gate
+    # across machines: the factored per-group id encoding must not slide
+    # back toward the joint product. DML scenarios keep their
+    # kernel-vs-kernel row.
+    Gate("inline", "representation_size", GREW, 1.5, why=_PRODUCT),
+    Gate("inline-tuple", "representation_size", GREW, 1.5, keep=_is_dml,
+         why=_PRODUCT),
+    Gate("inline-array", "representation_size", GREW, 1.5, why=_PRODUCT),
+    # The writer computes this map from same-provenance rows, so it
+    # compares across machines; the array kernel losing its edge (or
+    # its inline-array row) fails.
+    Gate(None, "array_speedup_over_columnar_kernel", FELL, 2.0, keep=_always),
+    # Paired same-process ratios, gated absolutely.
+    Gate("inline-guarded", "guard_overhead", ABOVE, 1.1, floor=0.05,
+         keep=_always, why="armed checkpoints are no longer near-free"),
+    Gate("inline-pool", "snapshot_overhead", ABOVE, 1.2, floor=0.05,
+         keep=_always, why="the pooled read path is no longer near-free"),
+    Gate("inline-replay", "plan_cache_speedup", BELOW, 3.0, floor=0.05,
+         floor_on=_uncached_seconds, keep=_always,
+         why="the statement cache collapsed on the replay hot path"),
+    Gate("inline-replay", "cache_hit_rate"),
+)
 
 
 def _rows(payload: dict, backend: str) -> dict[str, dict]:
@@ -169,289 +166,138 @@ def _rows(payload: dict, backend: str) -> dict[str, dict]:
     }
 
 
+def _gate_rows(payload: dict, gate: Gate) -> dict[str, dict]:
+    """scenario → row of the gate's backend, or of its top-level map."""
+    if gate.backend is not None:
+        return _rows(payload, gate.backend)
+    values = payload.get(gate.field) or {}
+    return {scenario: {gate.field: value} for scenario, value in values.items()}
+
+
+def _value(row: dict, field: str):
+    for part in field.split("."):
+        row = (row or {}).get(part)
+    return row
+
+
 def _provenance(row: dict) -> tuple:
     return (row.get("python"), row.get("platform"))
 
 
-def _normalized(payload: dict, scenario: str, inline_row: dict) -> tuple[float, str] | None:
-    """inline seconds over a same-file reference row's seconds.
+def _normalized(payload: dict, scenario: str, row: dict, field: str):
+    """*field* over a same-file, same-provenance reference row's seconds.
 
-    The reference must share the inline row's provenance — a merged
-    file can carry rows from several machines, and dividing machine-B
-    inline seconds by a machine-A reference would manufacture (or mask)
-    a regression.
+    A merged file can carry rows from several machines, and dividing
+    machine-B seconds by a machine-A reference would manufacture (or
+    mask) a regression.
     """
     for backend in REFERENCE_BACKENDS:
         reference = _rows(payload, backend).get(scenario)
         if (
             reference
             and reference.get("seconds")
-            and _provenance(reference) == _provenance(inline_row)
+            and _provenance(reference) == _provenance(row)
         ):
-            return inline_row["seconds"] / reference["seconds"], backend
+            return _value(row, field) / reference["seconds"], backend
     return None
 
 
-def _phase_problems(
-    scenario: str, old: dict, new: dict, threshold: float, min_seconds: float
-) -> list[str]:
-    """Per-phase regressions between two same-provenance inline rows."""
-    problems: list[str] = []
-    old_phases = old.get("phases") or {}
-    new_phases = new.get("phases") or {}
-    for name in GATED_PHASES:
-        old_value = old_phases.get(name)
-        if old_value is None or old_value < min_seconds:
-            continue
-        new_value = new_phases.get(name)
-        if new_value is None:
-            problems.append(
-                f"{scenario}: the {name} phase was {old_value:.4f}s at "
-                "baseline but is missing from the current row — dropped "
-                "instrumentation disarms this gate"
-            )
-        elif new_value > old_value * threshold:
-            problems.append(
-                f"{scenario}: {name} phase {old_value:.4f}s → "
-                f"{new_value:.4f}s ({new_value / old_value:.2f}× > "
-                f"{threshold:.1f}× threshold)"
-            )
-    return problems
+def _fmt(value) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
 
 
-def _size_problems(
-    baseline: dict, current: dict, size_threshold: float
-) -> list[str]:
-    """Representation-size regressions across the inline-family rows.
-
-    Sizes are deterministic row counts, so they compare absolutely —
-    across machines, with no noise floor. The factored per-group id
-    encoding is what keeps repaired scenarios sum-sized; growing past
-    the threshold means the encoding slid back toward the joint
-    product.
-    """
-    problems: list[str] = []
-    for backend in SIZE_GATED_BACKENDS:
-        current_rows = _rows(current, backend)
-        for scenario, old in sorted(_rows(baseline, backend).items()):
-            old_size = old.get("representation_size")
-            if old_size is None:
-                continue
-            new = current_rows.get(scenario)
-            if new is None:
-                continue  # not re-measured in this run
-            new_size = new.get("representation_size")
-            if new_size is None:
-                if new.get("seconds") is None:
-                    continue  # infeasible row records no size
-                problems.append(
-                    f"{scenario}: {backend} representation_size was "
-                    f"{old_size} at baseline but is missing from the "
-                    "current row — dropped instrumentation disarms this "
-                    "gate"
-                )
-            elif new_size > old_size * size_threshold:
-                problems.append(
-                    f"{scenario}: {backend} representation_size "
-                    f"{old_size} → {new_size} "
-                    f"({new_size / old_size:.2f}× > "
-                    f"{size_threshold:.1f}× size threshold) — the "
-                    "factored encoding regressed toward product size"
-                )
-    return problems
+def _absolute(gate: Gate, scenario: str, new: dict) -> str | None:
+    """A paired ratio against its fixed bound (``None`` = pass)."""
+    value = _value(new, gate.field)
+    sample = gate.floor_on(new, value)
+    if sample is None or sample < gate.floor:
+        return (
+            f"{scenario}: {gate.label} {_fmt(value)} was measured on a "
+            f"{_fmt(sample)}s sample, below the {gate.floor}s floor — "
+            "re-measure it on a longer sample"
+        )
+    if _FAILS[gate.fails](None, value, gate.bound):
+        return (
+            f"{scenario}: {gate.label} {value:.3f} {gate.fails} the "
+            f"{gate.bound}× bound — {gate.why}"
+        )
+    return None
 
 
-def check(
-    baseline: dict,
-    current: dict,
-    threshold: float,
-    min_seconds: float,
-    guard_threshold: float = GUARD_THRESHOLD,
-    size_threshold: float = SIZE_THRESHOLD,
-    snapshot_threshold: float = SNAPSHOT_THRESHOLD,
-    replay_threshold: float = REPLAY_THRESHOLD,
-) -> list[str]:
+def _relative(
+    gate: Gate, scenario: str, old: dict | None, new: dict,
+    baseline: dict, current: dict,
+) -> str | None:
+    """A current value against its baseline value (``None`` = pass)."""
+    old_value = _value(old, gate.field) if old else None
+    value = _value(new, gate.field)
+    if old_value is None:
+        return None
+    if gate.floor and (old_value < gate.floor or value < gate.floor):
+        return None
+    label, note = gate.label, ""
+    if gate.machines != ANY and _provenance(old) != _provenance(new):
+        if gate.machines == SAME:
+            return None
+        old_norm = _normalized(baseline, scenario, old, gate.field)
+        new_norm = _normalized(current, scenario, new, gate.field)
+        if old_norm is None or new_norm is None:
+            return None
+        (old_value, old_ref), (value, new_ref) = old_norm, new_norm
+        label += f"/{new_ref}"
+        note = f"; cross-machine, normalized by {old_ref}/{new_ref}"
+    if not _FAILS[gate.fails](old_value, value, gate.bound):
+        return None
+    if gate.fails == BECAME:
+        change = f"{old_value} → {value}"
+    else:
+        change = (
+            f"{_fmt(old_value)} → {_fmt(value)} ({value / old_value:.2f}×, "
+            f"{gate.fails} the {gate.bound}× bound{note})"
+        )
+    why = f" — {gate.why}" if gate.why else ""
+    if new.get("fallback_reason"):
+        why += f" ({new['fallback_reason']})"
+    return f"{scenario}: {label} {change}{why}"
+
+
+def check(baseline: dict, current: dict) -> list[str]:
     """The list of regression messages (empty = pass)."""
     problems: list[str] = []
-    baseline_rows = _rows(baseline, GATED_BACKEND)
-    current_rows = _rows(current, GATED_BACKEND)
-    for scenario, old in sorted(baseline_rows.items()):
-        old_seconds = old.get("seconds")
-        if old_seconds is None:
-            continue
-        new = current_rows.get(scenario)
-        if new is None:
-            if _is_dml(scenario):
-                problems.append(
-                    f"{scenario}: DML scenario dropped from the current "
-                    "file — its inline row must stay measured (or carried "
-                    "over by the benchmark writer)"
-                )
-            continue  # not re-measured in this run
-        new_seconds = new.get("seconds")
-        if new_seconds is None:
-            problems.append(
-                f"{scenario}: inline was {old_seconds:.4f}s at baseline "
-                "but is now recorded as infeasible"
-            )
-            continue
-        if old.get("route") == "direct" and new.get("route") == "fallback":
-            problems.append(
-                f"{scenario}: inline route regressed direct → fallback "
-                f"({new.get('fallback_reason') or 'no reason recorded'})"
-            )
-        if _provenance(old) == _provenance(new):
-            problems.extend(
-                _phase_problems(scenario, old, new, threshold, min_seconds)
-            )
-            if old_seconds < min_seconds:
+    for gate in GATES:
+        old_rows, new_rows = _gate_rows(baseline, gate), _gate_rows(current, gate)
+        for scenario in sorted(old_rows.keys() | new_rows.keys()):
+            old, new = old_rows.get(scenario), new_rows.get(scenario)
+            if new is None:
+                if old is not None and gate.keep(scenario):
+                    problems.append(
+                        f"{scenario}: the {gate.backend or gate.field} row "
+                        "disappeared — it must stay measured (or carried "
+                        "over by the benchmark writer)"
+                    )
                 continue
-            if new_seconds > old_seconds * threshold:
-                problems.append(
-                    f"{scenario}: inline {old_seconds:.4f}s → {new_seconds:.4f}s "
-                    f"({new_seconds / old_seconds:.2f}× > {threshold:.1f}× threshold)"
-                )
-            continue
-        # Different machines: compare normalized against a same-file
-        # reference row instead of raw seconds. The noise floor applies
-        # here too — a ratio of two ~1 ms timings is all jitter.
-        if old_seconds < min_seconds or new_seconds < min_seconds:
-            continue
-        old_norm = _normalized(baseline, scenario, old)
-        new_norm = _normalized(current, scenario, new)
-        if old_norm is None or new_norm is None:
-            continue
-        old_ratio, old_ref = old_norm
-        new_ratio, new_ref = new_norm
-        if new_ratio > old_ratio * threshold:
-            problems.append(
-                f"{scenario}: inline/{new_ref} ratio {old_ratio:.3f} → "
-                f"{new_ratio:.3f} ({new_ratio / old_ratio:.2f}× > "
-                f"{threshold:.1f}× threshold; cross-machine, normalized "
-                f"by {old_ref}/{new_ref})"
-            )
-    # DML scenarios must keep their kernel-vs-kernel comparison: losing
-    # the inline-tuple row means the columnar speedup on the DML hot
-    # path is no longer tracked at all.
-    current_kernel_rows = _rows(current, "inline-tuple")
-    for scenario in sorted(_rows(baseline, "inline-tuple")):
-        if _is_dml(scenario) and scenario not in current_kernel_rows:
-            problems.append(
-                f"{scenario}: the inline-tuple kernel-vs-kernel row "
-                "disappeared — the DML hot path must stay measured on "
-                "both kernels"
-            )
-    # Array-vs-columnar speedups gate on presence and threshold: the
-    # ratio map is recomputed by the writer from the merged rows, so a
-    # missing entry means the inline-array measurement itself was lost.
-    # Armed resource guards must stay near-free. The ``inline-guarded``
-    # row's ``guard_overhead`` is a paired same-process ratio recorded
-    # by the benchmark itself, so it gates *absolutely* — no baseline
-    # comparison, no cross-machine normalization needed. Losing the row
-    # (while its scenario stays measured) disarms the gate and fails it.
-    current_guarded = _rows(current, "inline-guarded")
-    for scenario, guarded in sorted(current_guarded.items()):
-        overhead = guarded.get("guard_overhead")
-        seconds = guarded.get("seconds")
-        if overhead is None or seconds is None or seconds < GUARD_MIN_SECONDS:
-            continue
-        if overhead > guard_threshold:
-            problems.append(
-                f"{scenario}: armed resource-guard overhead {overhead:.3f}× "
-                f"> {guard_threshold:.2f}× budget — checkpoints are no "
-                "longer near-free on the kernel hot path"
-            )
-    for scenario in sorted(_rows(baseline, "inline-guarded")):
-        if scenario not in current_guarded:
-            problems.append(
-                f"{scenario}: the inline-guarded overhead row disappeared "
-                "— the armed-guard cost must stay measured (or carried "
-                "over by the benchmark writer)"
-            )
-    # The service layer's read path gates the same way: the
-    # ``inline-pool`` row's ``snapshot_overhead`` is a paired
-    # same-process pooled/plain ratio recorded by the benchmark, so it
-    # gates absolutely, and a baseline pool row must not silently
-    # disappear — connection checkout, snapshot sync and the DBAPI text
-    # path becoming expensive is exactly what the pool benchmark exists
-    # to catch.
-    current_pool = _rows(current, "inline-pool")
-    for scenario, pooled in sorted(current_pool.items()):
-        overhead = pooled.get("snapshot_overhead")
-        seconds = pooled.get("seconds")
-        if overhead is None or seconds is None or seconds < SNAPSHOT_MIN_SECONDS:
-            continue
-        if overhead > snapshot_threshold:
-            problems.append(
-                f"{scenario}: pooled-reader snapshot overhead "
-                f"{overhead:.3f}× > {snapshot_threshold:.2f}× budget — "
-                "the service layer's read path is no longer near-free"
-            )
-    for scenario in sorted(_rows(baseline, "inline-pool")):
-        if scenario not in current_pool:
-            problems.append(
-                f"{scenario}: the inline-pool overhead row disappeared — "
-                "the pooled-reader cost must stay measured (or carried "
-                "over by the benchmark writer)"
-            )
-    # The prepared-statement replay: the ``inline-replay`` row's
-    # ``plan_cache_speedup`` is a paired same-process uncached/cached
-    # ratio recorded by the benchmark, so it gates absolutely. The
-    # noise floor is on the *uncached* side (cached seconds × speedup):
-    # a cached replay is supposed to be tiny, its paired baseline must
-    # not be. Baseline replay rows must not silently disappear, and a
-    # measured replay row must keep the cache fields the baseline
-    # recorded — dropped instrumentation disarms this gate.
-    current_replay = _rows(current, "inline-replay")
-    for scenario, replay in sorted(current_replay.items()):
-        speedup = replay.get("plan_cache_speedup")
-        seconds = replay.get("seconds")
-        if speedup is None or seconds is None:
-            continue
-        if seconds * speedup < REPLAY_MIN_SECONDS:
-            continue
-        if speedup < replay_threshold:
-            problems.append(
-                f"{scenario}: plan-cache replay speedup {speedup:.2f}× "
-                f"< {replay_threshold:.1f}× budget — the statement cache "
-                "collapsed on the prepared-statement hot path"
-            )
-    baseline_replay = _rows(baseline, "inline-replay")
-    for scenario, old in sorted(baseline_replay.items()):
-        new = current_replay.get(scenario)
-        if new is None:
-            problems.append(
-                f"{scenario}: the inline-replay row disappeared — the "
-                "plan-cache speedup must stay measured (or carried over "
-                "by the benchmark writer)"
-            )
-            continue
-        if new.get("seconds") is None:
-            continue  # infeasible rows record no cache fields
-        for field in ("plan_cache_speedup", "cache_hit_rate"):
-            if old.get(field) is not None and new.get(field) is None:
-                problems.append(
-                    f"{scenario}: the inline-replay row lost its {field} "
-                    "field — dropped cache instrumentation disarms this "
-                    "gate"
-                )
-    problems.extend(_size_problems(baseline, current, size_threshold))
-    old_array = baseline.get("array_speedup_over_columnar_kernel") or {}
-    new_array = current.get("array_speedup_over_columnar_kernel") or {}
-    for scenario, old_speedup in sorted(old_array.items()):
-        new_speedup = new_array.get(scenario)
-        if new_speedup is None:
-            problems.append(
-                f"{scenario}: the array-vs-columnar speedup disappeared "
-                f"(was {old_speedup:.2f}×) — the inline-array row must "
-                "stay measured (or carried over by the benchmark writer)"
-            )
-        elif new_speedup < old_speedup / threshold:
-            problems.append(
-                f"{scenario}: array-vs-columnar speedup {old_speedup:.2f}× "
-                f"→ {new_speedup:.2f}× (fell past the "
-                f"{threshold:.1f}× threshold)"
-            )
+            if _value(new, gate.field) is None:
+                lost = old is not None and _value(old, gate.field) is not None
+                if lost and gate.field == "seconds":
+                    problems.append(
+                        f"{scenario}: {gate.label} was {_fmt(old['seconds'])} at "
+                        "baseline but is now recorded as infeasible"
+                    )
+                elif lost and new.get("seconds") is not None:
+                    problems.append(
+                        f"{scenario}: {gate.label} was recorded at baseline "
+                        "but the measured row lost it — dropped "
+                        "instrumentation disarms this gate"
+                    )
+                continue
+            if gate.fails in ABSOLUTE:
+                problem = _absolute(gate, scenario, new)
+            elif gate.fails is not None:
+                problem = _relative(gate, scenario, old, new, baseline, current)
+            else:
+                problem = None  # a presence-only gate
+            if problem:
+                problems.append(problem)
     return problems
 
 
@@ -459,42 +305,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline", type=Path)
     parser.add_argument("current", type=Path)
-    parser.add_argument("--threshold", type=float, default=2.0)
-    parser.add_argument("--min-seconds", type=float, default=0.002)
-    parser.add_argument("--guard-threshold", type=float, default=GUARD_THRESHOLD)
-    parser.add_argument("--size-threshold", type=float, default=SIZE_THRESHOLD)
-    parser.add_argument(
-        "--snapshot-threshold", type=float, default=SNAPSHOT_THRESHOLD
-    )
-    parser.add_argument(
-        "--replay-threshold", type=float, default=REPLAY_THRESHOLD
-    )
     args = parser.parse_args(argv)
-
     baseline = json.loads(args.baseline.read_text())
     current = json.loads(args.current.read_text())
-    problems = check(
-        baseline,
-        current,
-        args.threshold,
-        args.min_seconds,
-        guard_threshold=args.guard_threshold,
-        size_threshold=args.size_threshold,
-        snapshot_threshold=args.snapshot_threshold,
-        replay_threshold=args.replay_threshold,
-    )
+    problems = check(baseline, current)
     if problems:
-        print("inline benchmark regressions:")
+        print("benchmark regressions:")
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    compared = sorted(
-        set(_rows(baseline, GATED_BACKEND)) & set(_rows(current, GATED_BACKEND))
-    )
-    print(
-        f"no inline regression past {args.threshold:.1f}× "
-        f"across {len(compared)} scenarios: {', '.join(compared)}"
-    )
+    print(f"no regression across the {len(GATES)} gates of check_regression.GATES")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Shared benchmark fixtures, scaling workloads, and JSON reporting.
 
 Benchmarks that compare execution backends append rows to
-:data:`BACKEND_BENCH_RESULTS` (via :func:`record_backend_timing`); at
-the end of the benchmark session the rows are written to
+:data:`BACKEND_BENCH_RESULTS` (via :func:`record`); at the end of the
+benchmark session the rows are written to
 ``BENCH_backends.json`` in the repository root, so the explicit-vs-
 inline performance trajectory is machine-readable and tracked across
 PRs.
@@ -21,68 +21,45 @@ from repro.datagen import flights, hotels
 #: Rows recorded by bench_backends.py during this pytest session.
 BACKEND_BENCH_RESULTS: list[dict] = []
 
+#: The writer's speedup maps: (name, numerator backend, denominator
+#: backend), each holding numerator/denominator seconds per scenario.
+SPEEDUPS = (
+    ("inline_speedup_over_explicit", "explicit", "inline"),
+    ("columnar_speedup_over_tuple_kernel", "inline-tuple", "inline"),
+    ("array_speedup_over_columnar_kernel", "inline", "inline-array"),
+)
 
-def record_backend_timing(
-    scenario: str,
-    backend: str,
-    seconds: float | None,
-    session_worlds: int | None,
-    result_worlds: int | None,
-    scenario_worlds: int,
-    representation_size: int | None,
-    answer_rows: int | None,
-    phases: dict[str, float] | None = None,
-    route: str | None = None,
-    fallback_reason: str | None = None,
-    kernel: str | None = None,
-    repeats: int | None = None,
-    infeasible: bool = False,
-    guard_overhead: float | None = None,
-    snapshot_overhead: float | None = None,
-    plan_cache_speedup: float | None = None,
-    cache_hit_rate: float | None = None,
-) -> None:
-    """Append one (scenario, backend) timing row for BENCH_backends.json.
 
-    *session_worlds* is the state's world count after the script,
-    *result_worlds* the final query result's, and *scenario_worlds* the
-    size of the world space the query evaluation ranges over (a closed
-    query may collapse back to one world at the very end).
+def _rounded(value):
+    if isinstance(value, float):
+        return round(value, 6)
+    if isinstance(value, dict):
+        return {name: _rounded(item) for name, item in sorted(value.items())}
+    return value
 
-    *seconds* is the median of *repeats* runs; *phases* breaks it down
-    (compile / rewrite / execute / decode) for the median run. *route*
-    and *fallback_reason* label how the inline backend executed the
-    scenario's statements (``isql.explain.inline_route`` semantics), so
-    near-1× explicit-vs-inline rows are explainable. *infeasible* rows
-    (``seconds`` null) record that a backend cannot run the scenario at
-    all — distinct from an unmeasured 0.
 
-    *guard_overhead* (on ``inline-guarded`` rows) is the armed-budget
-    wall-clock ratio against the paired unguarded run from the *same*
-    process — measured back to back by the benchmark, so the committed
-    ratio is machine-independent and ``check_regression.py`` can gate
-    it absolutely (≤ 1.1×). *snapshot_overhead* (on ``inline-pool``
-    rows) is the same idea for the service layer: pooled concurrent
-    readers against the paired single-session replay of the same
-    reads, gated absolutely at ≤ 1.2×.
+def record(scenario: str, backend: str, seconds: float | None, **fields) -> None:
+    """Append one (scenario, backend) row for BENCH_backends.json.
 
-    *plan_cache_speedup* (on ``inline-replay`` rows) is the paired
-    same-process uncached/cached wall-clock ratio of the prepared-
-    statement replay benchmark (the same statement re-executed under
-    interleaved DML on another table); *cache_hit_rate* is the cached
-    run's hits/(hits+misses). Both gate in ``check_regression.py``:
-    the speedup must not collapse below 3× and a committed hit-rate
-    must not silently disappear.
+    *seconds* is ``None`` on a row stating that the backend cannot run
+    the scenario at all (pass ``infeasible=True``) — distinct from an
+    unmeasured 0. *fields* are the row's measurements, written as
+    given; the ones ``check_regression.GATES`` names are gated. Common
+    ones: ``session_worlds`` (the state's world count after the
+    script), ``result_worlds`` (the final query result's),
+    ``scenario_worlds`` (the world space the evaluation ranges over — a
+    closed query may collapse to one world at the very end),
+    ``representation_size``, the per-phase breakdown ``phases``, the
+    inline ``route`` and ``fallback_reason``, and the paired
+    same-process ratios (``guard_overhead``, ``snapshot_overhead``,
+    ``plan_cache_speedup``), which are machine-independent and
+    therefore gate absolutely.
     """
     row: dict = {
         "scenario": scenario,
         "backend": backend,
-        "seconds": round(seconds, 6) if seconds is not None else None,
-        "session_worlds": session_worlds,
-        "result_worlds": result_worlds,
-        "scenario_worlds": scenario_worlds,
-        "representation_size": representation_size,
-        "answer_rows": answer_rows,
+        "seconds": _rounded(seconds),
+        **{name: _rounded(value) for name, value in fields.items()},
         # Provenance: ratios are only computed between rows from the
         # same interpreter on the same platform (best effort — a
         # hostname would identify machines exactly but does not
@@ -90,27 +67,10 @@ def record_backend_timing(
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
-    if infeasible:
-        row["infeasible"] = True
-    if phases is not None:
-        row["phases"] = {name: round(value, 6) for name, value in sorted(phases.items())}
-    if repeats is not None:
-        row["repeats"] = repeats
-    if route is not None:
-        row["route"] = route
-        row["fallback_reason"] = fallback_reason
-    if guard_overhead is not None:
-        row["guard_overhead"] = round(guard_overhead, 3)
-    if snapshot_overhead is not None:
-        row["snapshot_overhead"] = round(snapshot_overhead, 3)
-    if plan_cache_speedup is not None:
-        row["plan_cache_speedup"] = round(plan_cache_speedup, 3)
-    if cache_hit_rate is not None:
-        row["cache_hit_rate"] = round(cache_hit_rate, 4)
     # Every row states its kernel — explicitly null for backends that
     # have none (the explicit engine), so a missing key can only mean
     # a pre-registry row, not an unstated default.
-    row["kernel"] = kernel
+    row.setdefault("kernel", None)
     BACKEND_BENCH_RESULTS.append(row)
 
 
@@ -183,26 +143,13 @@ def pytest_sessionfinish(session, exitstatus):
     by_scenario: dict[str, dict[str, dict]] = {}
     for row in entries:
         by_scenario.setdefault(row["scenario"], {})[row["backend"]] = row
-    speedups = {}
-    kernel_speedups = {}
-    array_speedups = {}
-    for name, rows in by_scenario.items():
-        explicit_over_inline = _ratio(rows.get("explicit"), rows.get("inline"))
-        if explicit_over_inline is not None:
-            speedups[name] = explicit_over_inline
-        tuple_over_columnar = _ratio(rows.get("inline-tuple"), rows.get("inline"))
-        if tuple_over_columnar is not None:
-            kernel_speedups[name] = tuple_over_columnar
-        columnar_over_array = _ratio(rows.get("inline"), rows.get("inline-array"))
-        if columnar_over_array is not None:
-            array_speedups[name] = columnar_over_array
-    payload = {
-        "generated_by": "benchmarks/bench_backends.py",
-        "entries": entries,
-        "inline_speedup_over_explicit": speedups,
-        "columnar_speedup_over_tuple_kernel": kernel_speedups,
-        "array_speedup_over_columnar_kernel": array_speedups,
-    }
+    payload = {"generated_by": "benchmarks/bench_backends.py", "entries": entries}
+    for name, numerator, denominator in SPEEDUPS:
+        ratios = {
+            scenario: _ratio(rows.get(numerator), rows.get(denominator))
+            for scenario, rows in by_scenario.items()
+        }
+        payload[name] = {s: r for s, r in ratios.items() if r is not None}
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -210,7 +157,7 @@ def pytest_sessionfinish(session, exitstatus):
 def backend_recorder():
     """The recording hook handed to bench_backends (same module instance
     as the session-finish writer, unlike a direct conftest import)."""
-    return record_backend_timing
+    return record
 
 
 @pytest.fixture(scope="module")
