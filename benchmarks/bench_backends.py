@@ -69,6 +69,7 @@ import gc
 import statistics
 import threading
 import time
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import pytest
@@ -123,15 +124,23 @@ SAMPLE_SECONDS = 0.1
 #: is one pair's ratio).
 PAIRS = 11
 
-# The suites above pin ~10⁶ long-lived objects (the XL/XXL relations'
-# row tuples) for the whole benchmark session. Freeze them into the
-# GC's permanent generation so a timed region never pays a full-heap
-# gen-2 scan whose cost scales with *other* scenarios' data — without
-# this, adding a new XL scenario inflates every scenario measured
-# after it. Collect first: freezing pending garbage would pin it
-# forever.
-gc.collect()
-gc.freeze()
+
+@contextmanager
+def _frozen_heap():
+    """Freeze everything live for one timed region, then thaw it.
+
+    The suites above pin ~10⁶ long-lived objects (the XL/XXL relations'
+    row tuples), and earlier tests leave kernel caches behind. A gen-2
+    pass inside a timed region would rescan all of it, so its cost would
+    depend on which scenarios ran before. Collect first: freezing
+    pending garbage would pin it for the region.
+    """
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
 
 
 def _representation_size(session) -> int:
@@ -192,12 +201,11 @@ def _timed_run(
         # deterministic, and pinning one copy per repeat would triple
         # peak memory on the ≥10⁵-row XL representations. The previous
         # repeat's garbage (kernel twins are reference cycles, so it
-        # lingers until a gen-2 pass) is collected *outside* the timed
-        # region: each repeat measures the scenario, not its
-        # predecessor's cleanup.
+        # lingers until a gen-2 pass) is collected by _frozen_heap,
+        # *outside* the timed region: each repeat measures the scenario,
+        # not its predecessor's cleanup.
         session = result = None
-        gc.collect()
-        with collect_phases() as phases:
+        with _frozen_heap(), collect_phases() as phases:
             start = time.perf_counter()
             session, result = run_scenario(scenario, backend)
             elapsed = time.perf_counter() - start
@@ -236,44 +244,47 @@ class Paired(NamedTuple):
     denominator_seconds: float
     ratio: float
     loops: int
+    pairs: int
     numerator_result: object
     denominator_result: object
 
 
 def _paired(numerator, denominator, pairs: int) -> Paired:
-    """Time two zero-argument callables in alternating-order pairs.
+    """Time two workloads in alternating-order pairs.
 
-    Each sample calls its side *loops* times; *loops* doubles until
-    one numerator sample runs :data:`SAMPLE_SECONDS`. Odd pairs run the
-    denominator first, so neither side always inherits the other's
-    warm caches or pending garbage. Returns the median sample seconds
-    of each side, the median of the per-pair numerator/denominator
-    ratios, *loops*, and each side's last return value.
+    Each side is a zero-argument *prepare* callable returning the
+    zero-argument callable to time; a sample prepares all its runs
+    before the clock starts, so per-run setup (a fresh session) is not
+    timed. Each sample makes *loops* runs; *loops* doubles until one
+    numerator sample runs :data:`SAMPLE_SECONDS`. Odd pairs run the
+    denominator first, so neither side always inherits the other's warm
+    caches or pending garbage. *pairs* is rounded up to an odd count.
+    Returns each side's median sample seconds (a total over *loops*
+    runs), the median of the per-pair numerator/denominator ratios,
+    *loops*, the pair count, and each side's last return value.
     """
 
-    def sample(side, loops):
+    def sample(prepare, loops):
+        runs = [prepare() for _ in range(loops)]
         gc.collect()
         start = time.perf_counter()
-        for _ in range(loops):
-            result = side()
+        for run in runs:
+            result = run()
         return time.perf_counter() - start, result
 
-    # Freeze what earlier tests left live (the XL suite's kernel caches)
-    # so no gen-2 pass inside a sample rescans it — unfrozen, it more
-    # than doubles the uncached replay after the XL suite.
-    gc.collect()
-    gc.freeze()
-    loops = 1
-    while sample(numerator, loops)[0] < SAMPLE_SECONDS:
-        loops *= 2
-    numerators, denominators = [], []
-    for index in range(pairs):
-        if index % 2:
-            denominators.append(sample(denominator, loops))
-            numerators.append(sample(numerator, loops))
-        else:
-            numerators.append(sample(numerator, loops))
-            denominators.append(sample(denominator, loops))
+    pairs |= 1
+    with _frozen_heap():
+        loops = 1
+        while sample(numerator, loops)[0] < SAMPLE_SECONDS:
+            loops *= 2
+        numerators, denominators = [], []
+        for index in range(pairs):
+            if index % 2:
+                denominators.append(sample(denominator, loops))
+                numerators.append(sample(numerator, loops))
+            else:
+                numerators.append(sample(numerator, loops))
+                denominators.append(sample(denominator, loops))
     return Paired(
         statistics.median(seconds for seconds, _ in numerators),
         statistics.median(seconds for seconds, _ in denominators),
@@ -281,6 +292,7 @@ def _paired(numerator, denominator, pairs: int) -> Paired:
             top / bottom for (top, _), (bottom, _) in zip(numerators, denominators)
         ),
         loops,
+        pairs,
         numerators[-1][1],
         denominators[-1][1],
     )
@@ -368,35 +380,47 @@ def test_xl_scenarios_inline_only(scenario, backend_recorder, bench_repeats):
         )
 
 
+def _paired_fields(paired: Paired) -> dict:
+    """The timing fields of a paired row. ``sample_seconds`` is the
+    numerator's sample, the one ``check_regression.py`` holds to its
+    floor: the guarded, pooled and uncached sides are the slow ones."""
+    return {
+        "repeats": paired.pairs,
+        "loops": paired.loops,
+        "sample_seconds": paired.numerator_seconds,
+    }
+
+
 def test_guard_overhead_is_negligible(backend_recorder, bench_repeats):
     """Armed-but-idle resource budgets must cost (nearly) nothing.
 
     Replays the 2¹²-world trip on the inline backend in paired samples
     of the same process — with huge never-firing ``max_rows`` /
     ``max_seconds`` budgets, and unguarded — each sample looping the
-    trip until it runs :data:`SAMPLE_SECONDS`. The guarded samples are
+    trip until it runs :data:`SAMPLE_SECONDS`. The guarded runs are
     recorded as an ``inline-guarded`` row whose ``guard_overhead``
     field carries the median paired ratio. ``check_regression.py``
     gates that committed ratio at ≤ 1.1×; the live
     assertion here is looser to keep shared-runner noise from flaking
     the benchmark job itself.
     """
-    pairs = max(bench_repeats, PAIRS)
-    paired = _paired(
-        lambda: run_scenario(TRIP_XL, "inline", max_rows=2**62, max_seconds=1e9),
-        lambda: run_scenario(TRIP_XL, "inline"),
-        pairs,
-    )
+
+    def guarded():
+        return run_scenario(TRIP_XL, "inline", max_rows=2**62, max_seconds=1e9)
+
+    def plain():
+        return run_scenario(TRIP_XL, "inline")
+
+    paired = _paired(lambda: guarded, lambda: plain, max(bench_repeats, PAIRS))
     guarded_session, guarded_result = paired.numerator_result
     _, plain_result = paired.denominator_result
     assert guarded_result.answers() == plain_result.answers()
     backend_recorder(
         TRIP_XL.name,
         "inline-guarded",
-        paired.numerator_seconds,
+        paired.numerator_seconds / paired.loops,
         **_fields(TRIP_XL, guarded_session, guarded_result),
-        repeats=pairs,
-        loops=paired.loops,
+        **_paired_fields(paired),
         guard_overhead=paired.ratio,
     )
     assert paired.ratio < 1.5, paired.ratio
@@ -405,69 +429,63 @@ def test_guard_overhead_is_negligible(backend_recorder, bench_repeats):
 def test_pool_concurrent_readers(backend_recorder, bench_repeats):
     """The service layer's read path must stay near-free (ISSUE 9).
 
-    Reads the 2¹²-world trip query 32 times per sample as 4 threads ×
-    8 reads, in paired samples of the same process: through a warmed
-    :class:`SessionPool` — connection checkout, thread re-pinning,
-    snapshot sync, the DBAPI text path, checkin — and on 4 plain
-    sessions, one per thread. Both sides run the same threads under the
-    same GIL, so the pooled/plain wall-clock ratio isolates the per-read
-    service overhead. Both run with the statement cache off: every read
-    evaluates the query, as it did when the bar was set — with the
-    result memo on, each read would be a memo hit and the ratio would
-    compare the service path to a dictionary lookup. Recorded as an
-    ``inline-pool`` row for scenario ``pool_concurrent_readers`` whose
-    ``snapshot_overhead`` field carries the median paired ratio;
-    ``check_regression.py`` gates that committed ratio at ≤ 1.2× (the
-    live assertion is looser for shared-runner noise).
+    Reads the 2¹²-world trip query 32 times per sample, in paired
+    samples of the same process: serially on one plain session, and as
+    4 threads × 8 reads each through a warmed :class:`SessionPool` —
+    connection checkout, thread re-pinning, snapshot sync, the DBAPI
+    text path, checkin. The GIL serializes the evaluation work itself,
+    so the pooled/plain wall-clock ratio isolates the per-read service
+    overhead. Both sides keep the default statement cache, as
+    production pools do, so after the first read each read is a result
+    memo hit. Recorded as an ``inline-pool`` row for scenario
+    ``pool_concurrent_readers`` whose ``snapshot_overhead`` field
+    carries the median paired ratio; ``check_regression.py`` gates that
+    committed ratio at ≤ 1.2× (the live assertion is looser for
+    shared-runner noise).
     """
     n_readers, reads_per_thread = 4, 8
-    pairs = max(bench_repeats, PAIRS)
+    total_reads = n_readers * reads_per_thread
 
     def seed() -> ISQLSession:
-        session = ISQLSession(backend=InlineBackend(cache=False))
+        session = ISQLSession(backend=InlineBackend())
         for name, relation in TRIP_XL.relations:
             session.register(name, relation)
         return session
 
-    def threaded(read) -> list:
-        """Each reader's last result; reader *i* calls ``read(i)``."""
-        barrier = threading.Barrier(n_readers)
-        results = []
-
-        def reader(index: int) -> None:
-            barrier.wait()
-            for _ in range(reads_per_thread):
-                result = read(index)
-            results.append(result)
-
-        threads = [
-            threading.Thread(target=reader, args=(index,))
-            for index in range(n_readers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return results
-
-    plain_sessions = [seed() for _ in range(n_readers)]
-    pool = SessionPool(seed(), size=n_readers, cache=False)
+    plain_session = seed()
+    pool = SessionPool(seed(), size=n_readers)
     # Warm the pool: spawning the per-connection sessions is a one-time
     # cost, not part of the steady-state per-read overhead under gate.
     warm = [pool.acquire() for _ in range(n_readers)]
     for connection in warm:
         pool.release(connection)
 
-    def pooled_read(index: int):
-        with pool.connection() as connection:
-            return connection.execute(TRIP_XL.query).result
+    def plain() -> list:
+        for _ in range(total_reads):
+            result = plain_session.query(TRIP_XL.query)
+        return [result]
 
-    paired = _paired(
-        lambda: threaded(pooled_read),
-        lambda: threaded(lambda index: plain_sessions[index].query(TRIP_XL.query)),
-        pairs,
-    )
-    plain_result = paired.denominator_result[0]
+    def pooled() -> list:
+        """Each reader's last result."""
+        barrier = threading.Barrier(n_readers)
+        results = []
+
+        def reader() -> None:
+            barrier.wait()
+            for _ in range(reads_per_thread):
+                with pool.connection() as connection:
+                    cursor = connection.execute(TRIP_XL.query)
+            results.append(cursor.result)
+
+        threads = [threading.Thread(target=reader) for _ in range(n_readers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return results
+
+    paired = _paired(lambda: pooled, lambda: plain, max(bench_repeats, PAIRS))
+    (plain_result,) = paired.denominator_result
     assert len(paired.numerator_result) == n_readers
     for result in paired.numerator_result:
         assert result.answers() == plain_result.answers()
@@ -475,10 +493,9 @@ def test_pool_concurrent_readers(backend_recorder, bench_repeats):
     backend_recorder(
         "pool_concurrent_readers",
         "inline-pool",
-        paired.numerator_seconds,
+        paired.numerator_seconds / paired.loops,
         **_fields(TRIP_XL, final, plain_result),
-        repeats=pairs,
-        loops=paired.loops,
+        **_paired_fields(paired),
         snapshot_overhead=paired.ratio,
     )
     pool.close()
@@ -538,10 +555,7 @@ def test_nightly_trip_2p20_array_kernel(backend_recorder, bench_repeats):
     (scenario,) = nightly_scenarios(["trip_certain_2p20"])
     assert scenario.explicit_infeasible
     # The 2²⁰ instance is built here, not at module import, so PR-time
-    # benchmark runs never pay for it. Freeze its ~3·10⁶ row tuples for
-    # the same reason the module freezes the XL suites.
-    gc.collect()
-    gc.freeze()
+    # benchmark runs never pay for it.
     _record_explicit_infeasible(scenario, backend_recorder)
     seconds, result = _timed_run(
         scenario,
@@ -571,8 +585,6 @@ def test_nightly_census_repair_2p20_array_kernel(backend_recorder, bench_repeats
     """
     (scenario,) = nightly_scenarios(["census_repair_2p20"])
     assert scenario.explicit_infeasible
-    gc.collect()
-    gc.freeze()
     _record_explicit_infeasible(scenario, backend_recorder)
     seconds, result = _timed_run(
         scenario,
@@ -599,22 +611,24 @@ def test_statement_replay_plan_cache(backend_recorder, bench_repeats):
     unrelated side table interleaved between reads — the plan cache
     serves every re-compile and the result memo every re-evaluation,
     because the interleaved DML bumps only the side table's version.
-    The identical replay runs on a fresh cache-off session in paired
-    samples of the same process; the median paired uncached/cached
+    The identical replay runs on a cache-off session in paired samples
+    of the same process. Every replay starts on a fresh session, built
+    before the clock starts, so only the 100 reads and their DML are
+    timed. The median paired uncached/cached
     wall-clock ratio is recorded as ``plan_cache_speedup`` on the
     ``inline-replay`` row (with the cached run's hit rate as
     ``cache_hit_rate``), and ``check_regression.py`` gates the
     committed ratio at ≥ 3×, asserted live here as well.
     """
     replays = 100
-    pairs = max(bench_repeats, PAIRS)
 
-    def replay(cache: bool):
-        def run():
-            session = ISQLSession(backend=InlineBackend(cache=cache))
-            for name, relation in TRIP_XL.relations:
-                session.register(name, relation)
-            session.register("Audit", Relation(("N",), {(0,)}))
+    def fresh(cache: bool):
+        session = ISQLSession(backend=InlineBackend(cache=cache))
+        for name, relation in TRIP_XL.relations:
+            session.register(name, relation)
+        session.register("Audit", Relation(("N",), {(0,)}))
+
+        def replay():
             for index in range(replays):
                 result = session.query(TRIP_XL.query)
                 # Alternate two fixed DML texts so the replay exercises
@@ -626,31 +640,32 @@ def test_statement_replay_plan_cache(backend_recorder, bench_repeats):
                     session.run("insert into Audit values (1);")
             return session, result
 
-        return run
+        return replay
 
-    paired = _paired(replay(cache=False), replay(cache=True), pairs)
+    paired = _paired(
+        lambda: fresh(cache=False), lambda: fresh(cache=True), max(bench_repeats, PAIRS)
+    )
     uncached_session, uncached_result = paired.numerator_result
     cached_session, cached_result = paired.denominator_result
     assert cached_result.answers() == uncached_result.answers()
     info = cached_session.cache_info()
     hit_rate = info.hits / (info.hits + info.misses)
-    assert hit_rate > 0.9, info  # ~1 miss per cache per sample
+    assert hit_rate > 0.9, info  # ~1 miss per cache per replay
+    timing = _paired_fields(paired)
     backend_recorder(
         "statement_replay",
         "inline-replay",
-        paired.denominator_seconds,
+        paired.denominator_seconds / paired.loops,
         **_fields(TRIP_XL, cached_session, cached_result),
-        repeats=pairs,
-        loops=paired.loops,
+        **timing,
         plan_cache_speedup=paired.ratio,
         cache_hit_rate=hit_rate,
     )
     backend_recorder(
         "statement_replay",
         "inline-replay-nocache",
-        paired.numerator_seconds,
+        paired.numerator_seconds / paired.loops,
         **_fields(TRIP_XL, uncached_session, uncached_result),
-        repeats=pairs,
-        loops=paired.loops,
+        **timing,
     )
     assert paired.ratio >= 3.0, paired.ratio

@@ -13,8 +13,9 @@ names a row backend and a field, and says how the field may move:
   ratios the benchmark records (guard, pooled-reader and replay
   overheads) to a fixed bound on the current file alone — no baseline
   and no cross-machine normalization needed. Their floor is a failure,
-  not a skip: a ratio whose paired sample ran below the floor measured
-  nothing, and must be re-measured on a longer sample.
+  not a skip: a ratio whose paired sample (the row's ``sample_seconds``)
+  ran below the floor, or was not recorded, measured nothing and must be
+  re-measured on a longer sample.
 
 Raw seconds only compare across two rows of the same provenance
 (interpreter + platform): a committed baseline is usually recorded on
@@ -81,17 +82,6 @@ def _never(scenario: str) -> bool:
     return False
 
 
-def _seconds(row: dict, ratio: float) -> float | None:
-    return row.get("seconds")
-
-
-def _uncached_seconds(row: dict, speedup: float) -> float | None:
-    """The replay row times the cached side; the paired uncached sample
-    ran ``seconds × speedup``."""
-    seconds = row.get("seconds")
-    return None if seconds is None else seconds * speedup
-
-
 @dataclass(frozen=True)
 class Gate:
     #: The gated row backend; ``None`` reads ``field`` as a top-level
@@ -104,9 +94,9 @@ class Gate:
     fails: str | None = None
     bound: float | str | None = None
     #: Relative gates skip values below it; absolute gates fail a row
-    #: whose ``floor_on`` seconds fall below it.
+    #: whose ``sample_seconds`` (the paired sample the benchmark holds
+    #: to the floor) fall below it.
     floor: float = 0.0
-    floor_on: Callable[[dict, float], float | None] = _seconds
     #: Which baseline rows (by scenario) must still exist in the
     #: current file.
     keep: Callable[[str], bool] = _never
@@ -152,7 +142,7 @@ GATES = (
     Gate("inline-pool", "snapshot_overhead", ABOVE, 1.2, floor=0.05,
          keep=_always, why="the pooled read path is no longer near-free"),
     Gate("inline-replay", "plan_cache_speedup", BELOW, 3.0, floor=0.05,
-         floor_on=_uncached_seconds, keep=_always,
+         keep=_always,
          why="the statement cache collapsed on the replay hot path"),
     Gate("inline-replay", "cache_hit_rate"),
 )
@@ -209,12 +199,12 @@ def _fmt(value) -> str:
 def _absolute(gate: Gate, scenario: str, new: dict) -> str | None:
     """A paired ratio against its fixed bound (``None`` = pass)."""
     value = _value(new, gate.field)
-    sample = gate.floor_on(new, value)
+    sample = new.get("sample_seconds")
     if sample is None or sample < gate.floor:
         return (
-            f"{scenario}: {gate.label} {_fmt(value)} was measured on a "
-            f"{_fmt(sample)}s sample, below the {gate.floor}s floor — "
-            "re-measure it on a longer sample"
+            f"{scenario}: {gate.label} {_fmt(value)} has sample_seconds "
+            f"{_fmt(sample)}, under the {gate.floor}s floor — re-measure "
+            "it on a longer sample"
         )
     if _FAILS[gate.fails](None, value, gate.bound):
         return (

@@ -53,7 +53,8 @@ def record(scenario: str, backend: str, seconds: float | None, **fields) -> None
     inline ``route`` and ``fallback_reason``, and the paired
     same-process ratios (``guard_overhead``, ``snapshot_overhead``,
     ``plan_cache_speedup``), which are machine-independent and
-    therefore gate absolutely.
+    therefore gate absolutely, and ``sample_seconds``, the paired
+    sample their noise floor reads.
     """
     row: dict = {
         "scenario": scenario,

@@ -56,11 +56,15 @@ def _row(scenario, backend="inline", seconds=0.1, **extra):
     return {"scenario": scenario, "backend": backend, "seconds": seconds, **extra}
 
 
-def _gate_payload(gate, value, seconds=0.5):
-    """A BENCH file whose one row (or map entry) of *gate* holds *value*."""
+def _gate_payload(gate, value, sample_seconds=0.5):
+    """A BENCH file whose one row (or map entry) of *gate* holds *value*.
+
+    The row also carries the paired ``sample_seconds`` that only the
+    absolute gates read.
+    """
     if gate.backend is None:
         return {"entries": [], gate.field: {SCENARIO: value}}
-    row = _row(SCENARIO, gate.backend, seconds)
+    row = _row(SCENARIO, gate.backend, 0.5, sample_seconds=sample_seconds)
     *parents, leaf = gate.field.split(".")
     target = row
     for name in parents:
@@ -153,7 +157,7 @@ def test_paired_gate_below_floor_fails(gate, only):
     no baseline needed."""
     only(gate)
     _, within, _ = _values(gate)
-    current = _gate_payload(gate, within, seconds=0.001)
+    current = _gate_payload(gate, within, sample_seconds=0.001)
     problems = check_regression.check(_payload(), current)
     assert len(problems) == 1 and "floor" in problems[0]
 
@@ -169,16 +173,20 @@ def test_paired_gate_is_absolute_not_baseline_relative(gate, only):
     assert len(check_regression.check(_payload(), current)) == 1
 
 
-def test_replay_floor_is_on_the_uncached_side():
-    """The replay row times the cached side, which is supposed to be
-    tiny: cached seconds × speedup is the paired uncached sample."""
-    current = _payload(
-        _row("statement_replay", "inline-replay", 0.004, plan_cache_speedup=20.0)
-    )
-    assert check_regression.check(_payload(), current) == []
+@pytest.mark.parametrize("gate", PAIRED, ids=lambda gate: gate.label)
+def test_paired_floor_is_on_sample_seconds(gate, only):
+    """The floor reads the sample the benchmark protects, not the row's
+    per-run ``seconds``: a cached replay is supposed to be tiny, and a
+    looped guard sample is many runs long. A row that records no sample
+    fails like a short one."""
+    only(gate)
+    _, within, _ = _values(gate)
+    current = _gate_payload(gate, within)
     current["entries"][0]["seconds"] = 0.001
+    assert check_regression.check(_payload(), current) == []
+    del current["entries"][0]["sample_seconds"]
     problems = check_regression.check(_payload(), current)
-    assert len(problems) == 1 and "0.02s sample" in problems[0]
+    assert len(problems) == 1 and "sample_seconds None" in problems[0]
 
 
 def test_relative_noise_floor_skips_tiny_values():
@@ -187,18 +195,30 @@ def test_relative_noise_floor_skips_tiny_values():
     assert check_regression.check(baseline, current) == []
 
 
+#: Committed scenarios whose rows fail their gate: a known defect stays
+#: visible in the committed file instead of being re-measured away.
+#: ROADMAP item 2 tracks the pooled read path, whose memo-hit reads run
+#: about 3× a plain session's. Strict both ways: fixing the defect
+#: must empty this set.
+KNOWN_FAILING = {"pool_concurrent_readers"}
+
+
 def test_committed_file_passes_against_itself():
     committed = json.loads((ROOT / "BENCH_backends.json").read_text())
-    assert check_regression.check(committed, committed) == []
+    problems = check_regression.check(committed, committed)
+    assert {problem.split(":")[0] for problem in problems} == KNOWN_FAILING, problems
 
 
 @pytest.mark.parametrize("gate", GATES, ids=lambda gate: gate.label)
 def test_every_gated_field_is_recorded_in_the_committed_file(gate):
     """A renamed bench field or backend would disarm its gate silently:
-    each gate must find its field on at least one committed row."""
+    each gate must find its field (and a paired gate its floored
+    ``sample_seconds``) on at least one committed row."""
     committed = json.loads((ROOT / "BENCH_backends.json").read_text())
     rows = check_regression._gate_rows(committed, gate).values()
-    assert any(check_regression._value(row, gate.field) is not None for row in rows)
+    fields = [gate.field] + (["sample_seconds"] if gate in PAIRED else [])
+    for field in fields:
+        assert any(check_regression._value(row, field) is not None for row in rows)
 
 
 def test_only_gated_backends_gate():
