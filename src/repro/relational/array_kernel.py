@@ -7,16 +7,20 @@ operators the inline evaluator leans on become whole-array passes —
 
 * selection compiles the predicate tree to one boolean mask
   (comparisons are elementwise array ops with the same best-effort
-  ``TypeError → False`` semantics as the row closures);
+  ``TypeError → False`` semantics as the row closures; arithmetic and
+  PAD-defaulting reads are array passes wherever no row can raise);
 * ``mask``/``difference``/semijoins reduce to integer *row codes* —
   per-column factorizations combined into one int64 key per row — and a
-  single ``np.isin`` membership pass;
-* ``join_on`` finds each left row's partners as one ``searchsorted``
-  run over the stably sorted right keys, then gathers both sides;
-* grouping (``aggregate_by``, ``group_worlds``) numbers groups by row
-  code, so counts, int64 folds and world fingerprints are array passes;
-* deduplication (projection, union) is ``np.unique`` over row codes
-  instead of a per-row ``dict.fromkeys`` pass;
+  single membership pass (a scatter over a narrow key domain, else one
+  sort and a binary search);
+* ``join_on`` and ``left_outer_join_padded`` find each left row's
+  partners as one run over the stably sorted right keys, then gather
+  both sides (a dangling row's right columns gather as ⊥);
+  ``product`` is ``repeat``/``tile`` gathers;
+* grouping and deduplication (``aggregate_by``, ``group_worlds``,
+  projection, union) number row codes by first occurrence: a reverse
+  scatter over a narrow key domain, else one unstable argsort whose
+  equal-key runs give each group's first row by ``np.minimum.reduceat``;
 * ``cert`` counting is ``np.bincount`` over one column's codes;
 * column aliasing (``copy_attribute``, alias-dropping projections)
   stays O(1): a :class:`_Column` object is shared, never copied.
@@ -24,10 +28,13 @@ operators the inline evaluator leans on become whole-array passes —
 Dtype tightening is deliberately strict: a column becomes ``int64``,
 ``float64``, ``bool_`` or ``U<k>`` only when *every* value has exactly
 that Python type (and no trailing-NUL string, no NaN, no out-of-range
-int would round-trip wrongly); anything else — PAD sentinels, ``None``,
-mixed types — stays a Python ``object`` array holding the original
-values. Rows materialize through ``ndarray.tolist()``, so the kernel
-never leaks numpy scalars into row tuples.
+int would round-trip wrongly) — or, for int, float and str, that type
+or ⊥ (:data:`~repro.relational.pad.PAD`): such a column keeps its typed
+array plus a boolean pad mask, and factorizes ⊥ to one code of its own.
+Anything else — ``None``, mixed types, ⊥ beside a bool — stays a Python
+``object`` array holding the original values. Rows materialize through
+``ndarray.tolist()`` (⊥ patched in), so the kernel never leaks numpy
+scalars into row tuples.
 
 numpy is an optional dependency: the kernel registers unconditionally
 (``array`` is always a valid name) but raises a clear
@@ -38,7 +45,8 @@ Cross-kernel conversion (:func:`as_array`) is cached on the source
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
+from operator import is_not
 from typing import Iterator, Sequence
 
 try:  # pragma: no cover - exercised via the numpy-absent tests
@@ -58,14 +66,18 @@ from repro.relational.columnar import (
 )
 from repro.relational.predicates import (
     And,
+    Arith,
     Attr,
     Comparison,
     Const,
     Not,
     Or,
+    PadDefault,
     Predicate,
     _Boolean,
+    arithmetic,
 )
+from repro.relational.pad import PAD, PadConstant
 from repro.relational.relation import (
     Relation,
     Row,
@@ -101,38 +113,75 @@ def _require_numpy() -> None:
 class _Column:
     """One attribute's values as a numpy array, plus cached factorization.
 
-    ``codes()`` assigns each distinct value an integer in ``[0, nuniq)``
-    (dict-based for object arrays — Python equality, so ``1``/``1.0``/
-    ``True`` collapse exactly like they do in a row-tuple set — and
-    ``np.unique`` for typed arrays). Codes and the decode table survive
-    gathers (:meth:`take`), so a session's base columns factorize once.
+    ``values`` is an ``int64``, ``float64``, ``bool_`` or ``U<k>`` array,
+    or an ``object`` array of the original Python values. An int, float
+    or str column that also holds ⊥ (:data:`PAD`, the padding constant
+    of Remark 5.5) stays typed: ``pad`` is then the boolean mask of its
+    ⊥ positions, whose ``values`` slots hold some other value of the
+    dtype and are never read as values. ``pad`` is None on a column
+    without ⊥.
+
+    ``codes()`` assigns each distinct value an integer in ``[0, nuniq)``:
+    O(n) shift-coding for dense int64 columns, ``np.unique`` for other
+    typed ones, and a dict pass (Python equality, so ``1``/``1.0``/
+    ``True`` collapse exactly like they do in a row-tuple set) for
+    object columns. A typed column's decode table ``_uniques`` holds
+    only real values; ⊥ owns the one code after it, ``len(_uniques)``,
+    so repaired id columns keep the dense path. Codes and the decode
+    table survive gathers (:meth:`take`), so a session's base columns
+    factorize once.
     """
 
-    __slots__ = ("values", "_codes", "_nuniq", "_uniques")
+    __slots__ = ("values", "pad", "_codes", "_nuniq", "_uniques")
 
-    def __init__(self, values) -> None:
+    def __init__(self, values, pad=None) -> None:
         self.values = values
+        self.pad = pad
         self._codes = None
         self._nuniq = 0
         self._uniques = None
 
     @classmethod
     def from_values(cls, column: list) -> "_Column":
-        """Type-tighten a Python value list into the narrowest safe array."""
+        """Type-tighten a Python value list into the narrowest safe array.
+
+        ⊥ beside one int, float or str kind keeps the column typed: the
+        other values type as usual and spread back to their rows, a real
+        value fills the ⊥ slots, and the pad mask marks those.
+        """
         kinds = set(map(type, column))
+        if PadConstant in kinds and len(kinds) == 2 and kinds & {int, float, str}:
+            real = list(map(is_not, column, repeat(PAD)))
+            typed = cls._typed(kinds - {PadConstant}, list(compress(column, real)))
+            if typed is not None:
+                at = np.fromiter(compress(range(len(column)), real), dtype=np.int64)
+                return typed._spread(at, len(column))
+        else:
+            typed = cls._typed(kinds, column)
+            if typed is not None:
+                return typed
+        values = np.empty(len(column), dtype=object)
+        values[:] = column
+        return cls(values)
+
+    @classmethod
+    def _typed(cls, kinds: set, column: list) -> "_Column | None":
+        """*column* as an int64, float64, U or bool array when its value
+        *kinds* allow one exactly; None keeps it object."""
         if kinds == {int}:
             try:
                 return cls(np.array(column, dtype=np.int64))
             except OverflowError:
-                pass
-        elif kinds == {float}:
+                return None
+        if kinds == {float}:
             values = np.array(column, dtype=np.float64)
-            if not np.isnan(values).any():
+            if np.isnan(values).any():
                 # NaN stays object: two NaN objects are distinct row
                 # values under Python's identity-then-equality model,
                 # which float64 uniqueness would collapse.
-                return cls(values)
-        elif kinds == {str}:
+                return None
+            return cls(values)
+        if kinds == {str}:
             # Factorize first: one dict pass plus a gather from the
             # (small) unique table beats numpy's per-element U
             # conversion by an order of magnitude on multi-million-row
@@ -144,20 +193,34 @@ class _Column:
                 dtype=np.int64,
             )
             uniques = list(mapping)
-            if not any(value[-1:] == "\x00" for value in uniques):
+            if any(map(str.endswith, uniques, repeat("\x00"))):
                 # Trailing NULs would silently truncate in a U array
                 # (checked over the uniques only — cheap).
-                uarr = np.array(uniques, dtype=np.str_)
-                fresh = cls(uarr[codes] if len(uniques) else uarr)
-                fresh._codes = codes
-                fresh._nuniq = len(uniques)
-                fresh._uniques = uarr
-                return fresh
-        elif kinds == {bool}:
+                return None
+            uarr = np.array(uniques, dtype=np.str_)
+            fresh = cls(uarr[codes] if len(uniques) else uarr)
+            fresh._codes = codes
+            fresh._nuniq = len(uniques)
+            fresh._uniques = uarr
+            return fresh
+        if kinds == {bool}:
             return cls(np.array(column, dtype=np.bool_))
-        values = np.empty(len(column), dtype=object)
-        values[:] = column
-        return cls(values)
+        return None
+
+    def _spread(self, at, n: int) -> "_Column":
+        """This typed column's values placed at positions *at* of an
+        *n*-row column whose other positions hold ⊥."""
+        values = np.full(n, self.values[0], dtype=self.values.dtype)
+        values[at] = self.values
+        pad = np.ones(n, dtype=np.bool_)
+        pad[at] = False
+        spread = _Column(values, pad)
+        if self._codes is not None:
+            spread._codes = np.full(n, self._nuniq, dtype=np.int64)
+            spread._codes[at] = self._codes
+            spread._nuniq = self._nuniq + 1
+            spread._uniques = self._uniques
+        return spread
 
     def __len__(self) -> int:
         return len(self.values)
@@ -178,7 +241,8 @@ class _Column:
                 )
                 self._nuniq = len(mapping)
                 self._uniques = list(mapping)
-            elif (
+                return self._codes
+            if (
                 values.dtype == np.int64
                 and len(values)
                 and (span := _dense_span(values)) is not None
@@ -189,13 +253,15 @@ class _Column:
                 # treats nuniq as a domain bound, not a distinct count.
                 vmin, width = span
                 self._codes = values - vmin
-                self._nuniq = width
                 self._uniques = np.arange(vmin, vmin + width, dtype=np.int64)
             else:
                 uniques, inverse = np.unique(values, return_inverse=True)
                 self._codes = inverse.astype(np.int64, copy=False)
-                self._nuniq = len(uniques)
                 self._uniques = uniques
+            self._nuniq = len(self._uniques)
+            if self.pad is not None:
+                self._codes[self.pad] = self._nuniq
+                self._nuniq += 1
         return self._codes
 
     @property
@@ -203,16 +269,43 @@ class _Column:
         self.codes()
         return self._nuniq
 
+    def table(self) -> list:
+        """The decode table as Python values: entry *c* is code *c*'s
+        value (⊥ last on a typed column that has a ⊥ code)."""
+        uniques = self._uniques
+        if isinstance(uniques, list):
+            return uniques
+        table = uniques.tolist()
+        return table + [PAD] if self._nuniq > len(table) else table
+
     def decode(self, codes) -> list:
         """Python values for an array of this column's codes."""
         uniques = self._uniques
-        if isinstance(uniques, list):
-            return [uniques[code] for code in codes.tolist()]
+        if isinstance(uniques, list) or self._nuniq > len(uniques):
+            table = self.table()
+            return [table[code] for code in codes.tolist()]
         return uniques[codes].tolist()
+
+    def pad_mask(self):
+        """The ⊥ mask, all False on a column without ⊥."""
+        if self.pad is None:
+            return np.zeros(len(self.values), dtype=np.bool_)
+        return self.pad
+
+    def objects(self):
+        """The values as an object array of Python values, ⊥ included."""
+        values = self.values
+        if values.dtype == object:
+            return values
+        objects = values.astype(object)
+        if self.pad is not None:
+            objects[self.pad] = PAD
+        return objects
 
     def take(self, selector) -> "_Column":
         """The column gathered by a boolean mask or index array."""
-        column = _Column(self.values[selector])
+        pad = None if self.pad is None else _any_pad(self.pad[selector])
+        column = _Column(self.values[selector], pad)
         if self._codes is not None:
             column._codes = self._codes[selector]
             column._nuniq = self._nuniq
@@ -220,24 +313,34 @@ class _Column:
         return column
 
     def tolist(self) -> list:
-        return self.values.tolist()
+        if self.pad is None:
+            return self.values.tolist()
+        return self.objects().tolist()
+
+
+def _any_pad(pad):
+    """*pad*, or None when it marks no ⊥ (a column's pad is None then)."""
+    return pad if pad is not None and pad.any() else None
 
 
 def _concat_columns(left: _Column, right: _Column) -> _Column:
     """Stack two columns, falling back to object on any kind mismatch."""
     lv, rv = left.values, right.values
     if lv.dtype != object and rv.dtype != object and lv.dtype.kind == rv.dtype.kind:
-        return _Column(np.concatenate([lv, rv]))
-    merged = np.empty(len(lv) + len(rv), dtype=object)
-    merged[: len(lv)] = lv.tolist()
-    merged[len(lv) :] = rv.tolist()
-    return _Column(merged)
+        pad = None
+        if left.pad is not None or right.pad is not None:
+            pad = np.concatenate([left.pad_mask(), right.pad_mask()])
+        return _Column(np.concatenate([lv, rv]), pad)
+    return _Column(np.concatenate([left.objects(), right.objects()]))
 
 
 def _const_fits(dtype, value) -> bool:
-    """Whether writing *value* into an array of *dtype* is lossless."""
+    """Whether writing *value* into an array of *dtype* is lossless
+    (⊥ into an int, float or str column is, through its pad mask)."""
     kind = dtype.kind
     cls = type(value)
+    if cls is PadConstant:
+        return kind in "ifU"
     if kind == "i":
         return cls is int and -(1 << 63) <= value < (1 << 63)
     if kind == "f":
@@ -269,7 +372,8 @@ def _const_code(column: _Column, value):
     factorization, the unique table extended when *value* is new.
 
     ``(-1, None)`` when the column holds no codes, or its typed table
-    cannot hold *value* exactly (the fresh column then factorizes on
+    cannot hold *value* exactly, or *value* is new to a table whose
+    next code is already ⊥'s (the fresh column then factorizes on
     demand). List tables look up by Python equality, like the dict
     that built them.
     """
@@ -284,9 +388,13 @@ def _const_code(column: _Column, value):
     dtype = _const_dtype(uniques.dtype, value)
     if dtype == object:
         return -1, None
+    if value is PAD:
+        return len(uniques), uniques
     hits = np.flatnonzero(uniques == value)
     if len(hits):
         return int(hits[0]), uniques
+    if column._nuniq > len(uniques):
+        return -1, None
     return len(uniques), np.concatenate([uniques, np.array([value], dtype=dtype)])
 
 
@@ -297,17 +405,42 @@ def _recast(values, dtype, extra: int = 0):
     return fresh
 
 
+def _written(column: _Column, value, extra: int = 0):
+    """``(values, pad)`` of *column* recast for a write of *value*
+    (see :func:`_const_dtype`) with *extra* slots after; the caller
+    writes the slots, or, for ⊥ into a typed column, sets the pad."""
+    values = column.values
+    dtype = _const_dtype(values.dtype, value)
+    if dtype == object:
+        return _recast(column.objects(), dtype, extra), None
+    fresh = _recast(values, dtype, extra)
+    if extra and value is PAD:
+        # Appended ⊥ slots hold a real value of the dtype.
+        fresh[len(values) :] = values[:1] if len(values) else np.zeros(1, dtype)
+    pad = column.pad
+    if pad is not None or value is PAD:
+        pad = _recast(column.pad_mask(), np.bool_, extra)
+        pad[len(values) :] = False
+    return fresh, pad
+
+
 def _assign_const(column: _Column, mask, value) -> _Column:
     """*column* with *value* written at the masked positions.
 
-    The dtype follows :func:`_const_dtype`, and the fresh column's
-    codes are the source's cached ones with *value*'s code written at
-    the same positions — a rewritten column then deduplicates without
-    another full :func:`np.unique` pass.
+    The dtype follows :func:`_const_dtype` (⊥ sets the pad mask of a
+    typed column), and the fresh column's codes are the source's cached
+    ones with *value*'s code written at the same positions — a
+    rewritten column then deduplicates without another full
+    :func:`np.unique` pass.
     """
-    values = column.values
-    fresh = _Column(_recast(values, _const_dtype(values.dtype, value)))
-    fresh.values[mask] = value
+    values, pad = _written(column, value)
+    if value is PAD and values.dtype != object:
+        pad[mask] = True
+    else:
+        values[mask] = value
+        if pad is not None:
+            pad[mask] = False
+    fresh = _Column(values, _any_pad(pad))
     code, uniques = _const_code(column, value)
     if code >= 0:
         codes = column._codes.copy()
@@ -321,10 +454,13 @@ def _assign_const(column: _Column, mask, value) -> _Column:
 def _append_const(column: _Column, value, k: int) -> _Column:
     """*column* extended by *k* copies of *value*: one repeated code
     after the cached ones, dtype and codes as in :func:`_assign_const`."""
-    values = column.values
-    n = len(values)
-    fresh = _Column(_recast(values, _const_dtype(values.dtype, value), k))
-    fresh.values[n:] = value
+    n = len(column)
+    values, pad = _written(column, value, k)
+    if value is PAD and values.dtype != object:
+        pad[n:] = True
+    else:
+        values[n:] = value
+    fresh = _Column(values, pad)
     code, uniques = _const_code(column, value)
     if code >= 0:
         codes = _recast(column._codes, np.int64, k)
@@ -338,17 +474,16 @@ def _append_const(column: _Column, value, k: int) -> _Column:
 def _assign_column(target: _Column, mask, source: _Column) -> _Column:
     """*target* with *source*'s values copied at the masked positions."""
     tv, sv = target.values, source.values
-    if tv.dtype == sv.dtype != object and tv.dtype.kind != "U":
-        fresh = tv.copy()
-        fresh[mask] = sv[mask]
-        return _Column(fresh)
-    if tv.dtype.kind == "U" and sv.dtype.kind == "U":
+    if tv.dtype == sv.dtype != object or tv.dtype.kind == sv.dtype.kind == "U":
         fresh = tv.astype(np.result_type(tv.dtype, sv.dtype))
         fresh[mask] = sv[mask]
-        return _Column(fresh)
-    fresh = np.empty(len(tv), dtype=object)
-    fresh[:] = tv.tolist()
-    fresh[mask] = sv[mask].astype(object)
+        pad = None
+        if target.pad is not None or source.pad is not None:
+            pad = target.pad_mask().copy()
+            pad[mask] = source.pad_mask()[mask]
+        return _Column(fresh, _any_pad(pad))
+    fresh = target.objects().copy()
+    fresh[mask] = source.objects()[mask]
     return _Column(fresh)
 
 
@@ -381,7 +516,8 @@ def _pair_codes(left: _Column, right: _Column):
 
     Values equal under Python semantics get equal codes even across
     arrays (mixed kinds route through a dict pass, so ``1 == 1.0 ==
-    True`` holds exactly as it does for row tuples).
+    True`` holds exactly as it does for row tuples); ⊥ in a typed
+    column gets one code of its own.
     """
     lv, rv = left.values, right.values
     n = len(lv)
@@ -389,7 +525,7 @@ def _pair_codes(left: _Column, right: _Column):
         vmin = min(int(lv.min()), int(rv.min()))
         width = max(int(lv.max()), int(rv.max())) - vmin + 1
         if width <= 4 * (n + len(rv)) + 1024:
-            return lv - vmin, rv - vmin, width
+            return _padded_pair(left, right, lv - vmin, rv - vmin, width)
     if (
         left._codes is not None
         and right._codes is not None
@@ -397,13 +533,12 @@ def _pair_codes(left: _Column, right: _Column):
     ):
         # Both sides already factorized: merge the two (small) unique
         # tables with a dict pass (Python equality, same semantics as
-        # the all-values fallback below) and remap the cached codes
-        # through lookup arrays — O(nuniq) instead of re-uniquing
-        # millions of values.
+        # the all-values fallback below; ⊥ ends a typed column's table)
+        # and remap the cached codes through lookup arrays — O(nuniq)
+        # instead of re-uniquing millions of values.
         mapping = {}
         luts = []
-        for uniques in (left._uniques, right._uniques):
-            table = uniques if isinstance(uniques, list) else uniques.tolist()
+        for table in (left.table(), right.table()):
             lut = np.empty(len(table), dtype=np.int64)
             for where, value in enumerate(table):
                 code = mapping.get(value, -1)
@@ -417,17 +552,28 @@ def _pair_codes(left: _Column, right: _Column):
         merged = np.concatenate([lv, rv])
         uniques, inverse = np.unique(merged, return_inverse=True)
         inverse = inverse.astype(np.int64, copy=False)
-        return inverse[:n], inverse[n:], len(uniques)
+        return _padded_pair(left, right, inverse[:n], inverse[n:], len(uniques))
     mapping: dict = {}
     fresh_code = mapping.setdefault
     out = np.array(
         [
             fresh_code(value, len(mapping))
-            for value in lv.tolist() + rv.tolist()
+            for value in left.tolist() + right.tolist()
         ],
         dtype=np.int64,
     )
     return out[:n], out[n:], len(mapping)
+
+
+def _padded_pair(left: _Column, right: _Column, code_l, code_r, size):
+    """Value codes of two typed columns with ⊥ moved to code *size*."""
+    if left.pad is None and right.pad is None:
+        return code_l, code_r, size
+    if left.pad is not None:
+        code_l[left.pad] = size
+    if right.pad is not None:
+        code_r[right.pad] = size
+    return code_l, code_r, size + 1
 
 
 def _combine_codes(first, pairs):
@@ -476,11 +622,43 @@ def _group_index(code, domain):
         slot = np.empty(domain, dtype=np.int64)
         slot[code[first]] = np.arange(len(first), dtype=np.int64)
         return slot[code], first
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order), dtype=np.int64)
-    return rank[inverse.reshape(-1)], first[order]
+    order, starts, first = _sorted_runs(code)
+    by_row = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_row] = np.arange(len(first), dtype=np.int64)
+    run = np.zeros(len(code), dtype=np.int64)
+    run[starts[1:]] = 1
+    group = np.empty(len(code), dtype=np.int64)
+    group[order] = rank[np.cumsum(run)]
+    return group, first[by_row]
+
+
+def _sorted_runs(code):
+    """``(order, starts, first)``: one unstable argsort of a key array,
+    the start of each equal-key run in it, and each run's first row
+    (its smallest row index) — what ``np.unique``'s stable mergesort
+    gives with ``return_index``, from one quicksort."""
+    order = np.argsort(code)
+    ordered = code[order]
+    starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    if len(code):
+        starts = np.concatenate([np.zeros(1, dtype=starts.dtype), starts])
+    return order, starts, np.minimum.reduceat(order, starts)
+
+
+def _partners(code_l, code_r, domain):
+    """``(order, starts, counts)``: the right rows stably sorted by key,
+    and where each left key's run of equal right keys starts in that
+    order and how long it is — from one ``np.bincount`` over a narrow
+    *domain*, else two ``searchsorted`` passes."""
+    order = np.argsort(code_r, kind="stable")
+    if domain <= 4 * (len(code_l) + len(code_r)) + 1024:
+        per_key = np.bincount(code_r, minlength=domain)
+        begin = np.cumsum(per_key) - per_key
+        return order, begin[code_l], per_key[code_l]
+    ordered = code_r[order]
+    starts = np.searchsorted(ordered, code_l, side="left")
+    return order, starts, np.searchsorted(ordered, code_l, side="right") - starts
 
 
 def _runs(starts, counts):
@@ -521,7 +699,7 @@ def _first_rows(code, domain):
     """Row-ordered first-occurrence indices of each distinct key.
 
     With a narrow *domain* this is one reverse scatter (last write per
-    slot = first occurrence) instead of ``np.unique``'s argsort.
+    slot = first occurrence), else one :func:`_sorted_runs` pass.
     """
     n = len(code)
     if domain <= 4 * n + 1024:
@@ -529,7 +707,7 @@ def _first_rows(code, domain):
         first[code[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
         first = first[first >= 0]
     else:
-        _, first = np.unique(code, return_index=True)
+        first = _sorted_runs(code)[2]
     first.sort()
     return first
 
@@ -540,7 +718,12 @@ def _member_mask(code, pool, domain):
         seen = np.zeros(domain, dtype=bool)
         seen[pool] = True
         return seen[code]
-    return np.isin(code, pool)
+    if not len(pool):
+        return np.zeros(len(code), dtype=bool)
+    # One quicksort of the pool and a binary search per key.
+    ordered = np.sort(pool)
+    at = np.minimum(np.searchsorted(ordered, code), len(ordered) - 1)
+    return ordered[at] == code
 
 
 def _distinct_count(code, domain) -> int:
@@ -573,6 +756,88 @@ def _world_classes(world, nworlds: int, code, domain: int):
         class_of.append(classes.setdefault(fingerprint, len(classes)))
         start = end
     return np.array(class_of, dtype=np.int64), len(classes)
+
+
+def _outcome(left, op: str, right) -> bool:
+    """The row closure's verdict on one pair of Python values."""
+    try:
+        return bool(_NP_OPS[op](left, right))
+    except TypeError:
+        return False
+
+
+def _numeric(value):
+    """``(value, kind)`` for an int64-range int (kind ``"i"``) or a
+    float (``"f"``); None for any other constant."""
+    cls = type(value)
+    if cls is int and -(1 << 63) <= value < (1 << 63):
+        return value, "i"
+    if cls is float:
+        return value, "f"
+    return None
+
+
+def _magnitude(operand) -> int:
+    """The largest absolute value an int operand (array or int) holds."""
+    if isinstance(operand, int):
+        return abs(operand)
+    if not len(operand):
+        return 0
+    return max(-int(operand.min()), int(operand.max()))
+
+
+def _exact_in(values, default) -> bool:
+    """Whether *default* can stand in a *values* array (of kind i or f)
+    and compare exactly like the Python value."""
+    kind = values.dtype.kind
+    if type(default) is int:
+        return kind == "i" or (kind == "f" and abs(default) <= _FLOAT_EXACT)
+    return kind == "f"
+
+
+def _arith_column(op: str, left, right):
+    """``left op right`` over int64/float64 operands (each a
+    :class:`_Column` or a constant) as one array, equal elementwise to
+    :func:`~repro.relational.predicates.arithmetic`; None wherever some
+    row might differ or raise:
+
+    * an operand holding ⊥, or of any other kind (str, bool, object);
+    * int ``+ - *`` that could overflow int64;
+    * int ``/`` int with an operand beyond 2**53 (numpy rounds both to
+      float first, Python rounds the exact quotient once);
+    * ``/`` by a divisor holding zero.
+
+    An int meeting a float converts with the same rounding in both.
+    """
+    operands = []
+    for operand in (left, right):
+        if isinstance(operand, _Column):
+            kind = operand.values.dtype.kind
+            if operand.pad is not None or kind not in "if":
+                return None
+            operands.append((operand.values, kind))
+        else:
+            typed = _numeric(operand)
+            if typed is None:
+                return None
+            operands.append(typed)
+    (a, ak), (b, bk) = operands
+    if op == "/" and not np.all(b != 0):
+        return None
+    if ak == bk == "i":
+        # numpy wraps on int64 overflow and divides ints as floats.
+        if op == "/":
+            if max(_magnitude(a), _magnitude(b)) > _FLOAT_EXACT:
+                return None
+        elif op == "*":
+            if _magnitude(a) * _magnitude(b) >= 1 << 63:
+                return None
+        elif _magnitude(a) + _magnitude(b) >= 1 << 63:
+            return None
+    with np.errstate(all="ignore"):
+        result = _NP_ARITH[op](a, b)
+    floats = op == "/" or "f" in (ak, bk)
+    return np.asarray(result, dtype=np.float64 if floats else np.int64)
 
 
 class ArrayRelation(ColumnarRelation):
@@ -890,18 +1155,15 @@ class ArrayRelation(ColumnarRelation):
             )
         checkpoint("join_on", self._nrows + len(other))
         other = self._operand(other)
-        codes_s, codes_o, _ = self._stacked_row_codes(
-            other,
-            self.schema.indices(left_attrs),
-            other.schema.indices(right_attrs),
-        )
         # Each left row's partners are one run of the right rows stably
-        # sorted by key: the build is an argsort, the probe two
-        # searchsorted passes, and the output two gathers.
-        order = np.argsort(codes_o, kind="stable")
-        ordered = codes_o[order]
-        starts = np.searchsorted(ordered, codes_s, side="left")
-        counts = np.searchsorted(ordered, codes_s, side="right") - starts
+        # sorted by key (see _partners); the output is two gathers.
+        order, starts, counts = _partners(
+            *self._stacked_row_codes(
+                other,
+                self.schema.indices(left_attrs),
+                other.schema.indices(right_attrs),
+            )
+        )
         left_rows, sorted_rows = _runs(starts, counts)
         right_rows = order[sorted_rows]
         ocols = other.arrays()
@@ -912,6 +1174,82 @@ class ArrayRelation(ColumnarRelation):
         # right attribute off the key is kept.
         return type(self)._from_acols(
             Schema(self.schema.attributes + right_rest), columns, len(left_rows)
+        )
+
+    def product(self, other: "ColumnarRelation | Relation") -> "ArrayRelation":
+        other = self._operand(other)
+        checkpoint("product", self._nrows + len(other))
+        schema = self.schema.concat(other.schema)
+        if not self.schema:
+            # {⟨⟩} × R = R (the unit world table is a frequent operand).
+            if self._nrows == 0:
+                return type(self)._from_rows(schema, [])
+            return type(self)._share(other, schema)
+        if not other.schema:
+            if len(other) == 0:
+                return type(self)._from_rows(schema, [])
+            return type(self)._share(self, schema)
+        n, m = self._nrows, len(other)
+        left_rows = np.repeat(np.arange(n, dtype=np.int64), m)
+        right_rows = np.tile(np.arange(m, dtype=np.int64), n)
+        columns = tuple(c.take(left_rows) for c in self.arrays()) + tuple(
+            c.take(right_rows) for c in other.arrays()
+        )
+        return type(self)._from_acols(schema, columns, n * m)
+
+    def left_outer_join_padded(
+        self, other: "ColumnarRelation | Relation"
+    ) -> "ArrayRelation":
+        """``=⊳⊲`` as gathers: each left row's partners are one
+        ``searchsorted`` run (as in :meth:`join_on`), and a dangling
+        left row emits one row whose right-only columns are ⊥ — set
+        through the pad mask of typed columns.
+
+        Output rows are distinct without a dedup pass: left rows are,
+        a left row's partners differ off the key, and a padded row's
+        left part matched nothing, so no joined row shares it.
+        """
+        other = self._operand(other)
+        checkpoint("left_outer_join_padded", self._nrows + len(other))
+        common = self.schema.common(other.schema)
+        if not common:
+            # ⋈ is ×, and only an empty right side leaves rows dangling
+            # (all of them) — the same ⋈ and ∪ steps as the row path.
+            joined = self.natural_join(other)
+            dangling = self._take(np.arange(0 if len(other) else self._nrows))
+            pads = tuple(
+                _Column.from_values([PAD] * len(dangling)) for _ in other.schema
+            )
+            return joined.union(
+                type(self)._from_acols(
+                    joined.schema, dangling.arrays() + pads, len(dangling)
+                )
+            )
+        left_set = self.schema.as_set()
+        rest = tuple(a for a in other.schema if a not in left_set)
+        order, starts, counts = _partners(
+            *self._stacked_row_codes(
+                other, self.schema.indices(common), other.schema.indices(common)
+            )
+        )
+        dangling = counts == 0
+        left_rows, sorted_rows = _runs(starts, np.maximum(counts, 1))
+        padded = dangling[left_rows]
+        columns = [c.take(left_rows) for c in self.arrays()]
+        if len(other):
+            right_rows = order[np.minimum(sorted_rows, len(other) - 1)]
+            ocols = other.arrays()
+            for p in other.schema.indices(rest):
+                column = ocols[p].take(right_rows)
+                if dangling.any():
+                    column = _assign_const(column, padded, PAD)
+                columns.append(column)
+        else:
+            columns.extend(
+                _Column.from_values([PAD] * len(left_rows)) for _ in rest
+            )
+        return type(self)._from_acols(
+            Schema(self.schema.attributes + rest), columns, len(left_rows)
         )
 
     def _semijoin_on(
@@ -972,13 +1310,16 @@ class ArrayRelation(ColumnarRelation):
     def _predicate_mask(self, predicate: Predicate):
         """Predicate → boolean mask, or None when only the row path fits.
 
-        Covers comparisons over attributes and constants plus
-        and/or/not and TRUE/FALSE — the closure semantics are matched
-        exactly (mixed-type comparisons are elementwise False, ``!=``
-        elementwise True; no translatable predicate can raise, so
-        short-circuit evaluation is unobservable). Arithmetic terms,
-        PAD-defaulting reads and scalar guards (which may raise) and
-        object-dtype columns fall back by returning None.
+        Covers comparisons over attributes, constants, PAD-defaulting
+        reads and arithmetic, plus and/or/not and TRUE/FALSE — the
+        closure semantics are matched exactly (mixed-type comparisons
+        are elementwise False, ``!=`` elementwise True, ⊥ compares as
+        :class:`~repro.relational.pad.PadConstant` does). A term is
+        vectorized only when no row of it can raise (see
+        :func:`_arith_column`), so short-circuit evaluation is
+        unobservable. Scalar guards, object-dtype columns and any term
+        that might raise fall back by returning None, and the row path
+        raises its own error.
         """
         if isinstance(predicate, Comparison):
             return self._compare_mask(predicate)
@@ -1016,6 +1357,28 @@ class ArrayRelation(ColumnarRelation):
             return ("col", self.arrays()[self.schema.index(term.name)])
         if isinstance(term, Const):
             return ("const", term.value)
+        if isinstance(term, PadDefault):
+            column = self.arrays()[self.schema.index(term.name)]
+            if column.pad is None:
+                return ("col", column)
+            default = _numeric(term.default)
+            if default is None or not _exact_in(column.values, default[0]):
+                return None
+            values = column.values.copy()
+            values[column.pad] = default[0]
+            return ("col", _Column(values))
+        if isinstance(term, Arith):
+            left = self._term_vector(term.left)
+            right = None if left is None else self._term_vector(term.right)
+            if right is None:
+                return None
+            if left[0] == right[0] == "const":
+                try:
+                    return ("const", arithmetic(term.op, left[1], right[1]))
+                except EvaluationError:
+                    return None
+            result = _arith_column(term.op, left[1], right[1])
+            return None if result is None else ("col", _Column(result))
         return None
 
     def _compare_mask(self, comparison: Comparison):
@@ -1027,11 +1390,7 @@ class ArrayRelation(ColumnarRelation):
             return None
         op = comparison.op
         if left[0] == "const" and right[0] == "const":
-            try:
-                outcome = bool(_NP_OPS[op](left[1], right[1]))
-            except TypeError:
-                outcome = False
-            return self._const_mask(outcome)
+            return self._const_mask(_outcome(left[1], op, right[1]))
         if left[0] == "const":
             return self._column_mask(right[1], left[1], _FLIPPED[op])
         if right[0] == "const":
@@ -1049,36 +1408,51 @@ class ArrayRelation(ColumnarRelation):
         else:  # U
             compatible = isinstance(constant, str)
         if not compatible:
-            # The closure's TypeError → False net: mixed-type equality
+            # The closure's TypeError → False net (mixed-type equality
             # is elementwise False, inequality elementwise True,
-            # orderings False.
-            return self._const_mask(op == "!=")
-        if (kind == "i" and type(constant) is float and _inexact_as_float(values)) or (
+            # orderings False), or the ⊥ constant's fixed verdicts.
+            mask = self._const_mask(
+                _outcome(0, op, PAD) if constant is PAD else op == "!="
+            )
+        elif (kind == "i" and type(constant) is float and _inexact_as_float(values)) or (
             kind == "f" and type(constant) is int and abs(constant) > _FLOAT_EXACT
         ):
             return None
-        try:
-            return np.asarray(_NP_OPS[op](values, constant), dtype=np.bool_)
-        except (TypeError, OverflowError):
-            # e.g. an int beyond int64 — let the row path decide.
-            return None
+        else:
+            try:
+                mask = np.asarray(_NP_OPS[op](values, constant), dtype=np.bool_)
+            except (TypeError, OverflowError):
+                # e.g. an int beyond int64 — let the row path decide.
+                return None
+        if column.pad is not None:
+            mask[column.pad] = _outcome(PAD, op, constant)
+        return mask
 
     def _column_pair_mask(self, left: _Column, right: _Column, op: str):
         lk, rk = left.values.dtype.kind, right.values.dtype.kind
         if lk == "O" or rk == "O":
             return None
         if (lk in "ifb") != (rk in "ifb"):
-            return self._const_mask(op == "!=")
-        if ((lk, rk) == ("i", "f") and _inexact_as_float(left.values)) or (
+            mask = self._const_mask(op == "!=")
+        elif ((lk, rk) == ("i", "f") and _inexact_as_float(left.values)) or (
             (lk, rk) == ("f", "i") and _inexact_as_float(right.values)
         ):
             return None
-        try:
-            return np.asarray(
-                _NP_OPS[op](left.values, right.values), dtype=np.bool_
-            )
-        except TypeError:
-            return None
+        else:
+            try:
+                mask = np.asarray(
+                    _NP_OPS[op](left.values, right.values), dtype=np.bool_
+                )
+            except TypeError:
+                return None
+        if left.pad is None and right.pad is None:
+            return mask
+        # ⊥ meets a value or ⊥: the verdict depends on neither value.
+        lp, rp = left.pad_mask(), right.pad_mask()
+        mask[lp & rp] = _outcome(PAD, op, PAD)
+        mask[lp & ~rp] = _outcome(PAD, op, 0)
+        mask[rp & ~lp] = _outcome(0, op, PAD)
+        return mask
 
     # -- DML kernel ops (masks are numpy boolean arrays) -------------------------
 
@@ -1117,7 +1491,7 @@ class ArrayRelation(ColumnarRelation):
         codes, domain = self._row_codes(positions)
         first = _first_rows(codes, domain)
         acols = self.arrays()
-        return list(zip(*(acols[p].values[first].tolist() for p in positions)))
+        return list(zip(*(acols[p].take(first).tolist() for p in positions)))
 
     def claimed_ids(self, attributes, values, id_attributes) -> set[tuple]:
         """Per-column equality masks where the dtype allows, Python
@@ -1145,7 +1519,7 @@ class ArrayRelation(ColumnarRelation):
         return set(
             zip(
                 *(
-                    acols[p].values[hits].tolist()
+                    acols[p].take(hits).tolist()
                     for p in self.schema.indices(id_attributes)
                 )
             )
@@ -1316,11 +1690,11 @@ class ArrayRelation(ColumnarRelation):
                 [
                     value if count == 1 else aggregates.AMBIGUOUS
                     for value, count in zip(
-                        column.values[first].tolist(), distinct.tolist()
+                        column.take(first).tolist(), distinct.tolist()
                     )
                 ]
             )
-        if column.values.dtype == np.int64:
+        if column.values.dtype == np.int64 and column.pad is None:
             folded = _int_fold(spec.function, column.values, group, ngroups)
             if folded is not None:
                 return folded
@@ -1458,7 +1832,7 @@ class ArrayRelation(ColumnarRelation):
         if not len(chosen):
             return []
         acols = self.arrays()
-        columns = [acols[p].values[chosen].tolist() for p in positions]
+        columns = [acols[p].take(chosen).tolist() for p in positions]
         return list(zip(*columns))
 
 
@@ -1482,7 +1856,7 @@ def missing_world_ids(
         return None
     where = np.flatnonzero(missing)
     acols = table.arrays()
-    columns = [acols[p].values[where].tolist() for p in table_positions]
+    columns = [acols[p].take(where).tolist() for p in table_positions]
     return sorted(set(zip(*columns)), key=repr)
 
 
@@ -1531,6 +1905,12 @@ if np is not None:
         "<=": _operator.le,
         ">": _operator.gt,
         ">=": _operator.ge,
+    }
+    _NP_ARITH = {
+        "+": _operator.add,
+        "-": _operator.sub,
+        "*": _operator.mul,
+        "/": _operator.truediv,
     }
     #: const ⟨op⟩ col rewritten as col ⟨flipped op⟩ const.
     _FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}

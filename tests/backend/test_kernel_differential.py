@@ -20,6 +20,7 @@ from repro.datagen import random_query, random_world_set, scenarios
 from repro.datagen.workloads import (
     ACQUISITION_SCRIPT,
     TPCH_SCRIPT,
+    census,
     census_blocks,
     company,
     lineitem,
@@ -174,7 +175,12 @@ WHAT_IF = {
         "select possible Year from YearQuantity as Y "
         "where (select sum(Price) from Lineitem "
         "where Lineitem.Year = Y.Year) - Y.Revenue > 300;",
-        {"join_on", "aggregate_by"},
+        {"join_on", "aggregate_by", "left_outer_join_padded", "select"},
+    ),
+    "census": (
+        "",
+        "select certain SSN, Name from Census where SSN != 5 repair by key SSN;",
+        {"select", "project"},
     ),
 }
 
@@ -183,6 +189,8 @@ def _what_if_session(name: str, backend) -> ISQLSession:
     if name == "acquisition":
         company_emp, emp_skills = company(3, 3, 6, 2, seed=1)
         relations = {"Company_Emp": company_emp, "Emp_Skills": emp_skills}
+    elif name == "census":
+        relations = {"Census": census(64, seed=1, duplicates=13)}
     else:
         relations = {
             "Lineitem": lineitem(
@@ -193,25 +201,33 @@ def _what_if_session(name: str, backend) -> ISQLSession:
     session = ISQLSession(backend=backend)
     for relation_name, relation in relations.items():
         session.register(relation_name, relation)
-    session.run(WHAT_IF[name][0])
+    if WHAT_IF[name][0]:
+        session.run(WHAT_IF[name][0])
     return session
 
 
 @pytest.mark.skipif(not have_numpy(), reason="the array kernel needs numpy")
 @pytest.mark.parametrize("name", sorted(WHAT_IF))
 def test_array_what_if_plans_never_enter_the_row_path(name, monkeypatch):
-    """The acquisition and TPC-H what-if selects run their joins and
-    aggregates as array ops, and decode their answers by world
-    fingerprints: the inherited row-path ``join_on``/``aggregate_by``,
-    the shared Python fold and the per-world decode are never entered."""
+    """The acquisition, TPC-H and census what-if selects run their
+    joins, padded joins, selections and aggregates as array ops, and
+    decode their answers by world fingerprints: the inherited row-path
+    operators, the shared Python fold and the per-world decode are never
+    entered. No column holding only ints and ⊥ — the repaired ids
+    above all — is ever an object array."""
     from repro.relational import aggregates
+    from repro.relational.array_kernel import ArrayRelation, _Column
     from repro.relational.columnar import ColumnarRelation
+    from repro.relational.pad import PadConstant
 
     session = _what_if_session(name, InlineBackend(kernel="array"))
     entered = []
     for owner, attribute in (
         (ColumnarRelation, "join_on"),
         (ColumnarRelation, "aggregate_by"),
+        (ColumnarRelation, "left_outer_join_padded"),
+        (ColumnarRelation, "product"),
+        (ColumnarRelation, "select"),
         (aggregates, "aggregate_rows"),
         (PhysicalState, "answers_by_world"),
     ):
@@ -222,6 +238,20 @@ def test_array_what_if_plans_never_enter_the_row_path(name, monkeypatch):
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, attribute, counted)
+    columns = []
+    from_values, from_acols = _Column.from_values, ArrayRelation._from_acols
+
+    def typed(values):
+        column = from_values(values)
+        columns.append(column)
+        return column
+
+    def built(schema, acols, nrows):
+        columns.extend(acols)
+        return from_acols(schema, acols, nrows)
+
+    monkeypatch.setattr(_Column, "from_values", typed)
+    monkeypatch.setattr(ArrayRelation, "_from_acols", built)
     ops = set()
     with op_hook(lambda op, rows: ops.add(op)):
         result = session.run(WHAT_IF[name][1])[-1]
@@ -229,6 +259,17 @@ def test_array_what_if_plans_never_enter_the_row_path(name, monkeypatch):
     assert result.route == "inline"
     assert entered == []
     assert WHAT_IF[name][2] <= ops
+    object_ints = [
+        c
+        for c in columns
+        if c.values.dtype == object
+        and {int, PadConstant} >= set(map(type, c.tolist())) >= {int}
+    ]
+    assert object_ints == []
+    if name == "census":
+        # The repaired ids: int64 plus a pad mask.
+        padded = [c for c in columns if c.pad is not None]
+        assert padded and all(c.values.dtype.kind == "i" for c in padded)
     monkeypatch.undo()
     explicit = _what_if_session(name, "explicit")
     assert answers == explicit.run(WHAT_IF[name][1])[-1].answers()

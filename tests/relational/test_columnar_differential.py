@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SchemaError
+from repro.errors import EvaluationError, SchemaError
 from repro.relational import ColumnarRelation, Relation, as_columnar, as_tuple
 from repro.relational.array_kernel import ArrayRelation, as_array, have_numpy
 from repro.relational.pad import PAD
@@ -24,11 +24,15 @@ from repro.relational.predicates import (
     FALSE,
     TRUE,
     And,
+    Arith,
     Const,
     Not,
     Or,
+    PadDefault,
     eq,
     ge,
+    gt,
+    le,
     lt,
     neq,
 )
@@ -68,11 +72,32 @@ VALUES = st.one_of(
 INTS = st.one_of(st.integers(min_value=-3, max_value=3), st.just(2**53 + 1))
 NUMBERS = st.one_of(INTS, EDGE_NUMBERS, st.booleans())
 
+#: Int-or-PAD and float-or-PAD values: a column drawn from one of them
+#: is int64 or float64 plus a pad mask on the array kernel.
+INT_OR_PAD = st.one_of(INTS, st.just(PAD))
+FLOAT_OR_PAD = st.one_of(
+    EDGE_NUMBERS.filter(lambda value: type(value) is float), st.just(PAD)
+)
 
-def relations(attributes: tuple[str, ...], max_rows: int = 7, values=VALUES):
-    """A strategy of tuple-engine relations over *attributes*."""
-    row = st.tuples(*(values for _ in attributes))
-    return st.lists(row, max_size=max_rows).map(
+#: The value strategy each column of a generated relation draws from:
+#: mixed values, or one of the typed-PAD kinds.
+COLUMN_VALUES = (VALUES, VALUES, INT_OR_PAD, FLOAT_OR_PAD)
+
+
+def relations(attributes: tuple[str, ...], max_rows: int = 7, values=None):
+    """A strategy of tuple-engine relations over *attributes*.
+
+    Every value comes from *values* when given; otherwise each column
+    draws its own strategy from :data:`COLUMN_VALUES`.
+    """
+    if values is None:
+        columns = st.tuples(*(st.sampled_from(COLUMN_VALUES) for _ in attributes))
+        return columns.flatmap(lambda kinds: _relations(attributes, max_rows, kinds))
+    return _relations(attributes, max_rows, (values,) * len(attributes))
+
+
+def _relations(attributes, max_rows, kinds):
+    return st.lists(st.tuples(*kinds), max_size=max_rows).map(
         lambda rows: Relation(attributes, rows)
     )
 
@@ -100,19 +125,74 @@ PREDICATES = [
     And(neq("A", Const(None)), ge("B", Const(0))),
     Or(eq("A", "B"), eq("B", Const("x"))),
     Not(eq("A", Const(True))),
+    # PAD orders before every value, so these hold on every other row.
+    gt("A", Const(PAD)),
+    le(Const(PAD), "B"),
+    # Arithmetic and PAD defaults under a comparison (the decorrelated
+    # scalar-subquery shape): may raise, on every kernel alike.
+    gt(Arith("-", "A", "B"), Const(0)),
+    le(Arith("*", "A", Const(2)), "B"),
+    ge(Arith("/", "A", "B"), Const(1)),
+    gt(Arith("-", PadDefault("A", 0), "B"), Const(-1)),
+    lt(PadDefault("A", 0), "B"),
+    neq(PadDefault("A", None), Const(1)),
+    eq(Arith("+", PadDefault("A", None), Const(1)), "B"),
+    And(ge("B", Const(1)), lt(Arith("/", Const(6), "B"), Const(4))),
 ]
+
+
+def _selected(relation, predicate):
+    """``(rows, None)`` of a selection, or ``(None, message)`` when it
+    raises an EvaluationError."""
+    try:
+        return relation.select(predicate), None
+    except EvaluationError as error:
+        return None, str(error)
+
+
+def assert_same_selection(in_kernel, relation, predicate, exact=False) -> None:
+    """The kernel selects the tuple engine's rows, through ``select``
+    and through ``predicate_mask``, or raises its EvaluationError —
+    with the same message when *exact* (one error kind possible)."""
+    expected, message = _selected(relation, predicate)
+    paths = (
+        ("select", lambda: in_kernel.select(predicate)),
+        (
+            "predicate_mask",
+            lambda: in_kernel.compress(in_kernel.predicate_mask(predicate)),
+        ),
+    )
+    for name, path in paths:
+        context = f"{name} {predicate!r}"
+        if message is None:
+            assert_same(path(), expected, context)
+            continue
+        with pytest.raises(EvaluationError) as raised:
+            path()
+        if exact:
+            assert str(raised.value) == message, context
+        else:
+            # Which row raises first depends on the row order, which
+            # the kernels do not share.
+            assert {message, str(raised.value)} <= ARITH_MESSAGES, context
+
+
+#: The arithmetic errors a random relation can raise.
+ARITH_MESSAGES = {
+    "arithmetic over an undefined (empty) aggregate",
+    "arithmetic '-' over incompatible values",
+    "arithmetic '*' over incompatible values",
+    "arithmetic '/' over incompatible values",
+    "arithmetic '+' over incompatible values",
+    "arithmetic '/' divides by zero",
+}
 
 
 @for_each_kernel
 @settings(max_examples=60, deadline=None)
 @given(relation=relations(("A", "B")), index=st.integers(0, len(PREDICATES) - 1))
 def test_select_matches(convert, relation, index):
-    predicate = PREDICATES[index]
-    assert_same(
-        convert(relation).select(predicate),
-        relation.select(predicate),
-        repr(predicate),
-    )
+    assert_same_selection(convert(relation), relation, PREDICATES[index])
 
 
 @for_each_kernel
@@ -390,7 +470,11 @@ def assert_world_answers_match(convert, relation, ids, world) -> None:
 @for_each_kernel
 @settings(max_examples=80, deadline=None)
 @given(
-    rows=st.lists(st.tuples(VALUES, VALUES, st.integers(0, 4)), max_size=12),
+    rows=st.tuples(
+        st.sampled_from(COLUMN_VALUES), st.sampled_from(COLUMN_VALUES)
+    ).flatmap(
+        lambda kinds: st.lists(st.tuples(*kinds, st.integers(0, 4)), max_size=12)
+    ),
     extra=st.lists(st.integers(0, 6), max_size=3),
 )
 def test_world_answers_match_the_per_world_decode(convert, rows, extra):
@@ -611,14 +695,10 @@ ASSIGNMENTS = [
 )
 def test_predicate_mask_compress_matches_select(convert, relation, index):
     predicate = BATCH_PREDICATES[index]
-    expected = relation.select(predicate)
-    assert relation.compress(relation.predicate_mask(predicate)) == expected
-    in_kernel = convert(relation)
-    assert_same(
-        in_kernel.compress(in_kernel.predicate_mask(predicate)),
-        expected,
-        repr(predicate),
-    )
+    expected, message = _selected(relation, predicate)
+    if message is None:
+        assert relation.compress(relation.predicate_mask(predicate)) == expected
+    assert_same_selection(convert(relation), relation, predicate)
 
 
 @for_each_kernel
@@ -632,6 +712,11 @@ def test_masked_assign_matches_rebuilding(convert, relation, index, assignment):
     from repro.relational.relation import row_rewriter
 
     predicate, settings_ = BATCH_PREDICATES[index], ASSIGNMENTS[assignment]
+    in_kernel = convert(relation)
+    if _selected(relation, predicate)[1] is not None:
+        with pytest.raises(EvaluationError):
+            in_kernel.predicate_mask(predicate)
+        return
     check, rewrite = predicate.bind(relation.schema), row_rewriter(settings_)
     # Rewritten rows colliding with kept or other rewritten rows collapse.
     expected = Relation(
@@ -640,7 +725,6 @@ def test_masked_assign_matches_rebuilding(convert, relation, index, assignment):
     )
     mask = relation.predicate_mask(predicate)
     assert relation.masked_assign(mask, settings_) == expected
-    in_kernel = convert(relation)
     assert_same(
         in_kernel.masked_assign(in_kernel.predicate_mask(predicate), settings_),
         expected,
@@ -748,6 +832,98 @@ def test_int_meets_float_beyond_2_53_compares_exactly(convert, case):
         expected,
         repr(predicate),
     )
+
+
+#: name → (relation, predicate) where numpy and Python arithmetic part
+#: ways: int64 overflow near ±2**63, int division beyond 2**53 (numpy
+#: rounds both operands first), zero divisors and a None PAD default.
+ARITH_EDGES = {
+    "+ overflows": (
+        Relation(("A", "B"), [(2**63 - 1, 1), (-(2**63), -1), (2, 3)]),
+        gt(Arith("+", "A", "B"), Const(0)),
+    ),
+    "- overflows": (
+        Relation(("A", "B"), [(-(2**62), 2**62 + 1), (1, 2)]),
+        lt(Arith("-", "A", "B"), Const(0)),
+    ),
+    "* overflows": (
+        Relation(("A", "B"), [(2**32, 2**31), (3, -2)]),
+        gt(Arith("*", "A", "B"), Const(0)),
+    ),
+    "/ beyond 2**53": (
+        Relation(("A", "B"), [(2**53 + 1, 3), (6, 3)]),
+        eq(Arith("/", "A", "B"), Const(3002399751580331.0)),
+    ),
+    "2**53+1 meets a float": (
+        Relation(("A", "B"), [(2**53 + 1, 0.5), (2**53 + 3, 1.5), (4, 0.25)]),
+        ge(Arith("+", "A", "B"), Const(2.0**53)),
+    ),
+    "int zero divisor": (
+        Relation(("A", "B"), [(1, 0), (4, 2)]),
+        gt(Arith("/", "A", "B"), Const(1)),
+    ),
+    "float zero divisor": (
+        Relation(("A", "B"), [(1.5, -0.0), (4.0, 2.0)]),
+        gt(Arith("/", "A", "B"), Const(1)),
+    ),
+    "None default over PAD": (
+        Relation(("A", "B"), [(PAD, 1), (3, 2), (5, 7)]),
+        gt(Arith("-", PadDefault("A", None), "B"), Const(0)),
+    ),
+    "None default compared": (
+        Relation(("A", "B"), [(PAD, 1), (3, 2), (5, 7)]),
+        neq(PadDefault("A", None), "B"),
+    ),
+    "zero default over PAD": (
+        Relation(("A", "B"), [(PAD, 1), (3, 2), (5, 7)]),
+        gt(Arith("-", PadDefault("A", 0), "B"), Const(-2)),
+    ),
+    "float default over PAD": (
+        Relation(("A", "B"), [(PAD, 1.5), (3.0, 2.5), (-0.0, 0.5)]),
+        le(Arith("*", PadDefault("A", 0.5), "B"), Const(0.75)),
+    ),
+}
+
+
+@for_each_kernel
+@pytest.mark.parametrize("case", sorted(ARITH_EDGES))
+def test_arithmetic_predicates_match_the_tuple_engine(convert, case):
+    """Each edge either selects the tuple engine's rows or raises its
+    EvaluationError, with the same message (one error kind per case)."""
+    relation, predicate = ARITH_EDGES[case]
+    assert_same_selection(convert(relation), relation, predicate, exact=True)
+
+
+#: name → a key array for the sort-based (wide-domain) grouping path.
+WIDE_KEYS = {
+    "empty": [],
+    "single row": [7],
+    "all equal": [5] * 9,
+    "62-bit limit": [(1 << 62) - 1, 0, (1 << 62) - 1, 1 << 61, 0, (1 << 62) - 2],
+    "random": list(random.Random(3).choices(range(1 << 40), k=200)) * 2,
+}
+
+
+@pytest.mark.skipif(not have_numpy(), reason="the array kernel needs numpy")
+@pytest.mark.parametrize("case", sorted(WIDE_KEYS))
+def test_wide_key_grouping_matches_np_unique(case):
+    """The one-sort wide path of ``_group_index``/``_first_rows`` gives
+    what ``np.unique(return_index=True)`` gives: first rows in row
+    order, groups numbered by first occurrence."""
+    import numpy as np
+
+    from repro.relational.array_kernel import _first_rows, _group_index
+
+    code = np.array(WIDE_KEYS[case], dtype=np.int64)
+    domain = 1 << 62  # wide: the dense scatter path is never taken
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    by_row = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_row] = np.arange(len(first))
+    group, group_first = _group_index(code, domain)
+    assert group.tolist() == rank[inverse.reshape(-1)].tolist()
+    assert group_first.tolist() == first[by_row].tolist()
+    assert _first_rows(code, domain).tolist() == sorted(first.tolist())
 
 
 @pytest.mark.parametrize(
