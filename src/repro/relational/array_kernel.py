@@ -1296,16 +1296,13 @@ class ArrayRelation(ColumnarRelation):
             return self
         return self._semijoin_on(matched, attrs, attrs, keep_matching=False)
 
-    # -- vectorized selection ---------------------------------------------------
+    # -- selection and DML masks (numpy boolean arrays) ---------------------------
 
-    def select(self, predicate: Predicate) -> "ArrayRelation":
-        selector = self._predicate_mask(predicate)
-        if selector is None:
-            return super().select(predicate)
-        checkpoint("select", self._nrows)
-        if selector.all():
-            return self
-        return self._take(selector)
+    def _row_mask(self, predicate: Predicate):
+        return np.array(super()._row_mask(predicate), dtype=np.bool_)
+
+    def _keep(self, keep) -> "ArrayRelation":
+        return self if keep.all() else self._take(keep)
 
     def _predicate_mask(self, predicate: Predicate):
         """Predicate → boolean mask, or None when only the row path fits.
@@ -1323,22 +1320,12 @@ class ArrayRelation(ColumnarRelation):
         """
         if isinstance(predicate, Comparison):
             return self._compare_mask(predicate)
-        if isinstance(predicate, And):
+        if isinstance(predicate, (And, Or)):
             left = self._predicate_mask(predicate.left)
-            if left is None:
-                return None
-            right = self._predicate_mask(predicate.right)
+            right = None if left is None else self._predicate_mask(predicate.right)
             if right is None:
                 return None
-            return left & right
-        if isinstance(predicate, Or):
-            left = self._predicate_mask(predicate.left)
-            if left is None:
-                return None
-            right = self._predicate_mask(predicate.right)
-            if right is None:
-                return None
-            return left | right
+            return left & right if isinstance(predicate, And) else left | right
         if isinstance(predicate, Not):
             inner = self._predicate_mask(predicate.operand)
             return None if inner is None else ~inner
@@ -1347,9 +1334,7 @@ class ArrayRelation(ColumnarRelation):
         return None
 
     def _const_mask(self, value: bool):
-        if value:
-            return np.ones(self._nrows, dtype=np.bool_)
-        return np.zeros(self._nrows, dtype=np.bool_)
+        return np.full(self._nrows, bool(value))
 
     def _term_vector(self, term):
         """Term → ("col", _Column) | ("const", value) | None."""
@@ -1453,27 +1438,6 @@ class ArrayRelation(ColumnarRelation):
         mask[lp & ~rp] = _outcome(PAD, op, 0)
         mask[rp & ~lp] = _outcome(0, op, PAD)
         return mask
-
-    # -- DML kernel ops (masks are numpy boolean arrays) -------------------------
-
-    def predicate_mask(self, predicate: Predicate):
-        """One boolean-array pass per comparison; the bound row closure
-        only where :meth:`_predicate_mask` has no exact vector form."""
-        checkpoint("predicate_mask", self._nrows)
-        mask = self._predicate_mask(predicate)
-        if mask is None:
-            mask = np.fromiter(
-                map(predicate.bind(self.schema), self.row_list()),
-                dtype=np.bool_,
-                count=self._nrows,
-            )
-        return mask
-
-    def compress(self, keep) -> "ArrayRelation":
-        checkpoint("compress", self._nrows)
-        if keep.all():
-            return self
-        return self._take(keep)
 
     def distinct_count(self, attributes: Sequence[str]) -> int:
         """Distinct combined row codes (code equality is Python equality)."""

@@ -9,8 +9,8 @@ the alternative: a :class:`ColumnarRelation` stores the table as one
 sequence per attribute and implements the same operator set with
 vectorized passes —
 
-* selection filters one cached row view (no set rebuild: selections of a
-  distinct relation stay distinct);
+* selection is ``compress(predicate_mask(...))`` over column passes (no
+  set rebuild: selections of a distinct relation stay distinct);
 * projection and renaming are column slices; the column-copy projection
   of the choice-of translation (§5.2) is a single column alias, O(1)
   regardless of row count;
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import os
 from itertools import compress, repeat
-from operator import and_, itemgetter, not_, or_
+from operator import itemgetter, not_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.errors import EvaluationError, SchemaError
@@ -54,6 +54,7 @@ from repro.relational.predicates import (
     Const,
     Not,
     Or,
+    PadDefault,
     Predicate,
     _Boolean,
 )
@@ -386,10 +387,7 @@ class ColumnarRelation:
 
     def select(self, predicate: Predicate) -> "ColumnarRelation":
         checkpoint("select", self._nrows)
-        check = predicate.bind(self.schema)
-        return type(self)._from_rows(
-            self.schema, [row for row in self.row_list() if check(row)]
-        )
+        return self._keep(self._mask(predicate))
 
     def select_values(self, assignment: Mapping[str, object]) -> "ColumnarRelation":
         positions = self.schema.indices(assignment)
@@ -714,37 +712,53 @@ class ColumnarRelation:
         kept = [row for row in self.row_list() if row not in drop]
         return type(self)._deduped(self.schema, rewritten + kept)
 
-    # -- DML batch kernel ops (see Relation.predicate_mask) -----------------------
+    # -- selection and DML batch kernel ops (see Relation.predicate_mask) --------
     #
-    # Masks are lists of bools aligned with row_list(). Conditions run as
-    # one C-speed ``map(operator.<op>, column, …)`` per comparison, and
-    # the row-shaped ops (compress, rewrite, append) stay on the row view.
+    # ``select`` is ``compress(predicate_mask(...))`` under its own
+    # checkpoint. Masks are lists of bools; a comparison is one C-speed
+    # ``map(operator.<op>, left, right)`` over its Term.column operands.
 
     def predicate_mask(self, predicate: Predicate) -> list[bool]:
         checkpoint("predicate_mask", self._nrows)
+        return self._mask(predicate)
+
+    def _mask(self, predicate: Predicate):
+        """Column passes where they are exact, else the bound row closure."""
         mask = self._predicate_mask(predicate)
-        if mask is None:
-            mask = list(map(predicate.bind(self.schema), self.row_list()))
-        return mask
+        return self._row_mask(predicate) if mask is None else mask
+
+    def _row_mask(self, predicate: Predicate):
+        return list(map(predicate.bind(self.schema), self.row_list()))
 
     def _predicate_mask(self, predicate: Predicate):
         """Predicate → mask by column passes, or None for the row closure.
 
-        Covers comparisons of attributes and constants under and/or/not
-        and TRUE/FALSE. None of them can raise (a comparison that meets
-        mixed types is re-run row by row with the closure's
-        ``TypeError → False`` net), so evaluating both sides of and/or
-        is as good as short-circuiting. Other terms (arithmetic, PAD
-        defaults, scalar guards) return None.
+        Comparisons of attributes, constants, PAD defaults and
+        arithmetic under and/or/not and TRUE/FALSE keep the closure's
+        semantics: a comparison meeting mixed types re-runs under its
+        ``TypeError → False`` net; arithmetic streams row by row in the
+        closure's order, so the first error is the closure's; and/or
+        runs its right operand only on the rows the left one leaves
+        undecided. When both operands can raise, or a term has no
+        column form (scalar guards), this returns None.
         """
         if isinstance(predicate, Comparison):
             return self._compare_mask(predicate)
         if isinstance(predicate, (And, Or)):
+            if _may_raise(predicate.left) and _may_raise(predicate.right):
+                return None
             left = self._predicate_mask(predicate.left)
-            right = None if left is None else self._predicate_mask(predicate.right)
+            if left is None:
+                return None
+            conjunction = isinstance(predicate, And)
+            undecided = left if conjunction else list(map(not_, left))
+            right = self._keep(undecided)._predicate_mask(predicate.right)
             if right is None:
                 return None
-            return list(map(and_ if isinstance(predicate, And) else or_, left, right))
+            verdicts = iter(right)
+            if conjunction:
+                return [hit and next(verdicts) for hit in left]
+            return [hit or next(verdicts) for hit in left]
         if isinstance(predicate, Not):
             inner = self._predicate_mask(predicate.operand)
             return None if inner is None else list(map(not_, inner))
@@ -753,26 +767,31 @@ class ColumnarRelation:
         return None
 
     def _compare_mask(self, comparison: Comparison) -> list[bool] | None:
-        operands = []
-        for term in (comparison.left, comparison.right):
-            if isinstance(term, Const):
-                operands.append(repeat(term.value, self._nrows))
-            elif isinstance(term, Attr):
-                operands.append(self.column_values(term.name))
-            else:
-                return None
+        left = comparison.left.column(self)
+        right = None if left is None else comparison.right.column(self)
+        if right is None:
+            return None
         try:
-            return list(map(bool, map(_OPS[comparison.op], *operands)))
+            return list(map(_OPS[comparison.op], left, right))
         except TypeError:
             return list(map(comparison.bind(self.schema), self.row_list()))
 
     def compress(self, keep) -> "ColumnarRelation":
         checkpoint("compress", self._nrows)
+        return self._keep(keep)
+
+    def _keep(self, keep) -> "ColumnarRelation":
+        """The rows *keep* marks: the row list filtered, else each column."""
         if all(keep):
             return self
-        return type(self)._from_rows(
-            self.schema, list(compress(self.row_list(), keep))
-        )
+        if self._row_list is not None or not self._columns:
+            return type(self)._from_rows(
+                self.schema, list(compress(self.row_list(), keep))
+            )
+        distinct = {id(column): column for column in self._columns}
+        kept = {key: tuple(compress(column, keep)) for key, column in distinct.items()}
+        columns = tuple(kept[id(column)] for column in self._columns)
+        return type(self)._from_columns(self.schema, columns, len(columns[0]))
 
     def masked_assign(self, mask, settings) -> "ColumnarRelation":
         """Rewrite the masked rows; dedup only where a collision can be.
@@ -941,6 +960,21 @@ class ColumnarRelation:
 
 
 # -- kernel conversion boundary -----------------------------------------------------
+
+
+def _may_raise(predicate: Predicate) -> bool:
+    """Whether evaluating *predicate* can raise: it holds a term other
+    than an attribute, a constant or a PAD default."""
+    if isinstance(predicate, Comparison):
+        safe = (Attr, Const, PadDefault)
+        return not isinstance(predicate.left, safe) or not isinstance(
+            predicate.right, safe
+        )
+    if isinstance(predicate, (And, Or)):
+        return _may_raise(predicate.left) or _may_raise(predicate.right)
+    if isinstance(predicate, Not):
+        return _may_raise(predicate.operand)
+    return not isinstance(predicate, _Boolean)
 
 
 def as_columnar(relation: "Relation | ColumnarRelation") -> ColumnarRelation:

@@ -16,6 +16,7 @@ constants ``TRUE`` / ``FALSE``.
 from __future__ import annotations
 
 import operator
+from itertools import repeat
 from typing import Callable, Mapping
 
 from repro.errors import EvaluationError, SchemaError
@@ -62,13 +63,15 @@ class Term:
         """Vectorized evaluation: the term's value column over *relation*.
 
         *relation* is a columnar relation (duck-typed to avoid a module
-        cycle: anything with ``column_values``/``__len__``). Returns a
-        value sequence aligned with the relation's rows — equal,
+        cycle: anything with ``column_values``/``__len__``). Returns an
+        iterable, read once, aligned with the relation's rows — equal,
         element for element, to calling ``bind(relation.schema)`` on
         each row — or None when this term kind only evaluates row at a
-        time (then callers fall back to the bound function). The DML
-        ``scatter_update`` hot path uses this to rewrite a set clause
-        as one column slice instead of 10⁵ closure calls.
+        time (then callers fall back to the bound function). Arithmetic
+        streams lazily: zipped columns evaluate row by row in the bound
+        function's order and raise its first error. Columnar selection
+        and DML masks read comparison operands through this, and
+        ``_scatter`` rewrites a DML set clause as one column slice.
         """
         return None
 
@@ -123,7 +126,7 @@ class Const(Term):
         return lambda row: value
 
     def column(self, relation):
-        return [self.value] * len(relation)
+        return repeat(self.value, len(relation))
 
     def __repr__(self) -> str:
         return repr(self.value)
@@ -197,8 +200,7 @@ class Arith(Term):
         right = self.right.column(relation)
         if left is None or right is None:
             return None
-        op = self.op
-        return [arithmetic(op, a, b) for a, b in zip(left, right)]
+        return map(arithmetic, repeat(self.op), left, right)
 
     def __repr__(self) -> str:
         return f"({self.left!r}{self.op}{self.right!r})"

@@ -23,6 +23,7 @@ from repro.datagen.workloads import (
     census,
     census_blocks,
     company,
+    flights,
     lineitem,
 )
 from repro.inline.physical import PhysicalState
@@ -212,9 +213,10 @@ def test_array_what_if_plans_never_enter_the_row_path(name, monkeypatch):
     """The acquisition, TPC-H and census what-if selects run their
     joins, padded joins, selections and aggregates as array ops, and
     decode their answers by world fingerprints: the inherited row-path
-    operators, the shared Python fold and the per-world decode are never
-    entered. No column holding only ints and ⊥ — the repaired ids
-    above all — is ever an object array."""
+    operators, the selection's row-closure fallback, the shared Python
+    fold and the per-world decode are never entered. No column holding
+    only ints and ⊥ — the repaired ids above all — is ever an object
+    array."""
     from repro.relational import aggregates
     from repro.relational.array_kernel import ArrayRelation, _Column
     from repro.relational.columnar import ColumnarRelation
@@ -227,7 +229,7 @@ def test_array_what_if_plans_never_enter_the_row_path(name, monkeypatch):
         (ColumnarRelation, "aggregate_by"),
         (ColumnarRelation, "left_outer_join_padded"),
         (ColumnarRelation, "product"),
-        (ColumnarRelation, "select"),
+        (ArrayRelation, "_row_mask"),
         (aggregates, "aggregate_rows"),
         (PhysicalState, "answers_by_world"),
     ):
@@ -274,6 +276,92 @@ def test_array_what_if_plans_never_enter_the_row_path(name, monkeypatch):
     explicit = _what_if_session(name, "explicit")
     assert answers == explicit.run(WHAT_IF[name][1])[-1].answers()
     assert any(len(answer) for answer in answers)
+
+
+# -- the columnar kernel filters by column passes ------------------------------------
+
+#: name → (set-up script, statement): the point-read selects, the
+#: read-write update's match and the decorrelated TPC-H comparison.
+COLUMN_PASSES = {
+    "point Dep = ?": (
+        "",
+        "select certain Arr from HFlights where Dep = 'D1' choice of Dep;",
+    ),
+    "point Arr != ?": (
+        "",
+        "select certain Arr from HFlights where Arr != 'A0' choice of Dep;",
+    ),
+    "write Dep = ? and Arr = ?": (
+        "Itin <- select * from HFlights choice of Dep;",
+        "update Itin set Arr = 'MARK' where Dep = 'D1' and Arr = 'A0';",
+    ),
+    "tpch PadDefault - Revenue > c": (TPCH_SCRIPT, WHAT_IF["tpch"][1]),
+}
+
+
+def _column_pass_session(script: str, backend) -> ISQLSession:
+    session = ISQLSession(backend=backend)
+    session.register("HFlights", flights(6, 4, 3, seed=1))
+    session.register(
+        "Lineitem",
+        lineitem(
+            years=(2001, 2002, 2003), n_products=4, n_quantities=3,
+            rows_per_year=4, seed=1,
+        ),
+    )
+    if script:
+        session.run(script)
+    return session
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_PASSES))
+def test_columnar_selections_bind_no_row_closure(name, monkeypatch):
+    """On the columnar kernel these selections and matches run as
+    column passes: no comparison or conjunction is bound to a per-row
+    closure, and the answers are the explicit backend's."""
+    from repro.relational.predicates import And, Comparison
+
+    script, statement = COLUMN_PASSES[name]
+    session = _column_pass_session(script, InlineBackend(kernel="columnar"))
+    bound = []
+    for owner in (Comparison, And):
+        original = owner.bind
+
+        def counted(self, schema, original=original):
+            bound.append(self)
+            return original(self, schema)
+
+        monkeypatch.setattr(owner, "bind", counted)
+    ops = set()
+    with op_hook(lambda op, rows: ops.add(op)):
+        result = session.run(statement)[-1]
+    assert result.route == "inline"
+    assert ops & {"select", "predicate_mask"}
+    assert bound == []
+    monkeypatch.undo()
+    explicit = _column_pass_session(script, "explicit")
+    expected = explicit.run(statement)[-1]
+    if result.answer is None:
+        assert session.world_set == explicit.world_set
+    else:
+        assert result.answers() == expected.answers()
+
+
+def test_columnar_select_filters_column_only_inputs_by_column():
+    """A column-only relation (what ``copy_attribute`` returns) is
+    filtered column by column: its row list is never built, and an
+    aliased column stays one object."""
+    from repro.relational import as_columnar
+    from repro.relational.predicates import Const, eq, neq
+
+    base = flights(6, 4, 3, seed=1)
+    for predicate in (eq("Dep", Const("D1")), neq("Arr", Const("A0"))):
+        source = as_columnar(base).copy_attribute("Dep", "$Dep")
+        selected = source.select(predicate)
+        assert source._row_list is None and selected._row_list is None
+        assert selected.columns[0] is selected.columns[2]
+        assert 0 < len(selected) < len(source)
+        assert selected.project(("Dep", "Arr")) == base.select(predicate)
 
 
 #: A blocks-shaped DML batch: constant updates (the second meets kept

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from repro.errors import EvaluationError, SchemaError
 from repro.relational import ColumnarRelation, Relation, as_columnar, as_tuple
 from repro.relational.array_kernel import ArrayRelation, as_array, have_numpy
+from repro.relational.columnar import _transpose
+from repro.relational.guards import op_hook
 from repro.relational.pad import PAD
 from repro.relational.predicates import (
     FALSE,
@@ -138,7 +140,15 @@ PREDICATES = [
     neq(PadDefault("A", None), Const(1)),
     eq(Arith("+", PadDefault("A", None), Const(1)), "B"),
     And(ge("B", Const(1)), lt(Arith("/", Const(6), "B"), Const(4))),
+    # The right operand runs only on the rows the left one leaves
+    # undecided: 6/B never meets a zero B in the first, and in the
+    # second only numbers reach it, so its one error is a zero divisor.
+    Or(le("B", Const(0)), gt(Arith("/", Const(6), "B"), Const(1))),
+    Not(And(ge("B", Const(0)), lt(Arith("/", Const(6), "B"), Const(4)))),
 ]
+
+#: The selections that can raise only one error kind on any relation.
+EXACT = {PREDICATES[-1]}
 
 
 def _selected(relation, predicate):
@@ -192,7 +202,35 @@ ARITH_MESSAGES = {
 @settings(max_examples=60, deadline=None)
 @given(relation=relations(("A", "B")), index=st.integers(0, len(PREDICATES) - 1))
 def test_select_matches(convert, relation, index):
-    assert_same_selection(convert(relation), relation, PREDICATES[index])
+    predicate = PREDICATES[index]
+    in_kernel = convert(relation)
+    for view in (in_kernel, column_only(in_kernel)):
+        assert_same_selection(view, relation, predicate, exact=predicate in EXACT)
+
+
+def column_only(relation):
+    """*relation* rebuilt from its columns alone (the kernel relation
+    ``copy_attribute`` returns): no row list, no typed arrays."""
+    columns = _transpose(relation.row_list(), len(relation.schema))
+    return type(relation)._from_columns(relation.schema, columns, len(relation))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation=relations(("A", "B")), index=st.integers(0, len(PREDICATES) - 1))
+def test_select_fires_the_same_checkpoints_on_every_kernel(relation, index):
+    """One ``select`` checkpoint with the input's row count, on every
+    kernel and view, whether the selection returns or raises."""
+    predicate = PREDICATES[index]
+    inputs = [relation] + [
+        view
+        for convert in (p.values[0] for p in KERNEL_PARAMS)
+        for view in (convert(relation), column_only(convert(relation)))
+    ]
+    for source in inputs:
+        fired = []
+        with op_hook(lambda op, rows: fired.append((op, rows))):
+            _selected(source, predicate)
+        assert fired == [("select", len(relation))], (type(source), predicate)
 
 
 @for_each_kernel
@@ -892,6 +930,36 @@ def test_arithmetic_predicates_match_the_tuple_engine(convert, case):
     EvaluationError, with the same message (one error kind per case)."""
     relation, predicate = ARITH_EDGES[case]
     assert_same_selection(convert(relation), relation, predicate, exact=True)
+
+
+#: Operands that raise different errors on different rows: only
+#: evaluation row by row, in the bound closure's order, raises its error.
+ORDERED_ERRORS = [
+    lt(Arith("/", Const(6), "A"), Arith("-", "B", Const(1))),
+    gt(Arith("+", Arith("/", Const(6), "A"), "B"), Const(0)),
+    Not(eq(Arith("-", PadDefault("B", None), Const(1)), Arith("/", Const(6), "A"))),
+    And(
+        gt(Arith("/", Const(6), "A"), Const(0)),
+        lt(Arith("-", "B", Const(1)), Const(9)),
+    ),
+]
+
+
+@for_each_kernel_cls
+@pytest.mark.parametrize("index", range(len(ORDERED_ERRORS)))
+def test_first_error_is_the_row_closures(kernel_cls, index):
+    """A kernel raises the error the closure meets first over its rows,
+    in either row order — not the first error of a whole operand."""
+    predicate = ORDERED_ERRORS[index]
+    rows = [(1, 2), (2, "x"), (3, PAD), (0, 3)]
+    for ordered in (rows, rows[::-1]):
+        in_kernel = kernel_cls._from_rows(Schema(("A", "B")), ordered)
+        with pytest.raises(EvaluationError) as expected:
+            list(map(predicate.bind(in_kernel.schema), ordered))
+        for path in (in_kernel.select, in_kernel.predicate_mask):
+            with pytest.raises(EvaluationError) as raised:
+                path(predicate)
+            assert str(raised.value) == str(expected.value), (ordered, predicate)
 
 
 #: name → a key array for the sort-based (wide-domain) grouping path.
