@@ -327,13 +327,15 @@ class InlineBackend(Backend):
         return self._decoded
 
     def close(self) -> None:
-        """Drop decoded worlds and per-relation cached state.
+        """Drop decoded worlds and detach from the statement cache.
 
-        The inlined representation itself is kept — it *is* the session
-        state — but hash indexes, cached hashes, and columnar twins of
-        its tables (and of the world table) rebuild on demand. The
-        fallback-event log is dropped too; it exists for diagnostics of
-        statements already executed.
+        The inlined representation is kept as it is — it *is* the
+        session state — and so are its tables' kernel twins: pool
+        siblings share the tables by reference, so a twin lives exactly
+        as long as its relation, and one retired connection does not
+        make every sibling convert again. The fallback-event log is
+        dropped; it exists for diagnostics of statements already
+        executed.
 
         The statement cache is **detached**, not cleared: a retired
         session must stop pinning memoized relations, but when the
@@ -349,17 +351,6 @@ class InlineBackend(Backend):
                 memo_entries=self.cache.memo.maxsize,
                 parse_entries=self.cache.parses.maxsize,
             )
-        rep = self.representation
-        for _, relation in rep.tables.items():
-            relation.clear_caches()
-        if rep.factors is not None:
-            # Never *materialize* the joint table just to clear it.
-            for factor in rep.factors.factors:
-                factor.clear_caches()
-            if rep._world_table is not None:
-                rep._world_table.clear_caches()
-        else:
-            rep.world_table.clear_caches()
 
     def _commit(self, representation: InlinedRepresentation) -> None:
         self.representation = representation

@@ -637,13 +637,15 @@ class ISQLSession:
     def close(self) -> None:
         """Release cached derived state held by this session.
 
-        Clears the backend's per-relation hash indexes, cached hashes,
-        columnar twins and decoded world-sets, plus the process-global
+        Clears the backend's decoded world-sets and the process-global
         row intern pool, so long-lived multi-session processes do not
-        accumulate state from sessions they are done with. The backend
-        also *detaches* from its statement cache (dropping this
+        accumulate state from sessions they are done with. The inline
+        backend also *detaches* from its statement cache (dropping this
         session's reference to memoized relations without clearing a
-        pool-shared instance under its siblings). The session stays
+        pool-shared instance under its siblings) and keeps its tables'
+        kernel twins, which pool siblings share by reference; the
+        explicit backend clears its worlds' per-relation caches. The
+        session stays
         usable afterwards — every cache rebuilds on demand; the
         registered relations and the possible-worlds state are kept.
 

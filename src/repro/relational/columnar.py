@@ -25,7 +25,14 @@ Distinctness is an invariant, not a per-operator pass: every public
 preserve distinctness (selection, renaming, column copies, hash joins
 of distinct operands, set differences) skip deduplication entirely.
 Only projection onto a proper attribute subset and union pay one
-``dict.fromkeys`` pass.
+``dict.fromkeys`` pass — and a projection that drops only aliases of
+kept columns (the world id of a ``choice of`` is its value column) is
+zero-copy. Filters (``compress``) and updates (``masked_assign``) keep
+column identity: each distinct column object is compressed once, and
+an update rebuilds only the columns it writes, sharing the rest by
+object. A committed table therefore keeps its aliases from one
+statement to the next, and the read after an update still projects
+without deduplicating.
 
 Which engine runs is a process-wide switch: ``REPRO_KERNEL=columnar``
 (the default) or ``REPRO_KERNEL=tuple`` keeps the original tuple-at-a-
@@ -65,7 +72,6 @@ from repro.relational.relation import (
     broadcast_rows,
     check_join_pairs_cover_shared,
     oriented_equality_pairs,
-    row_rewriter,
     tuple_getter,
     written_constant,
 )
@@ -781,10 +787,14 @@ class ColumnarRelation:
         return self._keep(keep)
 
     def _keep(self, keep) -> "ColumnarRelation":
-        """The rows *keep* marks: the row list filtered, else each column."""
+        """The rows *keep* marks: each column compressed, else the row list.
+
+        Each distinct column object is compressed once, so aliased
+        columns (a ``copy_attribute`` world id) stay one object.
+        """
         if all(keep):
             return self
-        if self._row_list is not None or not self._columns:
+        if not self._columns:
             return type(self)._from_rows(
                 self.schema, list(compress(self.row_list(), keep))
             )
@@ -794,30 +804,55 @@ class ColumnarRelation:
         return type(self)._from_columns(self.schema, columns, len(columns[0]))
 
     def masked_assign(self, mask, settings) -> "ColumnarRelation":
-        """Rewrite the masked rows; dedup only where a collision can be.
+        """Rewrite the masked rows column by column; dedup only where a
+        collision can be.
 
-        Kept rows are distinct already, so only a rewritten row can
-        collide — with another rewritten row, or with a kept row that
-        already holds the constant the update writes (set membership,
-        which tuple equality implies). One pass over that column finds
-        those kept rows, and only they and the rewritten rows are hashed.
+        Only the columns the settings write are rebuilt, one pass each.
+        Every other column is shared by object, a world id and the
+        column it aliases included; a written column splits off from
+        its aliases. Kept rows are distinct already, so only a rewritten
+        row can collide: with another rewritten row, or with a kept row
+        holding a rewritten row's value in every column. One pass over a
+        probe column — the written constant's, else the first — finds
+        the rows holding such a value; only they are hashed, and the
+        later of two equal rows is dropped through :meth:`_keep`.
         """
         checkpoint("masked_assign", self._nrows)
-        if not any(mask):
+        hits = _indices_of(mask, True)
+        if not hits:
             return self
-        rows = self.row_list()
-        rewritten = dict.fromkeys(map(row_rewriter(settings), compress(rows, mask)))
-        kept = list(compress(rows, map(not_, mask)))
-        clash = kept
+        old = self.columns
+        columns = list(old)
+        final = {position: (kind, payload) for position, kind, payload in settings}
+        for position, (kind, payload) in final.items():
+            column = list(old[position])
+            if kind == "const":
+                for i in hits:
+                    column[i] = payload
+            else:
+                source = old[payload]
+                for i in hits:
+                    column[i] = source[i]
+            columns[position] = tuple(column)
+        result = type(self)._from_columns(self.schema, columns, self._nrows)
         written = written_constant(settings)
-        if written is not None:
-            position, value = written
-            holds = map({value}.__contains__, map(itemgetter(position), kept))
-            clash = compress(kept, holds)
-        clash = set(clash)
-        return type(self)._from_rows(
-            self.schema, kept + [row for row in rewritten if row not in clash]
-        )
+        probe = columns[0 if written is None else written[0]]
+        values = {probe[i] for i in hits}
+        if len(values) == 1:
+            candidates = _indices_of(probe, *values)
+        else:
+            candidates = list(
+                compress(range(self._nrows), map(values.__contains__, probe))
+            )
+        gather = tuple_getter(candidates)
+        rows = list(zip(*map(gather, columns)))
+        if len(set(rows)) == len(rows):
+            return result
+        first = dict(zip(reversed(rows), reversed(candidates)))
+        keep = [True] * self._nrows
+        for i in set(candidates).difference(first.values()):
+            keep[i] = False
+        return result._keep(keep)
 
     def append_broadcast(self, template, id_positions, id_rows) -> "ColumnarRelation":
         if not id_rows:
@@ -975,6 +1010,20 @@ def _may_raise(predicate: Predicate) -> bool:
     if isinstance(predicate, Not):
         return _may_raise(predicate.operand)
     return not isinstance(predicate, _Boolean)
+
+
+def _indices_of(column: Sequence, value: object) -> list[int]:
+    """The positions of *column* holding *value*: C-speed ``index`` scans,
+    one call per hit."""
+    found: list[int] = []
+    index = column.index
+    start = 0
+    try:
+        while True:
+            start = index(value, start) + 1
+            found.append(start - 1)
+    except ValueError:
+        return found
 
 
 def as_columnar(relation: "Relation | ColumnarRelation") -> ColumnarRelation:

@@ -256,11 +256,13 @@ class Relation:
     def clear_caches(self) -> None:
         """Drop the lazily built hash indexes, hash, and kernel twins.
 
-        All three are rebuilt on demand; a long-lived session calls this
-        through ``ISQLSession.close()`` to release derived state held by
-        relations that stay reachable (registered base tables). A
-        lazily committed row set materializes first — the twins being
-        dropped are what it would have read through.
+        All three are rebuilt on demand. The explicit backend's
+        ``close()`` calls this on the relations of its materialized
+        worlds; the inline backend does not, because pool siblings
+        share its tables by reference and clearing would make each of
+        them convert again. A lazily committed row set materializes
+        first — the twins being dropped are what it would have read
+        through.
         """
         if self._rows is None:
             _ = self.rows

@@ -47,7 +47,9 @@ Module constants per PEP 249: ``apilevel = "2.0"``,
 each thread its own connection; pooled connections additionally pin
 their session to the acquiring thread), ``paramstyle = "qmark"``
 (literal substitution at the text layer; the I-SQL lexer has no quote
-escapes, so string parameters must not contain ``'``).
+escapes, so string parameters must not contain ``'``; floats render in
+positional notation, which reads back as the same float, and inf or
+nan raise :exc:`NotSupportedError`).
 
 The exception hierarchy is PEP 249's, rooted so that
 ``Error`` **is a** :class:`~repro.errors.ReproError`: the library-wide
@@ -56,6 +58,9 @@ The exception hierarchy is PEP 249's, rooted so that
 """
 
 from __future__ import annotations
+
+import math
+from decimal import Decimal
 
 from repro import errors as _errors
 from repro.datagen.workloads import Scenario, scenarios
@@ -146,8 +151,15 @@ def _mapped(error: _errors.ReproError) -> Error:
 def _render_literal(value: object) -> str:
     if isinstance(value, bool):
         raise NotSupportedError("I-SQL has no boolean literals")
-    if isinstance(value, (int, float)):
+    if isinstance(value, int):
         return repr(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NotSupportedError("I-SQL has no literal for inf or nan")
+        # Positional digits of the shortest round-trip repr (the lexer
+        # reads no exponent), with a dot so the literal stays a float.
+        text = format(Decimal(repr(value)), "f")
+        return text if "." in text else text + ".0"
     if isinstance(value, str):
         if "'" in value:
             raise DataError(

@@ -1,15 +1,15 @@
 """Session resource hygiene: close() releases caches, keeps state.
 
 Long-lived processes run many sessions; the row intern pool and the
-per-relation caches (hash indexes, cached hashes, columnar twins) must
-be clearable without invalidating the session. ``ISQLSession`` is also
-a context manager closing on exit.
+statement cache must be releasable without invalidating the session,
+while the kernel twins of tables that pool siblings share stay put.
+``ISQLSession`` is also a context manager closing on exit.
 """
 
 import pytest
 
-from repro import ISQLSession
-from repro.relational import Relation, as_columnar
+from repro import InlineBackend, ISQLSession, SessionPool
+from repro.relational import ColumnarRelation, Relation
 from repro.relational import relation as relation_module
 
 
@@ -36,20 +36,43 @@ def test_close_clears_caches_and_session_stays_usable(backend, flights):
     session.close()  # idempotent
 
 
-def test_close_drops_relation_level_caches(flights):
-    session = ISQLSession(backend="inline")
+def test_retired_pool_connection_keeps_siblings_kernel_twins(flights, monkeypatch):
+    """Retiring one pooled connection leaves the tables its siblings
+    share by reference in kernel form: no sibling converts again."""
+    session = ISQLSession(backend=InlineBackend(kernel="columnar"))
     session.register("Flights", flights)
-    session.query("select possible Arr from Flights choice of Dep;")
-    # Warm the caches the hot path builds on the registered relation.
-    flights._index(flights.schema.indices(("Dep",)))
-    as_columnar(flights)
-    hash(flights)
-    assert flights._indexes and flights._columnar is not None
-    assert flights._hash is not None
-    session.close()
-    assert flights._indexes == {}
-    assert flights._columnar is None
-    assert flights._hash is None
+    session.run("Itin <- select * from Flights choice of Dep;")
+    pool = SessionPool(session, size=2, max_idle=0)
+    read = "select certain Arr from Itin where Arr != 'BCN';"
+    retiring = pool.acquire()
+    first = retiring.execute(read).fetchall()
+    sibling = pool.acquire()
+    table = sibling.session.backend.representation.tables["Itin"]
+    twin = table._columnar
+    assert twin is not None
+    shared_cache = sibling.session.backend.cache
+    assert retiring.session.backend.cache is shared_cache
+    relation_module.intern_row(("warm", "pool"))
+    pool.release(retiring)  # max_idle=0: the connection retires
+    assert retiring._closed
+    # Close detaches the retired session from the pool-wide cache and
+    # empties the intern pool ...
+    assert retiring.session.backend.cache is not shared_cache
+    assert sibling.session.backend.cache is shared_cache
+    assert relation_module._INTERNED == {}
+    # ... but the sibling's table keeps its kernel twin.
+    assert table._columnar is twin
+    conversions = []
+    convert = ColumnarRelation.from_relation
+    monkeypatch.setattr(
+        ColumnarRelation,
+        "from_relation",
+        staticmethod(lambda relation: conversions.append(relation) or convert(relation)),
+    )
+    assert sibling.execute(read).fetchall() == first
+    assert conversions == []
+    pool.release(sibling)
+    pool.close()
 
 
 def test_session_context_manager_closes(flights):

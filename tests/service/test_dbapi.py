@@ -9,6 +9,9 @@ and the snapshot-isolation surface (``pin_snapshot``).
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from repro.errors import ReproError
@@ -172,6 +175,47 @@ def test_unrepresentable_parameters(conn):
         conn.execute("select possible K from T where V = ?;", (True,))
     with pytest.raises(dbapi.InterfaceError):
         conn.execute("select possible K from T where V = ?;", (object(),))
+
+
+FLOAT_EDGES = (
+    1e-05, 1e16, -1e-05, 5e-324, 1.7976931348623157e308, 0.1, -0.0, 1e22, 2.5e-7,
+)
+
+
+def _random_floats(count: int) -> list[float]:
+    rng = random.Random(7)
+    drawn = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-40, 40) for _ in range(count)]
+    return list(FLOAT_EDGES) + drawn + [rng.random() for _ in range(count)]
+
+
+def test_float_parameters_round_trip_as_floats():
+    """A float parameter reads back as the same float, still a float:
+    exponent notation would not lex, and an integral float must not
+    turn into an int literal."""
+    from repro.isql.parser import parse_statement
+    from repro.service.dbapi import _substitute
+
+    for value in _random_floats(400):
+        statement = parse_statement(
+            _substitute("select possible K from T where V = ?;", (value,))
+        )
+        parsed = statement.where.right.value
+        assert type(parsed) is float, (value, parsed)
+        assert parsed == value and math.copysign(1, parsed) == math.copysign(1, value)
+
+
+def test_float_parameters_select_their_rows():
+    values = _random_floats(40)
+    session = ISQLSession(backend="inline")
+    session.register("F", Relation(("A", "inf", "nan"), [(v, 0, 0) for v in values]))
+    connection = connect(session)
+    for value in values:
+        cursor = connection.execute("select possible A from F where A = ?;", (value,))
+        assert cursor.fetchall() == [(value,)]
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(dbapi.NotSupportedError):
+            connection.execute("select possible A from F where A = ?;", (value,))
+    connection.close()
 
 
 # -- error mapping -----------------------------------------------------------------

@@ -13,9 +13,11 @@ import threading
 
 import pytest
 
+from repro.backend import InlineBackend
+from repro.datagen import flights
 from repro.errors import OwnershipError
 from repro.isql import ISQLSession
-from repro.relational import Relation
+from repro.relational import ColumnarRelation, Relation
 from repro.service import SessionPool, dbapi
 
 
@@ -293,3 +295,52 @@ def test_pool_cache_escape_hatch():
     info = pool.cache_info()
     assert info.hits == 0 and info.entries == 0
     pool.close()
+
+
+def test_split_table_reads_keep_the_world_id_alias(monkeypatch):
+    """On a pooled split table, a committed update and the pool's probe
+    close keep the world id an alias of Dep, so the certain read
+    projects onto (Arr, id) without a deduplication pass."""
+    relation = flights(24, 8, 3, seed=3)
+    departures = sorted({dep for dep, _ in relation.rows})
+    # A hub every departure reaches keeps the certain answer non-empty.
+    relation = Relation(
+        relation.schema, list(relation.rows) + [(dep, "HUB") for dep in departures]
+    )
+    dep, arr = min(row for row in relation.rows if row[1] != "HUB")
+    sql = (
+        ("update Itin set Arr = ? where Dep = ? and Arr = ?;", ("MARK", dep, arr)),
+        ("select certain Arr from Itin where Arr != ?;", (arr,)),
+    )
+    deduped: list[int] = []
+    dedup = ColumnarRelation._deduped.__func__
+
+    def counted(cls, schema, rows):
+        result = dedup(cls, schema, rows)
+        deduped.append(len(result))
+        return result
+
+    monkeypatch.setattr(ColumnarRelation, "_deduped", classmethod(counted))
+    answers = {}
+    for name, backend in (
+        ("inline", InlineBackend(kernel="columnar")),
+        ("explicit", "explicit"),
+    ):
+        session = ISQLSession(backend=backend)
+        session.register("HFlights", relation)
+        session.run("Itin <- select * from HFlights choice of Dep;")
+        deduped.clear()  # the set-up's projection onto the choices
+        pool = SessionPool(session, size=1, autocommit=True)
+        observed = []
+        for statement, params in sql:
+            with pool.connection() as connection:
+                cursor = connection.execute(statement, params)
+                observed.append(
+                    cursor.fetchall() if cursor.description else cursor.applied
+                )
+        pool.close()
+        answers[name] = observed
+        if name == "inline":
+            assert max(deduped, default=0) <= 4
+    assert answers["inline"] == answers["explicit"]
+    assert answers["inline"][1] == [("HUB",)]
