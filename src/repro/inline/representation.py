@@ -36,7 +36,7 @@ counting, DML) operate factor by factor and never build it.
 
 from __future__ import annotations
 
-from itertools import count, product
+from itertools import chain, count, product
 from typing import Iterable, Mapping
 
 from repro.errors import RepresentationError
@@ -47,8 +47,9 @@ from repro.relational.columnar import (
     tuples_of,
 )
 from repro.relational.database import Database
+from repro.relational.guards import checkpoint
 from repro.relational.pad import PAD, row_sort_key
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, tuple_getter
 from repro.relational.schema import Schema, is_id_attribute
 from repro.worlds.world import World
 from repro.worlds.worldset import WorldSet
@@ -477,7 +478,12 @@ class InlinedRepresentation:
         return self.world_table.distinct_values(self.id_attrs)
 
     def world(self, world_id: tuple) -> World:
-        """Decode the world with identifier *world_id*."""
+        """Decode the world with identifier *world_id*.
+
+        One ``decode`` kernel op per world, fed with the decoded row
+        count, so a statement's row budget bounds a world-by-world
+        decode (the fallback route's) like any other kernel work.
+        """
         assignment = dict(zip(self.id_attrs, world_id))
         relations = []
         for name, table in self.tables.items():
@@ -486,8 +492,10 @@ class InlinedRepresentation:
             wild = set(self.table_wild_attrs(name))
             if not wild:
                 restriction = {a: assignment[a] for a in table_ids}
+                selected = table.select_values(restriction).rows
+                value_of = tuple_getter(table.schema.indices(values))
                 relations.append(
-                    (name, table.select_values(restriction).project(values))
+                    (name, Relation._raw(Schema(values), map(value_of, selected)))
                 )
                 continue
             want = tuple(assignment[a] for a in table_ids)
@@ -503,18 +511,32 @@ class InlinedRepresentation:
                 )
             }
             relations.append((name, Relation._raw(Schema(values), list(rows))))
+        checkpoint("decode", sum(len(relation) for _, relation in relations))
         return World.of(relations)
 
     def rep(self) -> WorldSet:
         """rep(T): the represented world-set (Definition 5.1).
 
         Equivalent worlds stored under different ids collapse, since
-        world-sets are sets.
+        world-sets are sets. World ids stream unsorted; a factored world
+        walks the product of its factors without materializing it, so
+        the first world decodes (and meets the row budget) at once.
         """
         signature = tuple(
             (name, Schema(self.value_attributes(name))) for name in self.tables
         )
-        return WorldSet((self.world(w) for w in self.world_ids()), signature)
+        if self.factors is None:
+            ids = tuples_of(self.world_table, self.id_attrs)
+        else:
+            factors = self.factors.factors
+            reorder = tuple_getter(
+                tuple(self.factors.ids.index(a) for a in self.id_attrs)
+            )
+            ids = (
+                reorder(tuple(chain.from_iterable(parts)))
+                for parts in product(*(f.rows for f in factors))
+            )
+        return WorldSet(map(self.world, ids), signature)
 
     # -- views ----------------------------------------------------------------------
 

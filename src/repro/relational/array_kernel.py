@@ -1301,6 +1301,10 @@ class ArrayRelation(ColumnarRelation):
     def _row_mask(self, predicate: Predicate):
         return np.array(super()._row_mask(predicate), dtype=np.bool_)
 
+    def _indexed_hits(self, predicate: Predicate) -> None:
+        # Equality selections stay one numpy pass over cached codes.
+        return None
+
     def _keep(self, keep) -> "ArrayRelation":
         return self if keep.all() else self._take(keep)
 

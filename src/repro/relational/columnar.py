@@ -10,7 +10,8 @@ sequence per attribute and implements the same operator set with
 vectorized passes —
 
 * selection is ``compress(predicate_mask(...))`` over column passes (no
-  set rebuild: selections of a distinct relation stay distinct);
+  set rebuild: selections of a distinct relation stay distinct), and
+  ``Attr = Const`` on a committed table is one hash-index probe;
 * projection and renaming are column slices; the column-copy projection
   of the choice-of translation (§5.2) is a single column alias, O(1)
   regardless of row count;
@@ -33,6 +34,23 @@ an update rebuilds only the columns it writes, sharing the rest by
 object. A committed table therefore keeps its aliases from one
 statement to the next, and the read after an update still projects
 without deduplicating.
+
+A committed table also keeps hash indexes. A relation is *resident*
+when it is paired with a tuple-engine :class:`Relation`: the twin that
+:func:`as_columnar` caches on a session table, or a result handed back
+through :meth:`ColumnarRelation.to_relation` when a statement commits
+it. The first ``Attr = Const`` selection or DML match on a resident
+relation (or on a rename of one, which shares its indexes) builds the
+column's index, value → ascending row positions, through the same
+``_index`` partition that ``select_values`` and the hash joins use;
+later statements probe it. Intermediate relations never build one, so
+a one-shot plan pays only its column passes. ``masked_assign`` hands
+its result a new dict with the indexes on unwritten columns when it
+drops no row, so an update of one column keeps the others indexed and
+the parent, which a rollback or a pool sibling may still hold, is left
+as it was. ``compress``, ``append_broadcast`` and every other operator
+start their results without indexes. The array kernel keeps its numpy
+masks.
 
 Which engine runs is a process-wide switch: ``REPRO_KERNEL=columnar``
 (the default) or ``REPRO_KERNEL=tuple`` keeps the original tuple-at-a-
@@ -183,6 +201,7 @@ class ColumnarRelation:
         "_indexes",
         "_twin",
         "_hash",
+        "_resident",
     )
 
     def __init__(self, schema: Schema | Sequence[str], rows: Iterable[object] = ()) -> None:
@@ -197,6 +216,7 @@ class ColumnarRelation:
         self._indexes: dict[tuple[int, ...], dict[tuple, list[int]]] = {}
         self._twin: Relation | None = None
         self._hash: int | None = None
+        self._resident = False
 
     # -- trusted constructors ------------------------------------------------
 
@@ -211,6 +231,7 @@ class ColumnarRelation:
         relation._indexes = {}
         relation._twin = None
         relation._hash = None
+        relation._resident = False
         return relation
 
     @classmethod
@@ -249,6 +270,7 @@ class ColumnarRelation:
         columnar = ColumnarRelation._from_rows(relation.schema, list(relation.rows))
         columnar._rowset = relation.rows
         columnar._twin = relation
+        columnar._resident = True
         return columnar
 
     def to_relation(self) -> Relation:
@@ -261,6 +283,7 @@ class ColumnarRelation:
                 twin = Relation._from_kernel(self.schema)
             twin._columnar = self
             self._twin = twin
+            self._resident = True
         return self._twin
 
     # -- the two cached views -------------------------------------------------
@@ -314,7 +337,13 @@ class ColumnarRelation:
         return map(itemgetter(position), self._row_list)
 
     def _index(self, positions: tuple[int, ...]) -> dict[tuple, list[int]]:
-        """Hash partition: key sub-tuple → row indices (cached)."""
+        """Hash partition: key sub-tuple → ascending row indices (cached).
+
+        Built into a local dict and published whole, so a thread reading
+        ``_indexes`` (pool siblings share committed tables) never sees a
+        partial index; two threads building at once each get a complete
+        one, and the later publish wins.
+        """
         cached = self._indexes.get(positions)
         if cached is None:
             attributes = tuple(self.schema[p] for p in positions)
@@ -328,9 +357,25 @@ class ColumnarRelation:
             self._indexes[positions] = cached
         return cached
 
+    def _hits(self, positions: tuple[int, ...], key: tuple) -> list[int]:
+        """The ascending positions of the rows whose *positions* sub-tuple
+        is *key*: one index probe (the caller must not mutate the list)."""
+        return self._index(positions).get(key, [])
+
     def _gather(self, indices: Sequence[int]) -> "ColumnarRelation":
-        rows = self.row_list()
-        return type(self)._from_rows(self.schema, [rows[i] for i in indices])
+        """The rows at *indices*, in that order (see :meth:`_per_column`)."""
+        if not self._columns:
+            rows = self.row_list()
+            return type(self)._from_rows(self.schema, [rows[i] for i in indices])
+        return self._per_column(lambda column: tuple(map(column.__getitem__, indices)))
+
+    def _per_column(self, transform) -> "ColumnarRelation":
+        """*transform* applied to each distinct column object once, so
+        aliased columns (a ``copy_attribute`` world id) stay one object."""
+        distinct = {id(column): column for column in self._columns}
+        done = {key: transform(column) for key, column in distinct.items()}
+        columns = tuple(done[id(column)] for column in self._columns)
+        return type(self)._from_columns(self.schema, columns, len(columns[0]))
 
     # -- container protocol ---------------------------------------------------
 
@@ -393,12 +438,14 @@ class ColumnarRelation:
 
     def select(self, predicate: Predicate) -> "ColumnarRelation":
         checkpoint("select", self._nrows)
-        return self._keep(self._mask(predicate))
+        hits = self._indexed_hits(predicate)
+        if hits is None:
+            return self._keep(self._mask(predicate))
+        return self._gather(hits)
 
     def select_values(self, assignment: Mapping[str, object]) -> "ColumnarRelation":
         positions = self.schema.indices(assignment)
-        key = tuple(assignment.values())
-        return self._gather(self._index(positions).get(key, ()))
+        return self._gather(self._hits(positions, tuple(assignment.values())))
 
     def project(self, attributes: Sequence[str]) -> "ColumnarRelation":
         checkpoint("project", self._nrows)
@@ -439,6 +486,7 @@ class ColumnarRelation:
         relation._row_list = source._row_list
         relation._rowset = source._rowset
         relation._indexes = source._indexes
+        relation._resident = source._resident
         return relation
 
     def rename(self, mapping: Mapping[str, str]) -> "ColumnarRelation":
@@ -726,7 +774,52 @@ class ColumnarRelation:
 
     def predicate_mask(self, predicate: Predicate) -> list[bool]:
         checkpoint("predicate_mask", self._nrows)
-        return self._mask(predicate)
+        hits = self._indexed_hits(predicate)
+        if hits is None:
+            return self._mask(predicate)
+        mask = [False] * self._nrows
+        for i in hits:
+            mask[i] = True
+        return mask
+
+    def _indexed_hits(self, predicate: Predicate) -> list[int] | None:
+        """The ascending positions of the rows satisfying *predicate*,
+        read from a hash index, or None for the column-pass mask.
+
+        Serves ``Attr = Const`` in either orientation, and an ``and``
+        whose left conjunct it serves: the right conjunct then runs on
+        the index's rows alone, in row order, so its first error is the
+        row closure's. Any relation probes the indexes it holds; only a
+        resident one (see the module docstring) builds one here. A
+        constant that is not equal to itself (NaN) falls back to the
+        mask: a dict probe matches by identity first, where ``==`` is
+        False.
+        """
+        if isinstance(predicate, And):
+            hits = self._indexed_hits(predicate.left)
+            if not hits:
+                return hits
+            verdicts = self._gather(hits)._mask(predicate.right)
+            return list(compress(hits, verdicts))
+        if not (isinstance(predicate, Comparison) and predicate.op == "="):
+            return None
+        attr, const = predicate.left, predicate.right
+        if isinstance(const, Attr):
+            attr, const = const, attr
+        if not (isinstance(attr, Attr) and isinstance(const, Const)):
+            return None
+        value = const.value
+        try:
+            if value != value:
+                return None
+            key = (value,)
+            hash(key)
+        except TypeError:
+            return None
+        positions = (self.schema.index(attr.name),)
+        if positions not in self._indexes and not self._resident:
+            return None
+        return self._hits(positions, key)
 
     def _mask(self, predicate: Predicate):
         """Column passes where they are exact, else the bound row closure."""
@@ -798,10 +891,7 @@ class ColumnarRelation:
             return type(self)._from_rows(
                 self.schema, list(compress(self.row_list(), keep))
             )
-        distinct = {id(column): column for column in self._columns}
-        kept = {key: tuple(compress(column, keep)) for key, column in distinct.items()}
-        columns = tuple(kept[id(column)] for column in self._columns)
-        return type(self)._from_columns(self.schema, columns, len(columns[0]))
+        return self._per_column(lambda column: tuple(compress(column, keep)))
 
     def masked_assign(self, mask, settings) -> "ColumnarRelation":
         """Rewrite the masked rows column by column; dedup only where a
@@ -816,6 +906,10 @@ class ColumnarRelation:
         probe column — the written constant's, else the first — finds
         the rows holding such a value; only they are hashed, and the
         later of two equal rows is dropped through :meth:`_keep`.
+
+        When no row is dropped, the hash indexes on unwritten columns
+        carry over to the result (a new dict); a dropped row shifts
+        positions, so then the result starts without indexes.
         """
         checkpoint("masked_assign", self._nrows)
         hits = _indices_of(mask, True)
@@ -847,6 +941,14 @@ class ColumnarRelation:
         gather = tuple_getter(candidates)
         rows = list(zip(*map(gather, columns)))
         if len(set(rows)) == len(rows):
+            # No row dropped: every index off the written columns still
+            # holds. The result gets its own dict — the parent stays as
+            # it was for a rollback and for the pool siblings sharing it.
+            result._indexes = {
+                positions: index
+                for positions, index in self._indexes.copy().items()
+                if final.keys().isdisjoint(positions)
+            }
             return result
         first = dict(zip(reversed(rows), reversed(candidates)))
         keep = [True] * self._nrows

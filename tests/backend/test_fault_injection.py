@@ -107,9 +107,13 @@ def test_statement_sweep_leaves_prestatement_state(label, backend, name):
         before_views = dict(session.views)
         # Dry-count the statement's op boundaries, then undo it: the
         # savepoint machinery is both the tool and part of what is
-        # under test here.
+        # under test here. The count is taken on a replay: a first run
+        # may fill a cache the representation keeps (a factored world's
+        # joint table), and every injected run below replays warm.
         mark = session.savepoint()
         with no_dml_batches(session):
+            session.run(text)
+            session.rollback_to(mark)
             total = count_ops(lambda: session.run(text))
         session.rollback_to(mark)
         session.release(mark)
@@ -203,8 +207,10 @@ def test_query_sweep_leaves_state_untouched(label, backend, name):
     if scenario.script:
         session.run(scenario.script)
     before = session.world_set
-    total = count_ops(lambda: session.query(scenario.query))
+    # The reference run first: it fills the caches the representation
+    # keeps (a factored world's joint table), so the count is a replay's.
     reference = session.query(scenario.query).answers()
+    total = count_ops(lambda: session.query(scenario.query))
     for at in sweep_points(total, _limit(3)):
         with inject_fault(at) as counter:
             with pytest.raises(EvaluationError) as info:

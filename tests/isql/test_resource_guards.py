@@ -6,8 +6,11 @@ the session afterwards sits exactly at its last commit and keeps
 working — raise the budget (or drop it) and the same statement runs.
 """
 
+import time
+
 import pytest
 
+from repro.datagen import census
 from repro.errors import EvaluationError, ResourceLimitError
 from repro.isql.session import ISQLSession
 from repro.relational import Relation
@@ -115,3 +118,18 @@ def test_resource_limit_is_catchable_as_evaluation_error(flights):
     session = _session("inline", flights, max_rows=1)
     with pytest.raises(EvaluationError):
         session.query("select certain Arr from Flights choice of Dep;")
+
+
+def test_budget_stops_a_fallback_decode_of_many_worlds():
+    """A misspelt column sends the select to the fallback route, which
+    decodes every world. Each decoded world is a ``decode`` kernel op,
+    so a row budget stops a 2^20-world decode after a few worlds."""
+    session = ISQLSession(backend="inline", max_rows=10_000)
+    session.register("Census", census(24, duplicate_rate=0.7, seed=11))
+    session.run("Clean <- select * from Census repair by key SSN;")
+    assert session.backend.representation.world_count() >= 2**20
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as info:
+        session.query("select certain SSNN from Clean;")
+    assert time.perf_counter() - started < 1.0
+    assert "'decode'" in str(info.value)

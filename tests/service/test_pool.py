@@ -9,6 +9,7 @@ while a writer runs a DML batch on another pooled connection.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -344,3 +345,169 @@ def test_split_table_reads_keep_the_world_id_alias(monkeypatch):
             assert max(deduped, default=0) <= 4
     assert answers["inline"] == answers["explicit"]
     assert answers["inline"][1] == [("HUB",)]
+
+
+def _itin_pool(relation, backend) -> SessionPool:
+    session = ISQLSession(backend=backend)
+    session.register("HFlights", relation)
+    session.run("Itin <- select * from HFlights choice of Dep;")
+    return SessionPool(session, size=2, autocommit=True)
+
+
+def _fetch(pool: SessionPool, statement: str, params=()):
+    with pool.connection() as connection:
+        cursor = connection.execute(statement, params)
+        return cursor.fetchall() if cursor.description else cursor.applied
+
+
+def test_equality_read_after_update_reuses_the_committed_index(monkeypatch):
+    """On a pooled split table, the ``Dep = ?`` read after an update of
+    Arr probes the index the committed table already holds: the update
+    carries it over, so no index is built and no comparison pass runs
+    over the table; the update's ``Arr = ?`` conjunct reads the Dep
+    bucket alone."""
+    relation = flights(24, 8, 3, seed=3)
+    dep, arr = min(relation.rows)
+    other = max(relation.rows)[0]
+    read = "select possible Arr from Itin where Dep = ?;"
+    builds: list[int] = []
+    passes: list[int] = []
+    index = ColumnarRelation._index
+    compare = ColumnarRelation._compare_mask
+    row_mask = ColumnarRelation._row_mask
+
+    def counted_index(self, positions):
+        if self._resident and positions not in self._indexes:
+            builds.append(len(self))
+        return index(self, positions)
+
+    def counted_compare(self, comparison):
+        passes.append(len(self))
+        return compare(self, comparison)
+
+    def counted_rows(self, predicate):
+        passes.append(len(self))
+        return row_mask(self, predicate)
+
+    monkeypatch.setattr(ColumnarRelation, "_index", counted_index)
+    monkeypatch.setattr(ColumnarRelation, "_compare_mask", counted_compare)
+    monkeypatch.setattr(ColumnarRelation, "_row_mask", counted_rows)
+    answers = {}
+    for name, backend in (
+        ("inline", InlineBackend(kernel="columnar")),
+        ("explicit", "explicit"),
+    ):
+        pool = _itin_pool(relation, backend)
+        observed = [_fetch(pool, read, (dep,))]  # first touch builds the index
+        builds.clear()
+        passes.clear()
+        observed.append(
+            _fetch(
+                pool,
+                "update Itin set Arr = ? where Dep = ? and Arr = ?;",
+                ("MARK", dep, arr),
+            )
+        )
+        observed += [_fetch(pool, read, (dep,)), _fetch(pool, read, (other,))]
+        pool.close()
+        answers[name] = observed
+        if name == "inline":
+            assert builds == []
+            assert max(passes, default=0) <= 4
+    assert answers["inline"] == answers["explicit"]
+    assert ("MARK",) in answers["inline"][2]
+
+
+def test_concurrent_first_touch_sees_only_complete_indexes(monkeypatch):
+    """Two pooled threads probe the same shared table while neither has
+    an index yet. One is held mid-build; the other must still answer
+    from a complete index, because an index is published only whole."""
+    relation = flights(24, 8, 3, seed=5)
+    departures = sorted({row[0] for row in relation.rows})
+    read = "select possible Arr from Itin where Dep = ?;"
+    reference = _itin_pool(relation, "explicit")
+    expected = {dep: sorted(_fetch(reference, read, (dep,))) for dep in departures}
+    reference.close()
+    pool = _itin_pool(relation, InlineBackend(kernel="columnar"))
+    building = threading.local()
+    entered, release = threading.Event(), threading.Event()
+    held: list[int] = []
+    index, tuples = ColumnarRelation._index, ColumnarRelation.tuples
+
+    def tracked_index(self, positions):
+        building.active = self._resident
+        try:
+            return index(self, positions)
+        finally:
+            building.active = False
+
+    def held_tuples(self, attributes):
+        stream = tuples(self, attributes)
+        if not getattr(building, "active", False) or held:
+            return stream
+        held.append(threading.get_ident())
+
+        def paused():
+            for position, key in enumerate(stream):
+                yield key
+                if position == 0:
+                    entered.set()
+                    release.wait(10)
+
+        return paused()
+
+    monkeypatch.setattr(ColumnarRelation, "_index", tracked_index)
+    monkeypatch.setattr(ColumnarRelation, "tuples", held_tuples)
+    answers: dict[str, list] = {}
+
+    def reader(dep: str) -> None:
+        answers[dep] = sorted(_fetch(pool, read, (dep,)))
+
+    first = threading.Thread(target=reader, args=(departures[0],))
+    first.start()
+    assert entered.wait(10), "the first reader never started an index build"
+    second = threading.Thread(target=reader, args=(departures[-1],))
+    second.start()
+    second.join(10)
+    release.set()
+    first.join(10)
+    assert not first.is_alive() and not second.is_alive()
+    pool.close()
+    assert answers == {dep: expected[dep] for dep in (departures[0], departures[-1])}
+
+
+def test_pooled_equality_reads_under_fast_switching():
+    """More reader threads than cores, switching every microsecond, all
+    first-touching shared tables: every answer equals the explicit one."""
+    relation = flights(32, 8, 3, seed=7)
+    departures = sorted({row[0] for row in relation.rows})
+    read = "select possible Arr from Itin where Dep = ?;"
+    reference = _itin_pool(relation, "explicit")
+    expected = {dep: sorted(_fetch(reference, read, (dep,))) for dep in departures}
+    reference.close()
+    pool = _itin_pool(relation, InlineBackend(kernel="columnar", cache=False))
+    readers = 4
+    wrong: list[str] = []
+    barrier = threading.Barrier(readers)
+
+    def reader(offset: int) -> None:
+        barrier.wait(10)
+        for dep in departures[offset:] + departures[:offset]:
+            if sorted(_fetch(pool, read, (dep,))) != expected[dep]:
+                wrong.append(dep)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=reader, args=(i,)) for i in range(readers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    pool.close()
+    assert wrong == []
