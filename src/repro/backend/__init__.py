@@ -15,7 +15,7 @@ from repro.backend.base import (
 )
 from repro.backend.explicit import ExplicitBackend, QueryResult
 from repro.backend.inline import InlineBackend, InlineQueryResult
-from repro.backend.instrument import collect_phases, phase
+from repro.relational.guards import collect_phases, phase
 
 __all__ = [
     "Backend",

@@ -13,7 +13,7 @@ algebra fragment.
 from __future__ import annotations
 
 from repro.backend.base import Backend, BaseQueryResult, ExecutionContext
-from repro.backend.instrument import phase
+from repro.relational.guards import phase
 from repro.isql import ast
 from repro.isql.engine import Engine
 from repro.relational.relation import Relation

@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 from repro.backend.base import Backend, BaseQueryResult, ExecutionContext
 from repro.backend.explicit import QueryResult
-from repro.backend.instrument import phase
+from repro.relational.guards import phase
 from repro.cache import MISS, CacheInfo, StatementCache
 from repro.errors import (
     EvaluationError,

@@ -70,12 +70,11 @@ from typing import Iterator, Mapping
 
 from repro.backend.base import Backend, BaseQueryResult, ExecutionContext, create_backend
 from repro.backend.explicit import QueryResult
-from repro.backend.instrument import collect_phases, phase
 from repro.cache import MISS, CacheInfo
 from repro.errors import EvaluationError, OwnershipError, ReproError, SchemaError
 from repro.isql import ast
 from repro.isql.parser import parse_script
-from repro.relational.guards import guarded
+from repro.relational.guards import collect_phases, guarded, phase
 from repro.relational.relation import Relation, clear_intern_pool
 from repro.worlds.worldset import WorldSet
 

@@ -1,6 +1,5 @@
 """Algebraic optimization of world-set algebra queries (Section 6)."""
 
-from repro.optimizer.cost import CostEstimate, compare, estimate
 from repro.optimizer.equivalences import (
     DEFAULT_RULES,
     FINALIZE_RULES,
@@ -13,7 +12,6 @@ from repro.optimizer.equivalences import (
 from repro.optimizer.rewriter import RewriteStep, Rewriter, optimize
 
 __all__ = [
-    "CostEstimate",
     "DEFAULT_RULES",
     "FINALIZE_RULES",
     "RewriteRule",
@@ -21,9 +19,7 @@ __all__ = [
     "Rewriter",
     "cert_via_domain",
     "cert_via_poss",
-    "compare",
     "default_rules",
-    "estimate",
     "optimize",
     "poss_via_cert",
 ]

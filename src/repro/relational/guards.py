@@ -1,4 +1,4 @@
-"""Cooperative checkpoints at kernel-op boundaries.
+"""The checkpoint seam: resource budgets, op hooks and phase timing.
 
 Every relational kernel op (select/join/mask/scatter/append/… on the
 tuple, columnar and array kernels) calls :func:`checkpoint` exactly
@@ -13,48 +13,60 @@ into the kernels:
   op *boundaries* — before the op commits anything into session state —
   the error is guaranteed recoverable: the session's state still equals
   its last commit.
-* **Fault injection** — :func:`op_hook` installs an arbitrary callable
-  invoked on every checkpoint; ``repro.testing.faults`` uses it to
-  raise at the Nth op invocation and prove crash-consistency (the
-  differential sweep in ``tests/backend/test_fault_injection.py``).
+* **Op hooks** — :func:`op_hook` installs an arbitrary callable invoked
+  on every checkpoint, before budget accounting; ``repro.testing.faults``
+  uses it to raise at the Nth op invocation and prove crash-consistency
+  (the differential sweep in ``tests/backend/test_fault_injection.py``),
+  and a caller can sum its ``rows`` to measure what a plan reads.
 
-Like :mod:`repro.backend.instrument`, the disarmed fast path is one
-module-global counter check per *op* (not per row), so kernels pay
-nothing measurable when no guard or hook is installed — the benchmark
-gate in ``benchmarks/check_regression.py`` holds armed-guard overhead
-under 1.1× as well.
+The seam also carries per-phase wall-clock accounting, one level up
+from the kernel ops: :func:`collect_phases` installs a collector dict
+and instrumented code brackets work in ``with phase("execute"):`` —
+compile, rewrite, execute, dml_apply (the mask/scatter/append
+application of DML answers, including the batched pipeline's
+single-pass commit), decode, rollback (``atomic`` scripts,
+``transaction()`` exits and ``rollback_to``), cache_lookup. Phases must
+not nest: the accounting adds sibling durations, and instrumentation
+sites are chosen to be disjoint. Collections do nest: on exit a
+collector adds its totals into the enclosing one, which is how
+:meth:`repro.isql.session.ISQLSession.run` attaches private
+per-statement timings while a benchmark's outer collector still sees
+every phase.
 
-Budgets and hooks are **per-thread**: :func:`guarded` and
-:func:`op_hook` install for the calling thread only, so the service
-layer (:mod:`repro.service`) can run N pooled sessions concurrently,
-each under its own connection's ``max_rows``/``max_seconds`` budget,
-without one thread's budget charging (or aborting) another's
-statement. A statement therefore always runs under the budget of the
-thread that executes it — matching the per-session guards contract the
-single-threaded library always had.
+All state lives in :class:`~contextvars.ContextVar` objects, none in
+module globals, so budgets, hooks and collectors are scoped to the
+installing thread (and asyncio task): N pooled sessions can run
+statements concurrently, each under its own connection's budget, and
+never charge, abort, observe or time another's statement. Installs
+shadow the enclosing value and restore it on exit; hooks do not chain.
+The disarmed checkpoint is one ``ContextVar.get()`` and one falsy test
+per *op* (not per row); the benchmark gate in
+``benchmarks/check_regression.py`` holds armed-guard overhead under
+1.1× as well.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
+from numbers import Integral, Real
 from typing import Callable, Iterator
 
-from repro.errors import ResourceLimitError
+from repro.errors import ReproError, ResourceLimitError
 
-#: Per-thread active resource budgets, keyed by thread ident.
-_guards: "dict[int, ResourceGuard]" = {}
+Hook = Callable[[str, int], None]
 
-#: Per-thread fault/observation hooks, keyed by thread ident.
-_hooks: dict[int, Callable[[str, int], None]] = {}
+#: What this context's checkpoints feed: ``(hook, budget)``, either
+#: half possibly None, or None itself when neither is installed.
+_armed: ContextVar[tuple[Hook | None, ResourceGuard | None] | None] = ContextVar(
+    "checkpoint_armed", default=None
+)
 
-#: Fast-path arm counter: ``len(_guards) + len(_hooks)``, maintained
-#: under ``_install_lock`` so concurrent installs cannot lose an
-#: increment. Zero means every checkpoint is a single falsy check.
-_armed = 0
-
-_install_lock = threading.Lock()
+#: This context's phase collector, or None outside a collection.
+_collector: ContextVar[dict[str, float] | None] = ContextVar(
+    "phase_collector", default=None
+)
 
 
 class ResourceGuard:
@@ -63,6 +75,8 @@ class ResourceGuard:
     __slots__ = ("max_rows", "max_seconds", "deadline", "rows")
 
     def __init__(self, max_rows: int | None, max_seconds: float | None) -> None:
+        _check_limit("max_rows", max_rows, Integral)
+        _check_limit("max_seconds", max_seconds, Real)
         self.max_rows = max_rows
         self.max_seconds = max_seconds
         self.deadline = (
@@ -71,24 +85,37 @@ class ResourceGuard:
         self.rows = 0
 
 
+def _check_limit(name: str, value: object, kind: type) -> None:
+    """Reject a limit the budget check cannot use: nan never trips, and
+    ``"10"`` would fail as a ``TypeError`` at the first kernel op."""
+    if value is None:
+        return
+    # ``not value >= 0`` also catches nan, which compares false to all.
+    if isinstance(value, bool) or not isinstance(value, kind) or not value >= 0:
+        expected = "integer" if kind is Integral else "number"
+        raise ReproError(
+            f"{name} must be None or a non-negative {expected}, got {value!r}"
+        )
+
+
 def checkpoint(op: str, rows: int = 0) -> None:
-    """The kernel-op boundary: feed *rows* to the budget, fire the hook.
+    """The kernel-op boundary: fire the hook, feed *rows* to the budget.
 
     *rows* is the op's input size (sum of operand cardinalities) — an
     upper-bound proxy for the work the op is about to do. Near-free when
     nothing is installed.
     """
-    if not _armed:
-        return
-    _checkpoint_armed(op, rows)
+    armed = _armed.get()
+    if armed:
+        _checkpoint_armed(armed, op, rows)
 
 
-def _checkpoint_armed(op: str, rows: int) -> None:
-    ident = threading.get_ident()
-    hook = _hooks.get(ident)
+def _checkpoint_armed(
+    armed: tuple[Hook | None, ResourceGuard | None], op: str, rows: int
+) -> None:
+    hook, guard = armed
     if hook is not None:
         hook(op, rows)
-    guard = _guards.get(ident)
     if guard is None:
         return
     guard.rows += rows
@@ -108,62 +135,84 @@ def _checkpoint_armed(op: str, rows: int) -> None:
 def guarded(
     max_rows: int | None = None, max_seconds: float | None = None
 ) -> Iterator[ResourceGuard | None]:
-    """Install a fresh resource budget for the calling thread's block.
+    """Install a fresh resource budget for this context's block.
 
     With both limits ``None`` this is a no-op (the fast path stays
-    disarmed). Budgets do not nest additively: an inner ``guarded``
-    shadows the outer one and restores it on exit, so each statement
-    gets its own fresh budget. Other threads' budgets are untouched.
+    disarmed); any other value that is not a non-negative number raises
+    :class:`~repro.errors.ReproError`. Budgets do not nest additively:
+    an inner ``guarded`` shadows the outer one and restores it on exit,
+    so each statement gets its own fresh budget.
     """
     if max_rows is None and max_seconds is None:
         yield None
         return
-    ident = threading.get_ident()
     guard = ResourceGuard(max_rows, max_seconds)
-    with _install_lock:
-        previous = _guards.get(ident)
-        _guards[ident] = guard
-        _rearm()
+    armed = _armed.get()
+    token = _armed.set((armed[0] if armed else None, guard))
     try:
         yield guard
     finally:
-        with _install_lock:
-            if previous is None:
-                _guards.pop(ident, None)
-            else:
-                _guards[ident] = previous
-            _rearm()
+        _armed.reset(token)
 
 
 @contextmanager
-def op_hook(hook: Callable[[str, int], None]) -> Iterator[None]:
+def op_hook(hook: Hook) -> Iterator[None]:
     """Install *hook* to observe (or sabotage) every checkpoint.
 
     The hook receives ``(op, rows)`` and may raise — that is exactly
     how the fault injector simulates a crash inside a kernel op. The
-    previous hook (of the calling thread) is restored on exit; hooks
-    do not chain and never observe other threads' ops.
+    previous hook is restored on exit; hooks do not chain.
     """
-    ident = threading.get_ident()
-    with _install_lock:
-        previous = _hooks.get(ident)
-        _hooks[ident] = hook
-        _rearm()
+    armed = _armed.get()
+    token = _armed.set((hook, armed[1] if armed else None))
     try:
         yield
     finally:
-        with _install_lock:
-            if previous is None:
-                _hooks.pop(ident, None)
-            else:
-                _hooks[ident] = previous
-            _rearm()
+        _armed.reset(token)
 
 
-def _rearm() -> None:
-    """Recompute the fast-path counter; caller holds ``_install_lock``."""
-    global _armed
-    _armed = len(_guards) + len(_hooks)
+@contextmanager
+def collect_phases(target: dict[str, float] | None = None) -> Iterator[dict[str, float]]:
+    """Install *target* (or a fresh dict) as this context's collector.
+
+    Durations accumulate under their phase name for the duration of the
+    ``with`` block. On exit the previous collector is restored and the
+    block's totals are added into it. Pass an empty *target*:
+    everything it holds on exit counts as the block's.
+    """
+    collector = target if target is not None else {}
+    token = _collector.set(collector)
+    try:
+        yield collector
+    finally:
+        _collector.reset(token)
+        outer = _collector.get()
+        if outer is not None:
+            for name, seconds in collector.items():
+                outer[name] = outer.get(name, 0.0) + seconds
 
 
-__all__ = ["ResourceGuard", "checkpoint", "guarded", "op_hook"]
+@contextmanager
+def phase(name: str) -> Iterator[None]:
+    """Bracket one phase of work; a no-op without an active collector."""
+    collector = _collector.get()
+    if collector is None:
+        yield
+        return
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        collector[name] = (
+            collector.get(name, 0.0) + time.perf_counter() - start
+        )
+
+
+__all__ = [
+    "ResourceGuard",
+    "checkpoint",
+    "collect_phases",
+    "guarded",
+    "op_hook",
+    "phase",
+]

@@ -4,11 +4,14 @@ The transactional claims of :mod:`repro.isql.session` — a statement
 either applies whole or not at all, ``atomic`` scripts roll back
 wholesale, the session survives any mid-kernel crash — are only worth
 stating if something adversarially exercises them. This module is that
-something: it installs a hook on the cooperative checkpoint every
-kernel op passes through (:func:`repro.relational.guards.checkpoint`)
-and raises :class:`InjectedFault` at the Nth invocation, simulating a
-crash *inside* the evaluation of a statement — between two kernel ops,
-after some intermediate relations exist but before anything committed.
+something: it installs an :func:`~repro.relational.guards.op_hook` on
+the checkpoint seam every kernel op passes through and raises
+:class:`InjectedFault` at the Nth invocation, simulating a crash
+*inside* the evaluation of a statement — between two kernel ops, after
+some intermediate relations exist but before anything committed. The
+hook is scoped to the installing thread's context, like every install
+on the seam: a fault armed on one pooled connection's thread never
+fires in another's statement.
 
 :class:`InjectedFault` deliberately does **not** derive from
 :class:`~repro.errors.ReproError`: it stands in for the exceptions the

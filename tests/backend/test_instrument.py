@@ -2,7 +2,7 @@
 
 import threading
 
-from repro.backend.instrument import collect_phases, phase
+from repro.relational.guards import collect_phases, phase
 from repro.isql.session import ISQLSession
 from repro.relational import Relation
 

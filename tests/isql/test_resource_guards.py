@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro.datagen import census
-from repro.errors import EvaluationError, ResourceLimitError
+from repro.errors import EvaluationError, ReproError, ResourceLimitError
 from repro.isql.session import ISQLSession
 from repro.relational import Relation
 
@@ -76,6 +76,39 @@ def test_generous_budget_does_not_disturb_answers(backend, flights):
     plain = _session(backend, flights)
     query = "select possible Dep, Arr from Flights choice of Dep;"
     assert guarded.query(query).answers() == plain.query(query).answers()
+
+
+#: Budget values a comparison would misread: nan never trips a deadline,
+#: a string fails deep in the kernel, a negative limit trips at once.
+INVALID_LIMITS = [
+    ("max_seconds", float("nan")),
+    ("max_seconds", -1.0),
+    ("max_seconds", "1"),
+    ("max_rows", "10"),
+    ("max_rows", -1),
+    ("max_rows", 2.5),
+    ("max_rows", True),
+]
+
+
+@pytest.mark.parametrize("name, value", INVALID_LIMITS)
+def test_invalid_budget_is_rejected_naming_it(name, value, flights):
+    session = _session("inline", flights, **{name: value})
+    with pytest.raises(ReproError) as info:
+        session.query("select possible Arr from Flights;")
+    assert not isinstance(info.value, EvaluationError)  # not "internal error"
+    assert f"{name} must be" in str(info.value)
+    assert repr(value) in str(info.value)
+
+
+def test_invalid_budget_assigned_after_construction_is_rejected(flights):
+    session = _session("inline", flights)
+    query = "select possible Arr from Flights;"
+    session.max_seconds = float("nan")
+    with pytest.raises(ReproError, match="max_seconds .* got nan"):
+        session.query(query)
+    session.max_seconds = None  # the session stays usable
+    assert session.query(query).possible().rows == {("ATL",), ("BCN",)}
 
 
 def test_budget_is_per_statement_not_per_script(flights):

@@ -1,4 +1,9 @@
-"""Examples 6.1 and 6.2 with Figures 8 and 9: the paper's derivations."""
+"""Examples 6.1 and 6.2 with Figures 8 and 9: the paper's derivations.
+
+The paper argues the rewritten plans are cheaper from their shape; here
+the claim is measured: the input rows every kernel op reports at the
+checkpoint seam, summed over one evaluation of each plan.
+"""
 
 import pytest
 
@@ -13,8 +18,11 @@ from repro.core import (
     rel,
     select,
 )
-from repro.optimizer import compare, optimize
+from repro.datagen import flights as random_flights
+from repro.datagen import hotels as random_hotels
+from repro.optimizer import optimize
 from repro.relational import Relation, eq
+from repro.relational.guards import op_hook
 from repro.render import render_plan
 from repro.worlds import World, WorldSet
 
@@ -57,6 +65,36 @@ def q2():
     )
 
 
+def _answer_and_rows_read(query, world_set):
+    """``answer(query, world_set)`` and the input rows its kernel ops read."""
+    read = 0
+
+    def count(op, rows):
+        nonlocal read
+        read += rows
+
+    with op_hook(count):
+        result = answer(query, world_set)
+    return result, read
+
+
+@pytest.fixture(params=[(3, 3, 1, 5), (10, 5, 2, 0)], ids=["6x3", "19x10"])
+def random_travel_ws(request):
+    """6 flights × 3 hotels, and 19 flights × 10 hotels."""
+    departures, cities, hotels_per_city, seed = request.param
+    hflights = random_flights(departures, cities, 2, seed=seed)
+    hotels = random_hotels(cities, hotels_per_city, seed=seed)
+    return WorldSet.single(World.of({"HFlights": hflights, "Hotels": hotels}))
+
+
+def _assert_rewrite_reads_fewer_rows(query, world_set):
+    optimized, _ = optimize(query, SCHEMAS)
+    original, original_rows = _answer_and_rows_read(query, world_set)
+    rewritten, rewritten_rows = _answer_and_rows_read(optimized, world_set)
+    assert original == rewritten
+    assert rewritten_rows < original_rows
+
+
 @pytest.fixture
 def travel_ws(flights):
     hotels = Relation(
@@ -87,10 +125,8 @@ class TestExample61:
         assert "pγ" in original_plan and "χ[Dep,City]" in original_plan
         assert "χ[Dep]" in rewritten_plan and "pγ" not in rewritten_plan
 
-    def test_cost_model_prefers_the_rewrite(self):
-        optimized, _ = optimize(q1(), SCHEMAS)
-        sizes = {"HFlights": 100, "Hotels": 50}
-        assert compare(q1(), optimized, sizes) > 10
+    def test_rewrite_reads_fewer_rows(self, random_travel_ws):
+        _assert_rewrite_reads_fewer_rows(q1(), random_travel_ws)
 
 
 class TestExample62:
@@ -130,6 +166,5 @@ class TestExample62:
         db = Database(dict(world.items()))
         assert ra.evaluate(db) == answer(q2(), travel_ws)
 
-    def test_cost_model_prefers_the_rewrite(self):
-        optimized, _ = optimize(q2(), SCHEMAS)
-        assert compare(q2(), optimized, {"HFlights": 100, "Hotels": 50}) > 10
+    def test_rewrite_reads_fewer_rows(self, random_travel_ws):
+        _assert_rewrite_reads_fewer_rows(q2(), random_travel_ws)

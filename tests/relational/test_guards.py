@@ -4,7 +4,9 @@
 resource budgets and fault injection reach the kernels; these tests pin
 its contract directly — disarmed fast path, budget accounting, deadline
 handling, shadowing/restore discipline, hook semantics — and that the
-kernel ops actually cross it.
+kernel ops actually cross it. Every check goes through behaviour: a
+disarmed budget lets ``checkpoint("select", 10**9)`` pass, and an
+uninstalled hook stops seeing ops.
 """
 
 import threading
@@ -13,16 +15,7 @@ import pytest
 
 from repro.errors import EvaluationError, ReproError, ResourceLimitError
 from repro.relational import Relation, as_columnar
-from repro.relational import guards
 from repro.relational.guards import checkpoint, guarded, op_hook
-
-
-def _my_guard():
-    return guards._guards.get(threading.get_ident())
-
-
-def _my_hook():
-    return guards._hooks.get(threading.get_ident())
 
 
 @pytest.fixture
@@ -31,14 +24,12 @@ def flights():
 
 
 def test_disarmed_checkpoint_is_a_noop():
-    assert _my_guard() is None and _my_hook() is None
     checkpoint("select", 10**9)  # nothing installed: never raises
 
 
 def test_guarded_with_no_limits_stays_disarmed():
     with guarded(None, None) as guard:
         assert guard is None
-        assert _my_guard() is None
         checkpoint("select", 10**9)
 
 
@@ -59,23 +50,35 @@ def test_max_seconds_deadline_fires_at_next_checkpoint():
     assert "max_seconds=0.0" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "limits",
+    [{"max_seconds": float("nan")}, {"max_rows": "10"}, {"max_rows": -1}],
+)
+def test_guarded_rejects_limits_it_cannot_compare(limits):
+    with pytest.raises(ReproError) as info:
+        with guarded(**limits):
+            pass  # pragma: no cover - the install itself raises
+    assert not isinstance(info.value, EvaluationError)
+    ((name, value),) = limits.items()
+    assert f"{name} must be" in str(info.value) and repr(value) in str(info.value)
+    checkpoint("select", 10**9)  # nothing left installed
+
+
 def test_guard_restored_after_block_and_after_raise():
     with pytest.raises(ResourceLimitError):
         with guarded(max_rows=0):
             checkpoint("select", 1)
-    assert _my_guard() is None
     checkpoint("select", 10**9)  # disarmed again
 
 
 def test_inner_guard_shadows_outer_and_restores_it():
     with guarded(max_rows=1) as outer:
         with guarded(max_rows=100) as inner:
-            assert _my_guard() is inner
             checkpoint("select", 50)  # over the *outer* limit: inner rules
-        assert _my_guard() is outer
+        assert (inner.rows, outer.rows) == (50, 0)
         with pytest.raises(ResourceLimitError):
-            checkpoint("select", 2)
-    assert _my_guard() is None
+            checkpoint("select", 2)  # the outer budget is back
+    checkpoint("select", 10**9)  # and gone after its block
 
 
 def test_each_guard_starts_with_a_fresh_budget():
@@ -91,7 +94,8 @@ def test_op_hook_observes_every_checkpoint_and_restores():
         checkpoint("select", 3)
         checkpoint("mask", 7)
     assert seen == [("select", 3), ("mask", 7)]
-    assert _my_hook() is None
+    checkpoint("union", 1)
+    assert seen == [("select", 3), ("mask", 7)]  # uninstalled
 
 
 def test_guard_is_per_thread():

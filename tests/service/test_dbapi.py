@@ -261,6 +261,26 @@ def test_resource_budget_maps_to_operational_error():
     conn.close()
 
 
+@pytest.mark.parametrize(
+    "name, value", [("max_seconds", float("nan")), ("max_rows", "10")]
+)
+def test_invalid_budget_is_rejected_naming_it(name, value):
+    session = ISQLSession(backend="inline")
+    session.register("T", Relation(("K",), [(k,) for k in range(50)]))
+    conn = connect(session, **{name: value})
+    with pytest.raises(dbapi.DatabaseError) as info:
+        conn.execute("select possible K from T;")
+    assert not isinstance(info.value, dbapi.OperationalError)
+    assert f"{name} must be" in str(info.value)
+    assert repr(value) in str(info.value)
+    conn.session.max_rows = conn.session.max_seconds = None
+    assert len(conn.execute("select possible K from T;").fetchall()) == 50
+    conn.session.max_seconds = float("nan")  # attribute assignment too
+    with pytest.raises(dbapi.DatabaseError, match="max_seconds"):
+        conn.execute("select possible K from T;")
+    conn.close()
+
+
 # -- closed-handle error shapes ----------------------------------------------------
 
 

@@ -2,13 +2,14 @@
 
 Checkout/checkin discipline, exhaustion and timeout, double release,
 thread pinning, the guard (``max_rows``/``max_seconds``) passthrough,
-idle retirement, closed-pool behavior, and the headline isolation
+per-thread isolation of faults, budgets and phase timings, idle retirement, closed-pool behavior, and the headline isolation
 property: a reader holding a pinned snapshot sees a consistent state
 while a writer runs a DML batch on another pooled connection.
 """
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import threading
 
@@ -16,10 +17,11 @@ import pytest
 
 from repro.backend import InlineBackend
 from repro.datagen import flights
-from repro.errors import OwnershipError
+from repro.errors import OwnershipError, ResourceLimitError
 from repro.isql import ISQLSession
 from repro.relational import ColumnarRelation, Relation
 from repro.service import SessionPool, dbapi
+from repro.testing.faults import InjectedFault, count_ops, inject_fault
 
 
 def _seed(rows=((1, 10), (2, 20), (3, 30))) -> ISQLSession:
@@ -146,6 +148,113 @@ def test_guard_passthrough_arms_every_pooled_connection():
         with pytest.raises(dbapi.OperationalError):
             conn.execute("select possible K from T;")
     pool.close()
+
+
+@pytest.mark.parametrize(
+    "name, value", [("max_seconds", float("nan")), ("max_rows", "10")]
+)
+def test_invalid_guard_passthrough_is_rejected_naming_it(name, value):
+    pool = SessionPool(_seed(), size=2, **{name: value})
+    with pytest.raises(dbapi.DatabaseError) as info:
+        with pool.connection() as conn:
+            conn.execute("select possible K from T;")
+    assert not isinstance(info.value, dbapi.OperationalError)
+    assert f"{name} must be" in str(info.value)
+    assert repr(value) in str(info.value)
+    pool.close()
+
+
+#: Reads for the isolation test, cheapest first: under a 400-row budget
+#: the first two fit (302/304 rows read) and the last two trip it.
+_LOCKSTEP_READS = (
+    "select possible V from T where K = 5;",
+    "select possible K, V from T where K < 4;",
+    "select possible K from T where V > 3;",
+    "select certain V from T choice of K;",
+)
+
+
+def test_pooled_threads_keep_faults_budgets_and_phases_apart():
+    """Two pooled connections run the same reads in lockstep on two
+    threads. One is armed: a fault injected in its second read and a
+    ``max_rows`` budget its scans trip. The other is not, and nothing
+    armed on the first thread reaches it. Each thread's phase timings
+    are its own: only the armed connection caches, so only it times
+    ``cache_lookup``, and its cache hits time no compile or rewrite."""
+    rows = [(k, k % 7) for k in range(300)]
+    reference = dbapi.connect(_seed(rows), cache=False)
+    expected = {}
+    for statement in _LOCKSTEP_READS:
+        cursor = reference.execute(statement)
+        expected[statement] = (sorted(cursor.fetchall()), set(cursor.phases))
+    # Binding a cursor reads the answer too: count the whole execute,
+    # so the fault lands on the first op of the second read.
+    fault_at = count_ops(lambda: reference.execute(_LOCKSTEP_READS[0])) + 1
+    reference.close()
+    pool = SessionPool(_seed(rows), size=2)
+    barrier = threading.Barrier(2, timeout=30)
+    outcomes: dict[str, list] = {"armed": [], "unarmed": []}
+    crashes = []
+
+    def run(name: str) -> None:
+        try:
+            with pool.connection() as conn:
+                if name == "armed":
+                    conn.session.max_rows = 400
+                    armed = inject_fault(fault_at)
+                else:
+                    conn.session.cache = False
+                    armed = contextlib.nullcontext()
+                with armed:
+                    for statement in _LOCKSTEP_READS * 3:
+                        barrier.wait()
+                        try:
+                            cursor = conn.execute(statement)
+                        except dbapi.OperationalError as error:
+                            outcomes[name].append((statement, error))
+                        else:
+                            fetched = sorted(cursor.fetchall())
+                            outcome = (fetched, cursor.cache, set(cursor.phases))
+                            outcomes[name].append((statement, outcome))
+        except Exception as error:  # noqa: BLE001 - surfaced below
+            barrier.abort()
+            crashes.append(error)
+
+    threads = [threading.Thread(target=run, args=(name,)) for name in outcomes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two reads op by op
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not crashes
+    pool.close()
+
+    for statement, outcome in outcomes["unarmed"]:
+        rows, phases = expected[statement]  # the serial run's
+        assert not isinstance(outcome, Exception), outcome
+        assert outcome == (rows, "bypass", phases)
+
+    causes = []
+    for statement, outcome in outcomes["armed"]:
+        if isinstance(outcome, Exception):
+            causes.append(type(outcome.__cause__.__cause__ or outcome.__cause__))
+            continue
+        causes.append(None)
+        rows, cache, phases = outcome
+        assert rows == expected[statement][0]
+        own = expected[statement][1] | {"cache_lookup"}
+        if cache == "hit":  # a served plan: compiled by nobody here
+            own -= {"compile", "rewrite"}
+        assert "cache_lookup" in phases and phases <= own
+    # The fault lands where the armed thread's own op count puts it,
+    # and only the two reads over budget trip, every round.
+    tripped = [None, None, ResourceLimitError, ResourceLimitError]
+    assert causes == [None, InjectedFault] + tripped[2:] + tripped * 2
 
 
 def test_release_rolls_back_open_transactions():
