@@ -208,6 +208,39 @@ class InlineQueryResult(BaseQueryResult):
         )
 
 
+def _extended_world(
+    representation: InlinedRepresentation, state: PhysicalState
+) -> FactoredWorld | None:
+    """The session world with a world-splitting *state*'s factors
+    appended, or ``None`` when the split must join into one table.
+
+    Only a factored side appends: a factored state world, or a session
+    W with several factors or wild columns. Each state factor over
+    fresh ids is appended; one over existing ids must equal a session
+    factor. A plain split of a one-table session, or a factor that
+    overlaps a session factor without equalling it (a split correlated
+    with existing worlds), returns ``None``.
+    """
+    prior = representation.world_factors.factors
+    state_world = state._world
+    if isinstance(state_world, FactoredWorld):
+        added = state_world.factors
+    elif len(prior) > 1 or representation.wild_attrs:
+        added = (as_tuple(state.world_or_unit()),)
+    else:
+        return None
+    combined = list(prior)
+    taken = set(representation.world_factors.ids)
+    for factor in added:
+        attrs = set(factor.schema.attributes)
+        if attrs.isdisjoint(taken):
+            combined.append(factor)
+            taken |= attrs
+        elif not any(factor == existing for existing in prior):
+            return None
+    return FactoredWorld(combined)
+
+
 def _carrying_versions(
     replacement: InlinedRepresentation,
     source: InlinedRepresentation,
@@ -238,7 +271,6 @@ class InlineBackend(Backend):
         self,
         representation: InlinedRepresentation | None = None,
         strategy: str = "physical",
-        rewrite: bool = True,
         kernel: str | None = None,
         cache: "bool | StatementCache" = True,
     ) -> None:
@@ -255,7 +287,6 @@ class InlineBackend(Backend):
             else InlinedRepresentation.initial()
         )
         self.strategy = strategy
-        self.rewrite = rewrite
         #: Pinned kernel, or None to follow ``REPRO_KERNEL`` per statement.
         self.kernel = kernel
         #: The statement cache: a private StatementCache (``cache=True``),
@@ -301,9 +332,8 @@ class InlineBackend(Backend):
             _carrying_versions(
                 InlinedRepresentation(
                     tuple(rep.tables.items()) + ((name, relation),),
-                    rep._world_table,
+                    rep.world_factors,
                     rep.id_attrs,
-                    factors=rep.factors,
                     wild_attrs=rep.wild_attrs,
                 ),
                 rep,
@@ -373,7 +403,7 @@ class InlineBackend(Backend):
     def spawn(self) -> "InlineBackend":
         """A fresh backend sharing no mutable state, same configuration.
 
-        Carries strategy/rewrite/kernel across (the base default would
+        Carries strategy/kernel across (the base default would
         lose them). The new backend starts from the empty initial
         representation; the service layer immediately :meth:`restore`\\ s
         a snapshot token into it, which *shares* the immutable tables of
@@ -385,7 +415,6 @@ class InlineBackend(Backend):
         """
         return InlineBackend(
             strategy=self.strategy,
-            rewrite=self.rewrite,
             kernel=self.kernel,
             cache=self.cache if self.cache is not None else False,
         )
@@ -422,8 +451,6 @@ class InlineBackend(Backend):
 
     def _world_kind(self) -> str:
         """The one-vs-many-worlds bit the rewriter specializes plans on."""
-        if not self.rewrite:
-            return "-"
         return "1" if self.representation.world_count() <= 1 else "m"
 
     def _plan_key(self, tag: str, statement, context: ExecutionContext) -> tuple:
@@ -432,7 +459,6 @@ class InlineBackend(Backend):
             statement,
             self._catalog_key(context),
             self.strategy,
-            self.rewrite,
             self._world_kind(),
         )
 
@@ -517,7 +543,6 @@ class InlineBackend(Backend):
             versions,
             rep.world_version,
             self.strategy,
-            self.rewrite,
             self.resolved_kernel,
             context.max_worlds,
             tuple(sorted(views.items())),
@@ -557,14 +582,13 @@ class InlineBackend(Backend):
 
     def _rewritten(self, compiled):
         """The Figure 7 rewriting pass (best effort — plans stay correct)."""
-        if not self.rewrite:
-            return compiled
         schemas = self._value_schemas()
         with phase("rewrite"):
             env = {name: Schema(attrs) for name, attrs in schemas.items()}
-            kind = "1" if self.representation.world_count() <= 1 else "m"
             try:
-                compiled, _ = rewrite_plan(compiled, env, input_kind=kind)
+                compiled, _ = rewrite_plan(
+                    compiled, env, input_kind=self._world_kind()
+                )
             except (RewriteError, TypingError, SchemaError):
                 pass  # an unoptimized plan is still a correct plan
         return compiled
@@ -658,9 +682,8 @@ class InlineBackend(Backend):
                 _carrying_versions(
                     InlinedRepresentation(
                         tables,
-                        rep._world_table,
+                        rep.world_factors,
                         rep.id_attrs,
-                        factors=rep.factors,
                         wild_attrs=rep.wild_attrs,
                     ),
                     rep,
@@ -669,66 +692,17 @@ class InlineBackend(Backend):
             )
             return
         # Fresh world ids were minted (choice-of / repair-by-key).
-        state_world = state._world
-        if rep.factors is not None or isinstance(state_world, FactoredWorld):
-            if self._assign_factored(name, state, fresh, context):
-                return
-            # Correlated with existing factors in a way the factored
-            # form cannot express: fall back to the joint encoding.
+        world = _extended_world(rep, state)
+        if world is None:
+            # W extends by joining with the state's world table — on the
+            # shared ids when correlated, as a product when independent
+            # — into one factor. Base tables still keep only the ids
+            # they depend on.
             state = state.plain()
-            rep = self.representation.materialized()
-        tables = tuple(rep.tables.items()) + ((name, state.answer),)
-        # The session world table extends by joining with the state's
-        # world table — on the shared prefix ids when the split was
-        # correlated with existing worlds, as a product when it was
-        # independent. Base tables still keep only the ids they depend on.
-        world_table = rep.world_table.natural_join(state.world_or_unit())
-        if context.max_worlds is not None and len(world_table) > context.max_worlds:
-            raise WorldLimitError(
-                f"assignment produced {len(world_table)} worlds, over the "
-                f"limit of {context.max_worlds}"
+            rep = rep.materialized()
+            world = FactoredWorld(
+                (rep.world_table.natural_join(state.world_or_unit()),)
             )
-        self._commit(
-            InlinedRepresentation(tables, world_table, rep.id_attrs + fresh)
-        )
-
-    def _assign_factored(
-        self,
-        name: str,
-        state: PhysicalState,
-        fresh: tuple[str, ...],
-        context: ExecutionContext,
-    ) -> bool:
-        """Commit a world-splitting assignment in factored form.
-
-        The state's world contributes its factors (a joint legacy world
-        counts as one factor) next to the session's; a factor over
-        existing ids must restate a session factor verbatim — anything
-        else means the split correlated with existing worlds, and the
-        caller falls back to the joint join. Returns True on commit.
-        """
-        rep = self.representation
-        state_world = state._world
-        prior = (
-            rep.factors.factors
-            if rep.factors is not None
-            else ((rep.world_table,) if rep.id_attrs else ())
-        )
-        state_factors = (
-            state_world.factors
-            if isinstance(state_world, FactoredWorld)
-            else (as_tuple(state.world_or_unit()),)
-        )
-        combined = list(prior)
-        taken = {a for factor in prior for a in factor.schema.attributes}
-        for factor in state_factors:
-            attrs = set(factor.schema.attributes)
-            if attrs.isdisjoint(taken):
-                combined.append(factor)
-                taken |= attrs
-            elif not any(factor == existing for existing in prior):
-                return False
-        world = FactoredWorld(tuple(combined))
         if context.max_worlds is not None and world.count() > context.max_worlds:
             raise WorldLimitError(
                 f"assignment produced {world.count()} worlds, over the "
@@ -738,13 +712,11 @@ class InlineBackend(Backend):
         self._commit(
             InlinedRepresentation(
                 tables,
-                None,
+                world,
                 rep.id_attrs + fresh,
-                factors=world,
                 wild_attrs=rep.wild_attrs | state.wild,
             )
         )
-        return True
 
     def _fallback_select(
         self, query: ast.SelectQuery, context: ExecutionContext, name: str | None

@@ -117,43 +117,6 @@ def run_scenario(
     return session, session.query(scenario.query)
 
 
-def run_scenario_pooled(
-    scenario: Scenario,
-    backend: "str | Backend | Callable[[], Backend]" = "inline",
-    size: int = 2,
-    max_worlds: int | None = None,
-    max_rows: int | None = None,
-    max_seconds: float | None = None,
-):
-    """Replay *scenario* through the service layer; returns (pool, result).
-
-    The relations and keys seed a fresh session as usual, but the
-    script and the final query run over a
-    :class:`~repro.service.pool.SessionPool` connection — the DBAPI
-    text path, writer lock, snapshot publication and all. The returned
-    result is the same possible-worlds object :func:`run_scenario`
-    yields, so suites can assert the pooled replay ≡ the direct one
-    answer-for-answer. The pool is returned open (its store holds the
-    committed state) so callers can keep querying; close it when done.
-    """
-    from repro.service.pool import SessionPool
-
-    resolved = backend() if callable(backend) else backend
-    seed = ISQLSession(max_worlds=max_worlds, backend=resolved)
-    for name, relation in scenario.relations:
-        seed.register(name, relation)
-    for relation, attributes in scenario.keys:
-        seed.declare_key(relation, attributes)
-    pool = SessionPool(
-        seed, size=size, max_rows=max_rows, max_seconds=max_seconds
-    )
-    with pool.connection() as connection:
-        if scenario.script:
-            connection.execute(scenario.script)
-        result = connection.execute(scenario.query).result
-    return pool, result
-
-
 def assert_backends_agree(
     scenario: Scenario,
     backends: tuple = ("explicit", "inline"),

@@ -1,18 +1,26 @@
-"""A factored world table: the product of independent choice factors.
+"""The world table W of an inlined representation, as a product of factors.
 
-The paper's Section 3 decomposition treats independent choices as
-independent dimensions of the world set. A :class:`FactoredWorld` keeps
-that structure explicit: it holds one small *factor* relation per
-independent choice dimension (disjoint id-attribute sets), and the
-world table it stands for is the relational product of the factors —
-a world is a point in that product, **never materialized** unless a
-consumer genuinely needs the joint table.
+Every :class:`~repro.inline.representation.InlinedRepresentation`
+stores W as a :class:`FactoredWorld`: a tuple of *factor* relations
+over disjoint id attributes whose relational product is the world
+table — the paper's Section 3 reading of independent choices as
+independent dimensions of the world-set. A world is a point in that
+product, **never materialized** unless a consumer genuinely needs the
+joint table.
 
-``repair by key`` is the canonical producer: each violating key group
-becomes its own single-attribute factor whose values number the group's
-candidate rows, so a repaired relation with g independent groups of
-c_j choices stores Σ c_j factor rows instead of the ∏ c_j joint world
-ids the one-joint-id encoding pays (see
+The joint world table of Definition 5.1 is simply the one-factor case,
+so one encoding carries every session: a single complete world
+W = {⟨⟩} is the empty product (zero factors), the empty world-set is
+one empty factor, and a world table minted by joining splits into it
+(``choice of`` over correlated worlds) is one factor over all its ids.
+
+The factored form is the general one because some world-sets have no
+succinct joint table at all. ``repair by key`` is the canonical
+producer: each violating key group becomes its own single-attribute
+factor whose values number the group's candidate rows, so a repaired
+relation with g independent groups of c_j choices stores Σ c_j factor
+rows instead of the ∏ c_j joint world ids — the 2²⁰-world census
+repair keeps ~10³ rows where the joint table would need 2²⁰ (see
 :meth:`repro.inline.physical.PhysicalEvaluator._eval_repair`).
 
 Tables over a factored world reference the factor columns directly. A
@@ -36,24 +44,30 @@ from repro.relational.relation import Relation
 class FactoredWorld:
     """A world table as a product of factor relations (disjoint ids).
 
-    Each factor is a non-empty relation over its own id attributes; the
-    represented world table is the product of the factors. ``count()``
-    is the product of the factor sizes — computed without enumerating a
-    single joint world id — and :meth:`materialize` builds (and caches)
-    the joint table for the consumers that truly need it (decoding,
-    pairing, the strict Definition 5.1 form).
+    The represented world table is the product of the factors.
+    ``count()`` is the product of the factor sizes — computed without
+    enumerating a single joint world id — and :meth:`materialize`
+    builds (and caches) the joint table for the consumers that truly
+    need it (decoding, pairing, the strict Definition 5.1 form).
+
+    A nullary one-row factor {⟨⟩} is the product's identity and is
+    dropped, so the single world is ``FactoredWorld(())``. An empty
+    factor makes the product empty; it is accepted only alone — the
+    one encoding of the empty world-set.
     """
 
     __slots__ = ("factors", "ids", "_materialized")
 
     def __init__(self, factors: Sequence[Relation]) -> None:
-        factors = tuple(as_tuple(f) for f in factors)
+        factors = tuple(
+            f for f in map(as_tuple, factors) if f.schema.attributes or not f
+        )
         seen: set[str] = set()
         for factor in factors:
-            if not factor:
+            if not factor and len(factors) > 1:
                 raise RepresentationError(
-                    "a world factor must be non-empty (an empty world-set "
-                    "is an empty joint world table, not an empty factor)"
+                    "an empty world factor must be the only one (the "
+                    "empty world-set is one empty factor)"
                 )
             attrs = factor.schema.attributes
             overlap = seen.intersection(attrs)

@@ -237,7 +237,7 @@ class PhysicalEvaluator:
     world). Passing *base_ids* and *base_world* seeds the evaluation
     with an existing inlined world-set instead: every base table is then
     expected to already carry the *base_ids* columns, and base-relation
-    states start from the given world table — this is how the
+    states start from the given :class:`FactoredWorld` — this is how the
     :class:`repro.backend.InlineBackend` evaluates statements against a
     session whose state has already split into worlds. *counter_start*
     offsets the fresh world-id counter so that ids minted by earlier
@@ -251,7 +251,7 @@ class PhysicalEvaluator:
         schemas: SchemaLike | None = None,
         max_worlds: int | None = None,
         base_ids: Sequence[str] = (),
-        base_world: "Relation | FactoredWorld | None" = None,
+        base_world: FactoredWorld | None = None,
         counter_start: int = 0,
         kernel: str | None = None,
         base_wild: Iterable[str] = (),
@@ -324,7 +324,13 @@ class PhysicalEvaluator:
     def _base_state(self, name: str) -> PhysicalState:
         """A base table under the lazy interpretation: a table carries
         only the id attributes it depends on; its world table is the
-        projection of the session world table onto those ids."""
+        projection of the session world table onto those ids.
+
+        A one-factor world without wild columns is a joint table: it is
+        converted (its kernel twin is cached on the factor) and
+        projected in this evaluator's kernel, and the state carries a
+        plain relation. Any other world projects factor by factor and
+        stays a :class:`FactoredWorld`."""
         table = self._convert(self.database[name])
         schema = table.schema.as_set()
         ids = tuple(a for a in self.base_ids if a in schema)
@@ -334,11 +340,11 @@ class PhysicalEvaluator:
         if world is None:
             assert self.base_world is not None
             base = self.base_world
-            if isinstance(base, FactoredWorld):
-                world = base if set(ids) == set(base.ids) else base.project(ids)
+            if len(base.factors) == 1 and not self.base_wild:
+                joint = self._convert(base.factors[0])
+                world = joint if ids == self.base_ids else joint.project(ids)
             else:
-                base = self._convert(base)
-                world = base if ids == self.base_ids else base.project(ids)
+                world = base if set(ids) == set(base.ids) else base.project(ids)
             self._world_projections[ids] = world
         wild = self.base_wild.intersection(ids)
         return PhysicalState(table, ids, world, wild)
@@ -964,7 +970,7 @@ def evaluate_seeded(
         schemas,
         max_worlds=max_worlds,
         base_ids=representation.id_attrs,
-        base_world=representation.world_object(),
+        base_world=representation.world_factors,
         counter_start=counter_start,
         kernel=kernel,
         base_wild=representation.wild_attrs,

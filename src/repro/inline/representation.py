@@ -20,18 +20,22 @@ case; :meth:`strict` converts to it. The lazy form is what keeps an
 inline-backed session succinct: registering a relation or materializing
 a world-uniform answer never replicates rows per world.
 
-The world table itself may be *factored* (:class:`FactoredWorld`):
-instead of one joint relation over all of V, it is a product of small
+W is always stored as a :class:`FactoredWorld`: a product of small
 factor relations over disjoint id subsets — the Section 3 reading of
-independent choices as independent dimensions. ``repair by key`` mints
-one single-attribute factor per violating key group, and registers that
-attribute as *wild*: in a wild column the padding constant ``PAD`` acts
-as a wildcard (the row is in every world of that factor). That keeps a
-repaired table at Σ-of-group-sizes rows where the joint encoding pays
-the ∏-of-group-sizes product. Consumers that need the joint table
-(decoding, pairing, the strict form) go through :attr:`world_table`,
-which materializes the product lazily; the hot paths (validation,
-counting, DML) operate factor by factor and never build it.
+independent choices as independent dimensions. A joint world table is
+the one-factor case (the constructor wraps a plain :class:`Relation`),
+W = {⟨⟩} is zero factors and the empty world-set one empty factor, so
+every consumer reads one encoding. The factored form is the general
+one: ``repair by key`` mints one single-attribute factor per violating
+key group, and registers that attribute as *wild*: in a wild column
+the padding constant ``PAD`` acts as a wildcard (the row is in every
+world of that factor). That keeps a repaired table at
+Σ-of-group-sizes rows where a joint table pays the ∏-of-group-sizes
+product (2²⁰ world ids for the nightly census repair). Consumers that
+need the joint table (decoding, pairing, the strict form) go through
+:attr:`world_table`, which materializes the product lazily; the hot
+paths (validation, counting, DML) operate factor by factor and never
+build it.
 """
 
 from __future__ import annotations
@@ -72,9 +76,8 @@ class InlinedRepresentation:
 
     __slots__ = (
         "tables",
-        "_world_table",
+        "world_factors",
         "id_attrs",
-        "factors",
         "wild_attrs",
         "_known_ids",
         "_expanded",
@@ -85,24 +88,20 @@ class InlinedRepresentation:
     def __init__(
         self,
         tables: Mapping[str, Relation] | Iterable[tuple[str, Relation]],
-        world_table: Relation | None,
+        world: FactoredWorld | Relation,
         id_attrs: Iterable[str] | None = None,
         *,
-        factors: FactoredWorld | None = None,
         wild_attrs: Iterable[str] = (),
     ) -> None:
         self.tables = Database(tables)
-        self.factors = factors
+        #: W as stored: a plain world table becomes one factor.
+        self.world_factors = (
+            world if isinstance(world, FactoredWorld) else FactoredWorld((world,))
+        )
         self.wild_attrs = frozenset(wild_attrs)
-        #: The joint world table; ``None`` for a factored representation
-        #: until someone asks for it (see the :attr:`world_table` property).
-        self._world_table = world_table
-        if id_attrs is None:
-            if factors is not None:
-                id_attrs = factors.ids
-            else:
-                id_attrs = world_table.schema.attributes
-        self.id_attrs = tuple(id_attrs)
+        self.id_attrs = tuple(
+            self.world_factors.ids if id_attrs is None else id_attrs
+        )
         #: Per-(V_i) sets of known world ids, shared with derived
         #: representations over the same world table (validation cache).
         self._known_ids: dict[tuple[str, ...], set[tuple]] = {}
@@ -125,28 +124,13 @@ class InlinedRepresentation:
 
     @property
     def world_table(self) -> Relation:
-        """The joint world table W — materialized from the factors on
-        first access when this representation is factored. Hot paths
-        must prefer :meth:`world_object` / the per-factor methods; this
-        property is the decode/pairing escape hatch and is product-sized.
+        """The joint world table W: the product of the factors,
+        materialized (and cached) on first access — the factor itself
+        when W has one. Hot paths must prefer :attr:`world_factors`;
+        this property is the decode/pairing escape hatch and is
+        product-sized.
         """
-        if self._world_table is None:
-            self._world_table = self.factors.materialize()
-        return self._world_table
-
-    def world_object(self) -> FactoredWorld | Relation:
-        """The world as stored: the factor product, or the joint table."""
-        if self.factors is not None:
-            return self.factors
-        return self.world_table
-
-    def _known(self, table_ids: tuple[str, ...]) -> set[tuple]:
-        """The world table's id sub-tuples for *table_ids* (cached)."""
-        known = self._known_ids.get(table_ids)
-        if known is None:
-            known = set(tuples_of(self.world_table, table_ids))
-            self._known_ids[table_ids] = known
-        return known
+        return self.world_factors.materialize()
 
     def _validate_table(self, name: str, relation: Relation) -> None:
         """One table's invariants: ids declared, referenced ids known.
@@ -167,102 +151,71 @@ class InlinedRepresentation:
         table_ids = tuple(
             a for a in self.id_attrs if a in relation.schema.as_set()
         )
-        if not table_ids:
-            return
-        if self.factors is not None:
-            self._validate_table_factored(name, relation, table_ids)
-            return
+        # A joint id is known iff each factor's sub-tuple is known, so
+        # the check runs factor by factor and never touches the product.
+        for factor in self.world_factors.factors:
+            factor_attrs = factor.schema.as_set()
+            f_attrs = tuple(a for a in table_ids if a in factor_attrs)
+            if f_attrs:
+                missing = self._unknown_sub_id(relation, factor, f_attrs)
+                if missing is not None:
+                    raise RepresentationError(
+                        f"table {name!r} references world id {missing!r} "
+                        "that is not in the world table "
+                        f"({_factor_column_phrase(f_attrs)})"
+                    )
+
+    def _unknown_sub_id(
+        self, relation: Relation, factor: Relation, f_attrs: tuple[str, ...]
+    ) -> tuple | None:
+        """The least sub-id of *relation* over *f_attrs* missing from
+        *factor*, or ``None`` when every one is known.
+
+        In a *wild* column ``PAD`` is the every-world wildcard and is
+        skipped; any other value must be in the factor's domain. A table
+        with an array-kernel twin is checked with one ``np.isin`` pass
+        over factorized id codes instead of Python tuple sets.
+        """
+        wild = len(f_attrs) == 1 and f_attrs[0] in self.wild_attrs
         twin = getattr(relation, "_array", None)
-        if twin is not None:
-            # Array-kernel sessions: one np.isin pass over factorized id
-            # codes instead of materializing Python tuple sets per commit.
+        if twin is not None and not wild:
             from repro.relational.array_kernel import as_array, missing_world_ids
 
-            world = as_array(self.world_table)
+            world = as_array(factor)
             missing = missing_world_ids(
                 twin,
-                twin.schema.indices(table_ids),
+                twin.schema.indices(f_attrs),
                 world,
-                world.schema.indices(table_ids),
+                world.schema.indices(f_attrs),
             )
-            if missing is not None:
-                raise RepresentationError(
-                    f"table {name!r} references world id {missing[0]!r} "
-                    "that is not in the world table "
-                    f"({_factor_column_phrase(table_ids)})"
-                )
-            return
-        referenced = set(tuples_of(relation, table_ids))
-        known = self._known(table_ids)
-        if not referenced <= known:
-            world_id = min(referenced - known, key=row_sort_key)
-            raise RepresentationError(
-                f"table {name!r} references world id {world_id!r} "
-                "that is not in the world table "
-                f"({_factor_column_phrase(table_ids)})"
-            )
-
-    def _validate_table_factored(
-        self, name: str, relation: Relation, table_ids: tuple[str, ...]
-    ) -> None:
-        """Per-factor id check: every referenced sub-id is in its factor.
-
-        A joint id is known iff each factor's sub-tuple is known, so the
-        check never touches the product. In a *wild* column ``PAD`` is
-        the every-world wildcard and is skipped; any other value must be
-        a member of the factor's domain.
-        """
-        table_attr_set = set(table_ids)
-        for factor in self.factors.factors:
-            f_attrs = tuple(
-                a for a in factor.schema.attributes if a in table_attr_set
-            )
-            if not f_attrs:
-                continue
-            known = self._known_ids.get(f_attrs)
-            if known is None:
-                known = set(tuples_of(factor, f_attrs))
-                self._known_ids[f_attrs] = known
-            referenced = set(tuples_of(relation, f_attrs))
-            if len(f_attrs) == 1 and f_attrs[0] in self.wild_attrs:
-                referenced = {t for t in referenced if t[0] is not PAD}
-            missing = referenced - known
-            if missing:
-                sub_id = min(missing, key=row_sort_key)
-                raise RepresentationError(
-                    f"table {name!r} references world id {sub_id!r} "
-                    "that is not in the world table "
-                    f"({_factor_column_phrase(f_attrs)})"
-                )
+            return None if missing is None else missing[0]
+        known = self._known_ids.get(f_attrs)
+        if known is None:
+            known = set(tuples_of(factor, f_attrs))
+            self._known_ids[f_attrs] = known
+        referenced = set(tuples_of(relation, f_attrs))
+        if wild:
+            referenced = {t for t in referenced if t[0] is not PAD}
+        missing = referenced - known
+        return min(missing, key=row_sort_key) if missing else None
 
     def _validate(self) -> None:
-        if self.factors is not None:
-            if set(self.factors.ids) != set(self.id_attrs):
-                raise RepresentationError(
-                    f"world factor attributes {list(self.factors.ids)} "
-                    f"differ from declared id attributes {list(self.id_attrs)}"
-                )
-            single = {
-                f.schema.attributes[0]
-                for f in self.factors.factors
-                if len(f.schema.attributes) == 1
-            }
-            loose = self.wild_attrs - single
-            if loose:
-                raise RepresentationError(
-                    f"wild attributes {sorted(loose)} must each be a "
-                    "single-attribute world factor"
-                )
-        else:
-            if self.wild_attrs:
-                raise RepresentationError(
-                    "wild attributes require a factored world table"
-                )
-            if set(self.world_table.schema.attributes) != set(self.id_attrs):
-                raise RepresentationError(
-                    f"world table attributes {list(self.world_table.schema)} "
-                    f"differ from declared id attributes {list(self.id_attrs)}"
-                )
+        if set(self.world_factors.ids) != set(self.id_attrs):
+            raise RepresentationError(
+                f"world table attributes {list(self.world_factors.ids)} "
+                f"differ from declared id attributes {list(self.id_attrs)}"
+            )
+        single = {
+            f.schema.attributes[0]
+            for f in self.world_factors.factors
+            if len(f.schema.attributes) == 1
+        }
+        loose = self.wild_attrs - single
+        if loose:
+            raise RepresentationError(
+                f"wild attributes {sorted(loose)} must each be a "
+                "single-attribute world factor"
+            )
         for name, relation in self.tables.items():
             self._validate_table(name, relation)
 
@@ -353,8 +306,7 @@ class InlinedRepresentation:
             (table_name, table if table_name == name else existing)
             for table_name, existing in self.tables.items()
         )
-        replacement._world_table = self._world_table
-        replacement.factors = self.factors
+        replacement.world_factors = self.world_factors
         replacement.wild_attrs = self.wild_attrs
         replacement.id_attrs = self.id_attrs
         replacement._known_ids = self._known_ids
@@ -387,7 +339,7 @@ class InlinedRepresentation:
         table = self.tables[name]
         attrs = table.schema.attributes
         wild = set(self.table_wild_attrs(name))
-        domains = self.factors.attr_domains()
+        domains = self.world_factors.attr_domains()
         wild_pos = tuple(i for i, a in enumerate(attrs) if a in wild)
         rows: dict[tuple, None] = {}
         for row in tuples_of(table, attrs):
@@ -431,10 +383,7 @@ class InlinedRepresentation:
             ops = kernel_ops(kernel)
             source = ops.convert(self._dewilded(name) if wild else table)
             if set(ids) - table.schema.as_set():
-                if self.factors is not None:
-                    world = self.factors.project(ids).materialize()
-                else:
-                    world = self.world_table
+                world = self.world_factors.project(ids).materialize()
                 cached = source.natural_join(ops.convert(world).project(ids))
             else:
                 cached = source
@@ -446,8 +395,8 @@ class InlinedRepresentation:
 
         Wild columns take ``PAD`` — one stored row reaches every world
         of those factors — while concrete id columns still enumerate
-        their combinations (from the touched factors only, or from the
-        joint world table on a non-factored representation), as one
+        their combinations (from the product of the touched factors
+        only), as one
         unordered distinct pass in *kernel* (``None`` reads
         ``REPRO_KERNEL``): first-occurrence order, never sorted.
         """
@@ -458,10 +407,7 @@ class InlinedRepresentation:
         concrete = tuple(a for a in table_ids if a not in wild)
         if not concrete:
             return [(PAD,) * len(table_ids)]
-        if self.factors is not None:
-            world = self.factors.project(concrete).materialize()
-        else:
-            world = self.world_table
+        world = self.world_factors.project(concrete).materialize()
         pool = kernel_ops(kernel).convert(world).distinct_tuples(concrete)
         if not wild:
             return pool
@@ -518,61 +464,52 @@ class InlinedRepresentation:
         """rep(T): the represented world-set (Definition 5.1).
 
         Equivalent worlds stored under different ids collapse, since
-        world-sets are sets. World ids stream unsorted; a factored world
-        walks the product of its factors without materializing it, so
-        the first world decodes (and meets the row budget) at once.
+        world-sets are sets. World ids stream unsorted, walking the
+        product of the factors without materializing it, so the first
+        world decodes (and meets the row budget) at once.
         """
         signature = tuple(
             (name, Schema(self.value_attributes(name))) for name in self.tables
         )
-        if self.factors is None:
-            ids = tuples_of(self.world_table, self.id_attrs)
-        else:
-            factors = self.factors.factors
-            reorder = tuple_getter(
-                tuple(self.factors.ids.index(a) for a in self.id_attrs)
-            )
-            ids = (
-                reorder(tuple(chain.from_iterable(parts)))
-                for parts in product(*(f.rows for f in factors))
-            )
+        world = self.world_factors
+        reorder = tuple_getter(tuple(world.ids.index(a) for a in self.id_attrs))
+        ids = (
+            reorder(tuple(chain.from_iterable(parts)))
+            for parts in product(*(f.rows for f in world.factors))
+        )
         return WorldSet(map(self.world, ids), signature)
 
     # -- views ----------------------------------------------------------------------
 
     def as_database(self) -> Database:
-        """The tables plus the world table(s), for RA query evaluation.
+        """The tables plus the stored world table(s), for RA evaluation.
 
-        A factored representation exposes one table per factor
-        (``#W0``, ``#W1``, …) instead of the joint ``#W`` — the Figure 6
-        translator builds W as their join, so the product is only ever
-        realized inside a query that genuinely asks for it.
+        W is exposed as stored (see :meth:`factor_tables`) — the Figure
+        6 translator builds it as the join of these tables, so the
+        product is only ever realized inside a query that genuinely
+        asks for it.
         """
-        if self.factors is not None:
-            database = self.tables
-            for factor_name, factor in self.factor_tables().items():
-                database = database.with_relation(factor_name, factor)
-            return database
-        return self.tables.with_relation(WORLD_TABLE, self.world_table)
+        database = self.tables
+        for factor_name, factor in self.factor_tables().items():
+            database = database.with_relation(factor_name, factor)
+        return database
 
     def factor_tables(self) -> dict[str, Relation]:
-        """The factor relations under their reserved names (``#W0``, …)."""
-        if self.factors is None:
+        """W's stored tables under reserved names: ``#W`` when W is one
+        table (a single factor, or {⟨⟩} for none), else ``#W0``,
+        ``#W1``, … one per factor."""
+        factors = self.world_factors.factors
+        if len(factors) <= 1:
             return {WORLD_TABLE: self.world_table}
         return {
-            f"{WORLD_TABLE}{index}": factor
-            for index, factor in enumerate(self.factors.factors)
+            f"{WORLD_TABLE}{index}": factor for index, factor in enumerate(factors)
         }
 
     def world_count(self) -> int:
-        """Number of world identifiers (equivalent worlds counted apart).
-
-        On a factored world this is the product of the factor sizes —
-        O(#factors), no joint table.
+        """Number of world identifiers (equivalent worlds counted apart):
+        the product of the factor sizes — O(#factors), no joint table.
         """
-        if self.factors is not None:
-            return self.factors.count()
-        return len(self.world_table)
+        return self.world_factors.count()
 
     def world_fingerprints(self) -> dict[tuple, tuple]:
         """Per world id, a hashable fingerprint of the decoded world.
@@ -658,7 +595,7 @@ class InlinedRepresentation:
         product. This is the repair-by-key shape (and survives the
         uniform DML route, which rewrites value columns only).
         """
-        factors = self.factors.factors
+        factors = self.world_factors.factors
         if any(len(f.schema.attributes) != 1 for f in factors):
             return None
         if set(self.id_attrs) - self.wild_attrs:
@@ -716,14 +653,13 @@ class InlinedRepresentation:
         Two ids whose worlds coincide relation-by-relation count once,
         matching the set semantics of explicit world-sets.
         """
-        if self.factors is not None:
-            fast = self._distinct_count_factored()
-            if fast is not None:
-                return fast
+        fast = self._distinct_count_factored()
+        if fast is not None:
+            return fast
         return len(set(self.world_fingerprints().values()))
 
     def materialized(self) -> "InlinedRepresentation":
-        """The joint (non-factored) form of this representation.
+        """The joint form of this representation: W as one factor.
 
         Wild PAD patterns are expanded over their factor domains and
         the world table is the materialized product — product-sized by
@@ -731,7 +667,7 @@ class InlinedRepresentation:
         (:mod:`repro.inline.pairing`, :meth:`strict`, correlated
         assignments) call this.
         """
-        if self.factors is None:
+        if not self.wild_attrs and len(self.world_factors.factors) <= 1:
             return self
         tables = []
         for name, table in self.tables.items():
@@ -747,10 +683,10 @@ class InlinedRepresentation:
         Tables carrying only a subset of the id attributes are joined
         with the world table (``R_i ⋈ W``), replicating their rows per
         world — exponential in general, which is exactly why sessions
-        keep the lazy form; the Figure 6 translator wants this one. A
-        factored representation keeps its factors (W stays a join of
-        factor tables in the translated plan) but loses its wild
-        columns: strictness means exact ids.
+        keep the lazy form; the Figure 6 translator wants this one. W
+        keeps its factors (it stays a join of factor tables in the
+        translated plan) but the wild columns go: strictness means
+        exact ids.
         """
         if not self.id_attrs:
             return self
@@ -765,32 +701,25 @@ class InlinedRepresentation:
                 # The replicating join runs in the active kernel; the
                 # result converts back at the Relation API boundary.
                 tables.append((name, as_tuple(convert(table).natural_join(world))))
-        return InlinedRepresentation(
-            tables, source.world_table, self.id_attrs, factors=self.factors
-        )
+        return InlinedRepresentation(tables, self.world_factors, self.id_attrs)
 
     def size(self) -> int:
         """Total stored rows: Σ|R_iᵀ| + |W| (the representation's footprint).
 
-        A factored world contributes the *sum* of its factor sizes —
-        the whole point of the encoding: a repaired table's footprint
-        is linear in the input, not in the number of repairs.
+        W contributes the *sum* of its factor sizes — the whole point of
+        the factored encoding: a repaired table's footprint is linear in
+        the input, not in the number of repairs. The single world
+        W = {⟨⟩} (zero factors) still counts its one row.
         """
         stored = sum(len(r) for _, r in self.tables.items())
-        if self.factors is not None:
-            return stored + sum(len(f) for f in self.factors.factors)
-        return stored + len(self.world_table)
+        factors = self.world_factors.factors
+        return stored + (sum(len(f) for f in factors) if factors else 1)
 
     def __repr__(self) -> str:
         tables = ", ".join(f"{n}[{len(r)}]" for n, r in self.tables.items())
-        if self.factors is not None:
-            return (
-                f"InlinedRepresentation({tables}; W={self.factors!r}, "
-                f"V={list(self.id_attrs)}, wild={sorted(self.wild_attrs)})"
-            )
         return (
-            f"InlinedRepresentation({tables}; |W|={len(self.world_table)}, "
-            f"V={list(self.id_attrs)})"
+            f"InlinedRepresentation({tables}; W={self.world_factors!r}, "
+            f"V={list(self.id_attrs)}, wild={sorted(self.wild_attrs)})"
         )
 
     def __eq__(self, other: object) -> bool:
@@ -805,20 +734,15 @@ class InlinedRepresentation:
         return (
             self.id_attrs == other.id_attrs
             and self.wild_attrs == other.wild_attrs
-            and self.factors == other.factors
-            and (
-                self.factors is not None
-                or self.world_table == other.world_table
-            )
+            and self.world_factors == other.world_factors
             and dict(self.tables.items()) == dict(other.tables.items())
         )
 
     def __hash__(self) -> int:
-        world = self.factors if self.factors is not None else self.world_table
         return hash(
             (
                 frozenset(self.tables.items()),
-                world,
+                self.world_factors,
                 self.id_attrs,
                 self.wild_attrs,
             )

@@ -55,7 +55,7 @@ from repro.core.ast import (
     _NaturalJoinExpansion,
 )
 from repro.core.typing import is_complete_to_complete
-from repro.inline.representation import WORLD_TABLE, InlinedRepresentation
+from repro.inline.representation import InlinedRepresentation
 from repro.relational import algebra as ra
 from repro.relational.columnar import as_tuple, kernel_ops
 from repro.relational.database import Database
@@ -189,12 +189,14 @@ class GeneralTranslator:
     ) -> None:
         self.env = _schema_env(value_schemas)
         self.base_ids = tuple(base_ids)
-        #: (table name, id attributes) per world factor — a factored
-        #: input representation exposes ``#W0``, ``#W1``, … instead of
-        #: the joint ``#W``, and the translated W is their join.
+        #: (table name, id attributes) per stored world table (see
+        #: :meth:`InlinedRepresentation.factor_tables`): the translated
+        #: W is their join.
         self.world_factors = tuple(
             (name, tuple(attrs)) for name, attrs in world_factors
         )
+        if self.base_ids and not self.world_factors:
+            raise TranslationError("base id attributes need world tables")
         self._counter = counter_start
 
     # -- fresh attribute names ---------------------------------------------------
@@ -229,16 +231,14 @@ class GeneralTranslator:
         return self._translate(lowered, initial)
 
     def _initial_world(self) -> ra.RAExpr:
-        """W as an expression: the join of the factor tables (disjoint
-        ids, so the join is their product), or the joint ``#W``."""
+        """W as an expression: the join of the world tables (disjoint
+        ids, so the join is their product), or {⟨⟩} without ids."""
         if not self.base_ids:
             return ra.Literal(Relation.unit())
-        if self.world_factors:
-            world: ra.RAExpr = ra.Table(self.world_factors[0][0])
-            for factor_name, _ in self.world_factors[1:]:
-                world = ra.NaturalJoin(world, ra.Table(factor_name))
-            return world
-        return ra.Table(WORLD_TABLE)
+        world: ra.RAExpr = ra.Table(self.world_factors[0][0])
+        for factor_name, _ in self.world_factors[1:]:
+            world = ra.NaturalJoin(world, ra.Table(factor_name))
+        return world
 
     # -- the translation, by case -----------------------------------------------------
 
@@ -297,11 +297,8 @@ class GeneralTranslator:
         env: dict[str, Schema] = {}
         for name, schema in self.env.items():
             env[name] = Schema(schema.attributes + self.base_ids)
-        if self.world_factors:
-            for factor_name, attrs in self.world_factors:
-                env[factor_name] = Schema(attrs)
-        else:
-            env[WORLD_TABLE] = Schema(self.base_ids)
+        for factor_name, attrs in self.world_factors:
+            env[factor_name] = Schema(attrs)
         return env
 
     def _translate_choice(
@@ -562,19 +559,14 @@ def translate_general(
     value_schemas = {
         name: representation.value_attributes(name) for name in representation.tables
     }
-    world_factors = (
-        tuple(
-            (factor_name, factor.schema.attributes)
-            for factor_name, factor in representation.factor_tables().items()
-        )
-        if representation.factors is not None
-        else ()
-    )
     translator = GeneralTranslator(
         value_schemas,
         representation.id_attrs,
         counter_start=counter_start,
-        world_factors=world_factors,
+        world_factors=tuple(
+            (factor_name, factor.schema.attributes)
+            for factor_name, factor in representation.factor_tables().items()
+        ),
     )
     state, answer = translator.translate(query)
     value_attrs = query.attributes(translator.env)

@@ -65,11 +65,9 @@ def render_representation(
         parts.append(f"### {title} ###")
     for name, table in representation.tables.items():
         parts.append(render_relation(table, title=f"{name}ᵀ"))
-    if representation.factors is not None:
-        # A factored world renders factor by factor — the joint table
-        # is the (never materialized) product of these.
-        for factor_name, factor in representation.factor_tables().items():
-            parts.append(render_relation(factor, title=f"W ({factor_name})"))
-    else:
-        parts.append(render_relation(representation.world_table, title="W"))
+    # W renders as stored: one table ``W``, or factor by factor (``W0``,
+    # ``W1``, …) — the joint table is then the (never materialized)
+    # product of these.
+    for factor_name, factor in representation.factor_tables().items():
+        parts.append(render_relation(factor, title=factor_name.lstrip("#")))
     return "\n\n".join(parts)

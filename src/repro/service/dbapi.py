@@ -67,6 +67,7 @@ from repro.datagen.workloads import Scenario, scenarios
 from repro.isql import ast
 from repro.cache import CacheInfo
 from repro.isql.session import ISQLSession, StatementResult
+from repro.relational.guards import guarded
 from repro.service.snapshots import SnapshotStore
 
 apilevel = "2.0"
@@ -285,21 +286,39 @@ class Cursor:
         if last.answer is None:  # assignment / create view
             return
         self.result = last.answer
-        answers = self.result.answers()
-        if len(answers) != 1:
-            self._fetch_error = (
-                f"the answer differs across worlds ({len(answers)} "
-                "variants); fetch is defined for world-uniform answers — "
-                "use cursor.result.answers() / .possible() / .certain()"
+        # Decoding runs kernel ops (a memo hit skipped evaluation, so
+        # they may be the statement's only work): it meets the same
+        # budget and exception net as the statement itself.
+        session = self._connection._session
+        try:
+            with guarded(session.max_rows, session.max_seconds):
+                answers = self.result.answers()
+                if len(answers) != 1:
+                    self._fetch_error = (
+                        f"the answer differs across worlds ({len(answers)} "
+                        "variants); fetch is defined for world-uniform "
+                        "answers — use cursor.result.answers() / "
+                        ".possible() / .certain()"
+                    )
+                    return
+                relation = next(iter(answers))
+                rows = [tuple(row) for row in relation.sorted_rows()]
+        except _errors.ReproError as error:
+            self._reset()
+            raise _mapped(error) from error
+        except Exception as error:
+            self._reset()
+            internal = _errors.EvaluationError(
+                f"internal error while decoding the answer: {error!r}"
             )
-            return
-        relation = next(iter(answers))
+            internal.__cause__ = error
+            raise _mapped(internal) from internal
         self.description = tuple(
             (name, None, None, None, None, None, None)
             for name in relation.schema.attributes
         )
-        self._rows = [tuple(row) for row in relation.sorted_rows()]
-        self.rowcount = len(self._rows)
+        self._rows = rows
+        self.rowcount = len(rows)
 
     # -- fetching ----------------------------------------------------------------
 

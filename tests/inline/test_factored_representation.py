@@ -34,9 +34,8 @@ def _rep(table_rows, wild_attrs=()):
     table = Relation(("A", "I", "J"), table_rows)
     return InlinedRepresentation(
         [("R", table)],
-        None,
+        FactoredWorld((FI, FJ)),
         ("I", "J"),
-        factors=FactoredWorld((FI, FJ)),
         wild_attrs=frozenset(wild_attrs),
     )
 
@@ -66,6 +65,63 @@ def test_factored_world_project_keeps_only_touched_factors():
 def test_factored_world_rejects_overlapping_factor_attributes():
     with pytest.raises(RepresentationError):
         FactoredWorld((FI, Relation(("I",), [(9,)])))
+
+
+EMPTY_I = Relation(("I",), [])
+
+
+@pytest.mark.parametrize(
+    "factors, stored, count, ids",
+    [
+        pytest.param((), (), 1, (), id="single-world"),
+        pytest.param((Relation.unit(),), (), 1, (), id="unit-factor-dropped"),
+        pytest.param((Relation.unit(), FI), (FI,), 2, ("I",), id="unit-beside-factor"),
+        pytest.param((EMPTY_I,), (EMPTY_I,), 0, ("I",), id="empty-world-set"),
+        pytest.param(
+            (Relation((), []),), (Relation((), []),), 0, (), id="empty-nullary"
+        ),
+        pytest.param((FI, FJ), (FI, FJ), 6, ("I", "J"), id="two-factors"),
+    ],
+)
+def test_factored_world_edge_shapes(factors, stored, count, ids):
+    world = FactoredWorld(factors)
+    assert world.factors == stored
+    assert world.count() == count == len(world.materialize())
+    assert world.ids == ids
+    assert world == FactoredWorld(stored) and hash(world) == hash(FactoredWorld(stored))
+
+
+def test_an_empty_factor_must_stand_alone():
+    with pytest.raises(RepresentationError, match="only one"):
+        FactoredWorld((FI, EMPTY_I.rename({"I": "J"})))
+
+
+# -- one encoding: every W is a FactoredWorld ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "world, ids, stored",
+    [
+        pytest.param(Relation.unit(), (), 0, id="single-world"),
+        pytest.param(Relation(("$w",), []), ("$w",), 1, id="empty-world-set"),
+        pytest.param(
+            Relation(("$a", "$b"), [(0, 0), (0, 1), (1, 1)]),
+            ("$a", "$b"),
+            1,
+            id="multi-attribute-joint",
+        ),
+        pytest.param(FactoredWorld((FI, FJ)), ("I", "J"), 2, id="factored"),
+    ],
+)
+def test_the_constructor_stores_every_world_as_factors(world, ids, stored):
+    rep = InlinedRepresentation({}, world, ids)
+    expected = world if isinstance(world, FactoredWorld) else FactoredWorld((world,))
+    assert isinstance(rep.world_factors, FactoredWorld)
+    assert rep.world_factors == expected
+    assert len(rep.world_factors.factors) == stored
+    assert rep.world_table == expected.materialize()
+    # A one-table W is exposed (and translated, and rendered) as #W.
+    assert ("#W" in rep.as_database()) == (len(expected.factors) <= 1)
 
 
 # -- validation: dangling ids name the offending factor column ----------------------
@@ -104,10 +160,7 @@ def test_multi_attribute_factor_phrase_lists_the_columns():
     table = Relation(("A", "I", "J"), [("x", 0, 1)])
     with pytest.raises(RepresentationError) as info:
         InlinedRepresentation(
-            [("R", table)],
-            None,
-            ("I", "J"),
-            factors=FactoredWorld((pair_factor,)),
+            [("R", table)], FactoredWorld((pair_factor,)), ("I", "J")
         )
     assert "factor columns ['I', 'J']" in str(info.value)
 
@@ -122,7 +175,7 @@ def test_insert_sub_ids_enumerates_the_touched_factor_product():
     ]
     # The enumeration went through the factors, not through a
     # materialized joint world table.
-    assert rep._world_table is None
+    assert rep.world_factors._materialized is None
 
 
 def test_insert_sub_ids_on_wild_table_pads_the_wild_columns():
@@ -149,8 +202,7 @@ def _repaired_session():
 def test_repair_by_key_mints_one_wild_factor_per_violating_group():
     session = _repaired_session()
     rep = session.backend.representation
-    assert rep.factors is not None
-    sizes = sorted(len(factor) for factor in rep.factors.factors)
+    sizes = sorted(len(factor) for factor in rep.world_factors.factors)
     assert sizes == [2, 3]  # one factor per group, one row per candidate
     assert rep.wild_attrs == frozenset(rep.id_attrs)
     assert session.world_count() == 6  # 2 × 3, counted as a product
@@ -169,7 +221,7 @@ def test_repaired_representation_is_sum_sized():
 def test_materialized_drops_to_the_joint_encoding():
     rep = _repaired_session().backend.representation
     joint = rep.materialized()
-    assert joint.factors is None
+    assert joint.world_factors.factors == (joint.world_table,)
     assert not joint.wild_attrs
     assert len(joint.world_table) == 6
     # Same worlds, different encoding.
@@ -182,6 +234,32 @@ def test_materialized_drops_to_the_joint_encoding():
 def test_pairing_a_factored_representation_goes_joint():
     rep = _repaired_session().backend.representation
     paired = pair_on_inlined(rep, "Clean", "Clean2")
-    assert paired.factors is None
+    assert paired.world_factors.factors == (paired.world_table,)
     assert len(paired.world_table) == 36  # every world paired with every world
     assert "Clean2" in paired.tables.names
+
+
+# -- assignments keep the parent's factor structure ---------------------------------
+
+
+def _split_twice(first: str):
+    session = ISQLSession(backend=InlineBackend())
+    session.register("R", Relation(("K", "A"), [(1, "x"), (1, "y"), (2, "z")]))
+    session.register("S", Relation(("B",), [("p",), ("q",), ("r",)]))
+    session.run(first)
+    session.run("T <- select * from S choice of B;")
+    return session.backend.representation
+
+
+def test_an_independent_split_of_a_one_table_world_joins_into_it():
+    rep = _split_twice("C <- select * from R choice of K;")
+    # 2 choices of K × 3 of B: one factor holding the 6-row product.
+    assert [len(f) for f in rep.world_factors.factors] == [6]
+    assert rep.world_count() == 6
+
+
+def test_an_independent_split_of_a_factored_world_is_a_new_factor():
+    rep = _split_twice("C <- select * from R repair by key K;")
+    # The repair's wild factor (2 candidates) and the split's own factor.
+    assert sorted(len(f) for f in rep.world_factors.factors) == [2, 3]
+    assert rep.world_count() == 6

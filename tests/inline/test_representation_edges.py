@@ -16,8 +16,12 @@ import pytest
 from repro.backend import InlineBackend
 from repro.errors import RepresentationError
 from repro.inline import InlinedRepresentation
+from repro.inline.factors import FactoredWorld
 from repro.isql import ISQLSession
 from repro.relational import Relation, Schema
+from repro.relational.pad import PAD
+from repro.render import render_representation
+from repro.render.tables import render_relation
 from repro.worlds import World, WorldSet
 
 
@@ -136,3 +140,155 @@ class TestValidation:
         assert strict.table_id_attrs("R") == ("$w",)
         assert len(strict.tables["R"]) == 2  # replicated per world
         assert strict.rep() == lazy.rep()
+
+
+# -- every edge shape through one encoding ------------------------------------------
+
+F_R1 = Relation(("$r1",), [(0,), (1,)])
+F_R2 = Relation(("$r2",), [(0,), (1,), (2,)])
+
+
+def _empty():
+    return InlinedRepresentation(
+        {"R": Relation(("A", "$w"), ())}, Relation(("$w",), ()), ("$w",)
+    )
+
+
+def _empty_nullary():
+    return InlinedRepresentation(
+        {"R": Relation(("A",), [(1,)])}, Relation((), ()), ()
+    )
+
+
+def _single():
+    return InlinedRepresentation(
+        {"R": Relation(("A",), [(1,), (2,)])}, Relation.unit(), ()
+    )
+
+
+def _joint():
+    """Two correlated ids in one table: W is not a product."""
+    return InlinedRepresentation(
+        {
+            "R": Relation(
+                ("A", "$a", "$b"), [("x", 0, 0), ("y", 0, 1), ("x", 1, 1)]
+            ),
+            "S": Relation(("B", "$a"), [("p", 0), ("q", 1)]),
+        },
+        Relation(("$b", "$a"), [(0, 0), (1, 0), (1, 1)]),
+        ("$a", "$b"),
+    )
+
+
+def _wild():
+    """The repair-by-key shape: one wild single-attribute factor per group."""
+    rows = [("base", PAD, PAD), ("a0", 0, PAD), ("a1", 1, PAD)]
+    rows += [(f"b{j}", PAD, j) for j in range(3)]
+    return InlinedRepresentation(
+        {"R": Relation(("A", "$r1", "$r2"), rows)},
+        FactoredWorld((F_R1, F_R2)),
+        ("$r1", "$r2"),
+        wild_attrs=("$r1", "$r2"),
+    )
+
+
+def _worlds(*worlds):
+    return WorldSet(
+        [
+            World.of(
+                {name: Relation(attrs, rows) for name, (attrs, rows) in world.items()}
+            )
+            for world in worlds
+        ]
+    )
+
+
+EDGE_SHAPES = [
+    pytest.param(
+        _empty,
+        WorldSet([], (("R", Schema(("A",))),)),
+        0,
+        0,
+        0,
+        True,
+        id="empty-world-set",
+    ),
+    pytest.param(
+        _empty_nullary,
+        WorldSet([], (("R", Schema(("A",))),)),
+        0,
+        0,
+        1,
+        True,
+        id="empty-nullary-world-set",
+    ),
+    pytest.param(
+        _single,
+        _worlds({"R": (("A",), [(1,), (2,)])}),
+        1,
+        1,
+        3,
+        True,
+        id="single-world",
+    ),
+    pytest.param(
+        _joint,
+        _worlds(
+            {"R": (("A",), [("x",)]), "S": (("B",), [("p",)])},
+            {"R": (("A",), [("y",)]), "S": (("B",), [("p",)])},
+            {"R": (("A",), [("x",)]), "S": (("B",), [("q",)])},
+        ),
+        3,
+        3,
+        8,
+        True,
+        id="multi-attribute-joint",
+    ),
+    pytest.param(
+        _wild,
+        _worlds(
+            *(
+                {"R": (("A",), [("base",), (f"a{i}",), (f"b{j}",)])}
+                for i in range(2)
+                for j in range(3)
+            )
+        ),
+        6,
+        6,
+        11,
+        False,
+        id="wild-factored",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, decoded, worlds, distinct, size, one_table", EDGE_SHAPES
+)
+def test_edge_shape_decodes_counts_and_compares(
+    build, decoded, worlds, distinct, size, one_table
+):
+    representation = build()
+    assert representation.rep() == decoded
+    assert representation.world_count() == worlds
+    assert representation.distinct_world_count() == distinct
+    assert representation.size() == size
+    twin = build()
+    assert representation == twin and hash(representation) == hash(twin)
+    assert (representation == _single()) == (build is _single)
+    text = render_representation(representation)
+    if one_table:
+        assert text.endswith(render_relation(representation.world_table, title="W"))
+    else:
+        assert text.endswith(render_relation(F_R2, title="W1"))
+    # The joint form decodes to the same worlds.
+    assert representation.materialized().rep() == decoded
+
+
+def test_session_over_a_wild_factored_world_round_trips():
+    session = backend_session(_wild())
+    assert session.world_count() == 6
+    assert session.query("select certain A from R;").relation.rows == {("base",)}
+    assert session.query("select possible A from R;").relation.rows == {
+        ("base",), ("a0",), ("a1",), ("b0",), ("b1",), ("b2",)
+    }

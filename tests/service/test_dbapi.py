@@ -19,6 +19,7 @@ from repro.isql import ISQLSession
 from repro.relational import Relation
 from repro.service import dbapi
 from repro.service.dbapi import connect
+from repro.testing.faults import InjectedFault, inject_fault
 
 
 @pytest.fixture
@@ -258,6 +259,40 @@ def test_resource_budget_maps_to_operational_error():
     conn = connect(session, max_rows=3)
     with pytest.raises(dbapi.OperationalError):
         conn.execute("select possible K from T;")
+    conn.close()
+
+
+def test_memo_hit_decode_is_charged_to_the_row_budget():
+    """A memo hit skips evaluation, so the cursor's decode of the
+    answer is the statement's only kernel work — it must meet the
+    connection's ``max_rows`` like the cache-off evaluation does."""
+    query = "select possible K from T;"
+    for cache in (False, True):
+        session = ISQLSession(backend="inline")
+        session.register("T", Relation(("K",), [(k,) for k in range(50)]))
+        conn = connect(session, cache=cache)
+        assert len(conn.execute(query).fetchall()) == 50  # warm the memo
+        conn.session.max_rows = 3
+        with pytest.raises(dbapi.OperationalError):
+            conn.execute(query)
+        conn.close()
+
+
+def test_fault_in_cursor_decode_surfaces_as_a_chained_dbapi_error():
+    query = "select certain Arr from HFlights choice of Dep;"
+    conn = connect("trip_certain")
+    expected = conn.execute(query).fetchall()
+    with inject_fault(1, op="world_answers") as fault:
+        with pytest.raises(dbapi.DatabaseError) as info:
+            conn.execute(query)
+    assert fault.fired
+    causes = []
+    error = info.value
+    while error is not None:
+        causes.append(error)
+        error = error.__cause__
+    assert any(isinstance(cause, InjectedFault) for cause in causes)
+    assert conn.execute(query).fetchall() == expected
     conn.close()
 
 
