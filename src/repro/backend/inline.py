@@ -130,6 +130,11 @@ class InlineQueryResult(BaseQueryResult):
         state: PhysicalState,
         name: str,
     ) -> None:
+        if not state.world.count():
+            # The empty world-set: no world holds the stored rows.
+            state = PhysicalState(
+                Relation._raw(state._answer.schema, ()), state.ids, state.world
+            )
         self._representation = representation
         self._state = state
         self.name = name
@@ -152,20 +157,17 @@ class InlineQueryResult(BaseQueryResult):
     def certain(self) -> Relation:
         """cert closure straight off the flat answer table: Rᵀ ÷ W.
 
-        Over a factored world the division runs factor by factor when
-        the answer has the repair shape (a value is certain iff an
-        all-PAD row holds it or some factor picks it in every choice);
-        otherwise the state expands to joint ids first.
+        A wild answer of the repair shape divides factor by factor (a
+        value is certain iff an all-PAD row holds it or some factor
+        picks it in every choice); otherwise the state expands to exact
+        ids and divides by the joint world table.
         """
         state = self._state
-        if isinstance(state._world, FactoredWorld):
-            rows = factored_certain_rows(state)
-            if rows is not None:
-                return Relation._raw(
-                    Schema(state.value_attributes()), list(rows)
-                )
-            state = state.plain()
-        return as_tuple(state._answer.divide(state._world_or_unit_any()))
+        rows = factored_certain_rows(state)
+        if rows is not None:
+            return Relation._raw(Schema(state.value_attributes()), list(rows))
+        state = state.plain()
+        return as_tuple(state._answer.divide(state.world.materialize()))
 
     @property
     def world_set(self) -> WorldSet:
@@ -192,7 +194,7 @@ class InlineQueryResult(BaseQueryResult):
             return self._representation.distinct_world_count()
         fingerprints = self._representation.world_fingerprints()
         by_shared, shared_in_session = match_answers_to_session_worlds(
-            self._representation, self._state.plain()
+            self._representation, self._state
         )
         pairs = set()
         for session_world_id, fingerprint in fingerprints.items():
@@ -204,7 +206,7 @@ class InlineQueryResult(BaseQueryResult):
     def __repr__(self) -> str:
         return (
             f"InlineQueryResult({self.name!r}, "
-            f"{len(self._state._world_or_unit_any())} world ids)"
+            f"{self._state.world.count()} world ids)"
         )
 
 
@@ -214,24 +216,19 @@ def _extended_world(
     """The session world with a world-splitting *state*'s factors
     appended, or ``None`` when the split must join into one table.
 
-    Only a factored side appends: a factored state world, or a session
-    W with several factors or wild columns. Each state factor over
-    fresh ids is appended; one over existing ids must equal a session
-    factor. A plain split of a one-table session, or a factor that
-    overlaps a session factor without equalling it (a split correlated
-    with existing worlds), returns ``None``.
+    Only a factored side appends: a wild state, or a session W with
+    several factors or wild columns. Each state factor over fresh ids
+    is appended; one over existing ids must equal a session factor. A
+    split of a one-table session without wild columns, or a factor
+    that overlaps a session factor without equalling it (a split
+    correlated with existing worlds), returns ``None``.
     """
     prior = representation.world_factors.factors
-    state_world = state._world
-    if isinstance(state_world, FactoredWorld):
-        added = state_world.factors
-    elif len(prior) > 1 or representation.wild_attrs:
-        added = (as_tuple(state.world_or_unit()),)
-    else:
+    if not (state.wild or len(prior) > 1 or representation.wild_attrs):
         return None
     combined = list(prior)
     taken = set(representation.world_factors.ids)
-    for factor in added:
+    for factor in state.world.in_tuple_engine().factors:
         attrs = set(factor.schema.attributes)
         if attrs.isdisjoint(taken):
             combined.append(factor)
@@ -636,7 +633,7 @@ class InlineBackend(Backend):
         )
         self._counter = translation.counter
         return PhysicalState(
-            output.tables["#answer"], output.id_attrs, output.world_table
+            output.tables["#answer"], output.id_attrs, output.world_factors
         )
 
     # -- statements ----------------------------------------------------------------
@@ -701,7 +698,7 @@ class InlineBackend(Backend):
             state = state.plain()
             rep = rep.materialized()
             world = FactoredWorld(
-                (rep.world_table.natural_join(state.world_or_unit()),)
+                (rep.world_table.natural_join(as_tuple(state.world.materialize())),)
             )
         if context.max_worlds is not None and world.count() > context.max_worlds:
             raise WorldLimitError(

@@ -54,14 +54,16 @@ class FactoredWorld:
     dropped, so the single world is ``FactoredWorld(())``. An empty
     factor makes the product empty; it is accepted only alone — the
     one encoding of the empty world-set.
+
+    Factors are relations of any one kernel: a session stores
+    tuple-engine factors, and the physical evaluator holds its
+    kernel's (see :meth:`in_tuple_engine` for the way back).
     """
 
     __slots__ = ("factors", "ids", "_materialized")
 
     def __init__(self, factors: Sequence[Relation]) -> None:
-        factors = tuple(
-            f for f in map(as_tuple, factors) if f.schema.attributes or not f
-        )
+        factors = tuple(f for f in factors if f.schema.attributes or not f)
         seen: set[str] = set()
         for factor in factors:
             if not factor and len(factors) > 1:
@@ -90,28 +92,55 @@ class FactoredWorld:
             count *= len(factor)
         return count
 
-    def __len__(self) -> int:
-        return self.count()
-
-    def __bool__(self) -> bool:
-        return True
+    def in_tuple_engine(self) -> "FactoredWorld":
+        """This world with tuple-engine factors — itself when they
+        already are (the commit and compare boundary)."""
+        if all(isinstance(f, Relation) for f in self.factors):
+            return self
+        return FactoredWorld(tuple(map(as_tuple, self.factors)))
 
     def project(self, ids: Iterable[str]) -> "FactoredWorld":
         """The factored projection onto *ids* — still never a product.
 
         Factors fully outside *ids* drop (their dimensions are summed
         out); partially covered factors project (and deduplicate) on
-        their own.
+        their own. The empty world-set stays empty: projecting ∅ gives
+        ∅, never the single world {⟨⟩}.
         """
         wanted = set(ids)
         kept = []
         for factor in self.factors:
             attrs = factor.schema.attributes
             inside = tuple(a for a in attrs if a in wanted)
-            if not inside:
-                continue
-            kept.append(factor if len(inside) == len(attrs) else factor.project(inside))
+            if len(inside) == len(attrs):
+                kept.append(factor)
+            elif inside or not factor:
+                kept.append(factor.project(inside))
         return FactoredWorld(kept)
+
+    def combine(self, other: "FactoredWorld") -> "FactoredWorld":
+        """The natural join of two world tables, still factored.
+
+        Factors that share id attributes join into one; disjoint ones
+        stay apart, so the product of independent factors is never
+        built. An empty factor absorbs every other: ∅ joined with
+        anything is ∅.
+        """
+        if not other.factors:
+            return self
+        if not self.factors:
+            return other
+        factors = list(self.factors)
+        for factor in other.factors:
+            attrs = factor.schema.as_set()
+            apart = []
+            for existing in factors:
+                if attrs.isdisjoint(existing.schema.attributes) and existing and factor:
+                    apart.append(existing)
+                else:
+                    factor = existing.natural_join(factor)
+            factors = apart + [factor]
+        return FactoredWorld(factors)
 
     def materialize(self) -> Relation:
         """The joint world table (cached): the product of the factors."""

@@ -17,22 +17,29 @@ algorithms:
 * σ_{eq}(R × S) plans (the shape ``FROM R1, R2 WHERE R1.A = R2.A``
   compiles to) are fused into one hash join — the product is never
   materialized;
-* repair-by-key is supported natively (one fresh id attribute whose
-  values number the repairs per world) — an operator the relational
-  translation cannot express at all (Proposition 4.2).
+* repair-by-key is supported natively (one fresh wild id column per
+  violating key group, each a separate world factor) — an operator
+  the relational translation cannot express at all (Proposition 4.2).
+
+Every state's world is a :class:`~repro.inline.factors.FactoredWorld`
+(zero factors for the single world {⟨⟩}, one empty factor for the
+empty world-set), and a binary operator joins only the factors its
+operands share; the product of independent factors is built only by an
+operator that needs one id table.
 
 The evaluator runs on a pluggable relation *kernel*
-(:mod:`repro.relational.columnar`): with ``kernel="columnar"`` (the
-``REPRO_KERNEL`` default) base tables are converted to
-:class:`ColumnarRelation` once per session and every operator runs its
-vectorized column-slice implementation; ``kernel="tuple"`` keeps the
-original frozenset-of-rows engine alive for differential testing.
-Conversion happens only at the :class:`Relation` API boundary — the
-:class:`PhysicalState` a caller sees always exposes tuple-engine
-relations, lazily converted on first access.
+(:mod:`repro.relational.columnar`): ``kernel="columnar"`` (the
+``REPRO_KERNEL`` default) runs every operator as a vectorized
+column-slice implementation, ``kernel="array"`` as numpy code passes,
+and ``kernel="tuple"`` keeps the original frozenset-of-rows engine
+alive for differential testing. Base tables and world factors are
+converted into the kernel through its cached ``convert`` once per
+session; conversion back happens only at the :class:`Relation` API
+boundary — :attr:`PhysicalState.answer` converts lazily on first
+access, and a commit stores tuple-engine factors.
 
 The evaluator is validated against the Figure 3 reference semantics by
-the same differential test suites as the two translators, and the two
+the same differential test suites as the two translators, and the three
 kernels are held to identical answers by ``tests/backend`` and
 ``tests/relational/test_columnar_differential.py``.
 """
@@ -88,9 +95,6 @@ from repro.relational.predicates import And, Predicate, conjunction
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
-#: Either kernel's relation type (they share the operator surface).
-KernelRelation = "Relation | ColumnarRelation"
-
 
 def _split_conjuncts(predicate: Predicate) -> list[Predicate]:
     """Flatten a conjunction into its top-level conjuncts."""
@@ -103,21 +107,20 @@ class PhysicalState:
     """One evaluated subquery: answer table, id attributes, world table.
 
     Mirrors :class:`repro.inline.optimized.OptimizedState`, but holds
-    materialized relations rather than expressions. ``world`` is None
-    when no worlds were created (the single implicit world).
+    materialized relations rather than expressions. :attr:`world` is
+    always a :class:`FactoredWorld` over exactly the :attr:`ids`: zero
+    factors is the single world {⟨⟩}, one empty factor the empty
+    world-set, and independent choices stay separate factors whose
+    product is built only by an operator that needs one id table.
 
-    Internally the relations live in whichever kernel evaluated them;
-    the public :attr:`answer`/:attr:`world` accessors convert to the
-    tuple engine lazily (cached), so consumers outside the evaluator
-    always see plain :class:`Relation` objects.
-
-    ``world`` may also be a :class:`FactoredWorld` — a product of
-    factor relations that is never materialized on the hot paths. The
-    id attributes listed in :attr:`wild` are *wild* factor columns: a
-    ``PAD`` in such a column means the row is in every world of that
-    factor (the repair-by-key sum-size encoding). :meth:`plain`
-    converts to the joint form — PADs expanded, product materialized —
-    for the consumers that genuinely need exact ids.
+    The answer and the world's factors live in whichever kernel
+    evaluated them; the :attr:`answer` accessor converts to the tuple
+    engine lazily (cached), so consumers outside the evaluator see a
+    plain :class:`Relation`. The id attributes listed in :attr:`wild`
+    are *wild* factor columns: a ``PAD`` in such a column means the
+    row is in every world of that factor (the repair-by-key sum-size
+    encoding). :meth:`plain` expands those patterns for the consumers
+    that genuinely need exact ids.
 
     States are immutable once built (the lazy conversions above only
     cache), which is what lets the inline backend's result memo share
@@ -129,18 +132,18 @@ class PhysicalState:
     can never collide with ids minted later.
     """
 
-    __slots__ = ("_answer", "ids", "_world", "wild", "_plain_state")
+    __slots__ = ("_answer", "ids", "world", "wild", "_plain_state")
 
     def __init__(
         self,
         answer: "Relation | ColumnarRelation",
         ids: tuple[str, ...],
-        world: "Relation | ColumnarRelation | FactoredWorld | None",
+        world: FactoredWorld,
         wild: frozenset = frozenset(),
     ) -> None:
         self._answer = answer
         self.ids = ids
-        self._world = world
+        self.world = world
         self.wild = wild
         self._plain_state: "PhysicalState | None" = None
 
@@ -151,63 +154,40 @@ class PhysicalState:
             answer = self._answer = as_tuple(answer)
         return answer
 
-    @property
-    def world(self) -> Relation | None:
-        world = self._world
-        if isinstance(world, FactoredWorld):
-            # Product-sized by definition; the factored structure stays
-            # on _world so succinctness-aware consumers keep seeing it.
-            return world.materialize()
-        if world is not None and not isinstance(world, Relation):
-            world = self._world = as_tuple(world)
-        return world
-
     def value_attributes(self) -> tuple[str, ...]:
         ids = set(self.ids)
         return tuple(a for a in self._answer.schema if a not in ids)
 
-    def world_or_unit(self) -> Relation:
-        return self.world if self._world is not None else Relation.unit()
-
-    def _world_or_unit_any(self) -> "Relation | ColumnarRelation":
-        """The world table without forcing a kernel conversion."""
-        return self._world if self._world is not None else Relation.unit()
-
     def plain(self) -> "PhysicalState":
-        """The joint-id form of this state (cached).
+        """This state with exact ids (cached): wild PAD patterns expand
+        over their factors' domains, and the world stays factored.
 
-        Wild PAD patterns expand over their factors' domains and a
-        factored world materializes into the joint product — the
-        explicit escape hatch out of the sum-size encoding, used by
-        decoding and by operators whose semantics need exact ids.
+        The explicit escape hatch out of the sum-size answer encoding,
+        used by decoding and by operators that match ids row by row.
         """
-        if not self.wild and not isinstance(self._world, FactoredWorld):
+        if not self.wild:
             return self
         cached = self._plain_state
         if cached is not None:
             return cached
-        world = self._world
         answer = self._answer
-        if self.wild:
-            assert isinstance(world, FactoredWorld)
-            domains = world.attr_domains()
-            attrs = answer.schema.attributes
-            wild_pos = tuple(i for i, a in enumerate(attrs) if a in self.wild)
-            rows: dict[tuple, None] = {}
-            for row in tuples_of(answer, attrs):
-                pads = [i for i in wild_pos if row[i] is PAD]
-                if not pads:
-                    rows[row] = None
-                    continue
-                for combo in _cartesian(*(domains[attrs[i]] for i in pads)):
-                    filled = list(row)
-                    for i, v in zip(pads, combo):
-                        filled[i] = v
-                    rows[tuple(filled)] = None
-            answer = Relation._raw(Schema(attrs), list(rows))
-        if isinstance(world, FactoredWorld):
-            world = world.materialize()
-        cached = PhysicalState(answer, self.ids, world)
+        domains = self.world.attr_domains()
+        attrs = answer.schema.attributes
+        wild_pos = tuple(i for i, a in enumerate(attrs) if a in self.wild)
+        rows: dict[tuple, None] = {}
+        for row in tuples_of(answer, attrs):
+            pads = [i for i in wild_pos if row[i] is PAD]
+            if not pads:
+                rows[row] = None
+                continue
+            for combo in _cartesian(*(domains[attrs[i]] for i in pads)):
+                filled = list(row)
+                for i, v in zip(pads, combo):
+                    filled[i] = v
+                rows[tuple(filled)] = None
+        cached = PhysicalState(
+            Relation._raw(Schema(attrs), list(rows)), self.ids, self.world
+        )
         self._plain_state = cached
         return cached
 
@@ -218,7 +198,7 @@ class PhysicalState:
             state._answer,
             state.ids,
             state.value_attributes(),
-            state._world_or_unit_any(),
+            state.world.materialize(),
         )
 
     def world_answers(self) -> frozenset[Relation]:
@@ -226,23 +206,26 @@ class PhysicalState:
         kernel op (no per-world decode on the array kernel)."""
         state = self.plain()
         return state._answer.world_answers(
-            state.ids, state.value_attributes(), state._world_or_unit_any()
+            state.ids, state.value_attributes(), state.world.materialize()
         )
 
 
 class PhysicalEvaluator:
     """Evaluates world-set algebra directly over an inlined database.
 
-    By default the database is a *complete* database (a single implicit
-    world). Passing *base_ids* and *base_world* seeds the evaluation
+    By default the database is a *complete* database (a single world,
+    W = {⟨⟩}). Passing *base_ids* and *base_world* seeds the evaluation
     with an existing inlined world-set instead: every base table is then
-    expected to already carry the *base_ids* columns, and base-relation
-    states start from the given :class:`FactoredWorld` — this is how the
+    expected to carry the *base_ids* columns it depends on, and
+    base-relation states start from projections of the given
+    :class:`FactoredWorld`, whose factors are converted once into this
+    evaluator's kernel — this is how the
     :class:`repro.backend.InlineBackend` evaluates statements against a
     session whose state has already split into worlds. *counter_start*
     offsets the fresh world-id counter so that ids minted by earlier
     statements are never reused. *kernel* selects the relation engine
-    (``"columnar"`` or ``"tuple"``; None reads ``REPRO_KERNEL``).
+    (``"columnar"``, ``"array"`` or ``"tuple"``; None reads
+    ``REPRO_KERNEL``).
     """
 
     def __init__(
@@ -260,37 +243,34 @@ class PhysicalEvaluator:
         self.env = _schema_env(schemas or database.schemas())
         self.max_worlds = max_worlds
         self.base_ids = tuple(base_ids)
-        self.base_world = base_world if self.base_ids else None
         self.base_wild = frozenset(base_wild)
         ops = kernel_ops(kernel)
         self.kernel = ops.name
         self._convert = ops.convert
         self._from_distinct_rows = ops.from_distinct_rows
+        factors = base_world.factors if base_world is not None else ()
+        self.base_world = FactoredWorld(tuple(map(self._convert, factors)))
         self._counter = counter_start
-        self._world_projections: dict[tuple[str, ...], KernelRelation] = {}
+        self._world_projections: dict[tuple[str, ...], FactoredWorld] = {}
 
     def _fresh(self) -> int:
         self._counter += 1
         return self._counter
 
     def _plain(self, state: PhysicalState) -> PhysicalState:
-        """*state* in joint-id form, relations in this evaluator's kernel."""
+        """*state* with exact ids, its answer in this evaluator's kernel."""
         plain = state.plain()
         if plain is state:
             return state
-        world = plain._world
-        return PhysicalState(
-            self._convert(plain._answer),
-            plain.ids,
-            self._convert(world) if world is not None else None,
-        )
+        return PhysicalState(self._convert(plain._answer), plain.ids, plain.world)
 
-    def _guard(self, world: "Relation | ColumnarRelation | None") -> None:
-        if (
-            self.max_worlds is not None
-            and world is not None
-            and len(world) > self.max_worlds
-        ):
+    def _joint(self, world: FactoredWorld) -> "Relation | ColumnarRelation":
+        """*world* as one id table in this kernel — the factor itself
+        for a one-factor world, so only a multi-factor world joins."""
+        return world.materialize() if world.factors else kernel_unit(self.kernel)
+
+    def _guard(self, world: FactoredWorld) -> None:
+        if self.max_worlds is not None and world.count() > self.max_worlds:
             raise WorldLimitError(
                 f"physical evaluation exceeded {self.max_worlds} worlds"
             )
@@ -298,9 +278,6 @@ class PhysicalEvaluator:
     def _relation(self, attributes: Sequence[str], rows) -> "Relation | ColumnarRelation":
         """Build a kernel relation from *distinct* aligned row tuples."""
         return self._from_distinct_rows(Schema(tuple(attributes)), rows)
-
-    def _unit(self) -> "Relation | ColumnarRelation":
-        return kernel_unit(self.kernel)
 
     # -- entry points ------------------------------------------------------------
 
@@ -323,31 +300,19 @@ class PhysicalEvaluator:
 
     def _base_state(self, name: str) -> PhysicalState:
         """A base table under the lazy interpretation: a table carries
-        only the id attributes it depends on; its world table is the
-        projection of the session world table onto those ids.
-
-        A one-factor world without wild columns is a joint table: it is
-        converted (its kernel twin is cached on the factor) and
-        projected in this evaluator's kernel, and the state carries a
-        plain relation. Any other world projects factor by factor and
-        stays a :class:`FactoredWorld`."""
+        only the id attributes it depends on; its world is the base
+        world projected onto those ids, factor by factor. A table
+        without ids projects to {⟨⟩} — or to ∅ over the empty
+        world-set."""
         table = self._convert(self.database[name])
         schema = table.schema.as_set()
         ids = tuple(a for a in self.base_ids if a in schema)
-        if not ids:
-            return PhysicalState(table, (), None)
         world = self._world_projections.get(ids)
         if world is None:
-            assert self.base_world is not None
             base = self.base_world
-            if len(base.factors) == 1 and not self.base_wild:
-                joint = self._convert(base.factors[0])
-                world = joint if ids == self.base_ids else joint.project(ids)
-            else:
-                world = base if set(ids) == set(base.ids) else base.project(ids)
+            world = base if set(ids) == set(base.ids) else base.project(ids)
             self._world_projections[ids] = world
-        wild = self.base_wild.intersection(ids)
-        return PhysicalState(table, ids, world, wild)
+        return PhysicalState(table, ids, world, self.base_wild.intersection(ids))
 
     def _eval(self, query: WSAQuery) -> PhysicalState:
         if isinstance(query, Rel):
@@ -361,7 +326,7 @@ class PhysicalEvaluator:
             return PhysicalState(
                 state._answer.select(query.predicate),
                 state.ids,
-                state._world,
+                state.world,
                 state.wild,
             )
         if isinstance(query, Project):
@@ -369,7 +334,7 @@ class PhysicalEvaluator:
             return PhysicalState(
                 state._answer.project(query.attrs + state.ids),
                 state.ids,
-                state._world,
+                state.world,
                 state.wild,
             )
         if isinstance(query, Rename):
@@ -377,7 +342,7 @@ class PhysicalEvaluator:
             return PhysicalState(
                 state._answer.rename(query.mapping),
                 state.ids,
-                state._world,
+                state.world,
                 state.wild,
             )
         if isinstance(query, ChoiceOf):
@@ -385,7 +350,9 @@ class PhysicalEvaluator:
         if isinstance(query, Poss):
             state = self._eval(query.child)
             return PhysicalState(
-                state._answer.project(state.value_attributes()), (), None
+                state._answer.project(state.value_attributes()),
+                (),
+                state.world.project(()),
             )
         if isinstance(query, Cert):
             return self._eval_cert(query)
@@ -415,25 +382,26 @@ class PhysicalEvaluator:
         answer ids always lie in the world table (the representation
         invariant), a U-value is certain iff its group has |W| rows —
         one C-speed counting pass over the value column slice, no
-        per-group id-set materialization.
+        per-group id-set materialization, and |W| is the product of
+        the factor sizes, never a joint table.
 
-        Over a factored world the division never touches the joint
-        domain: a value is certain iff an all-PAD row covers it or one
-        factor's choice set for it is the whole factor — a product of
-        per-factor checks (see :func:`factored_certain_rows`).
+        A wild answer first tries the factored division, which never
+        expands a pattern: a value is certain iff an all-PAD row covers
+        it or one factor's choice set for it is the whole factor — a
+        product of per-factor checks (see :func:`factored_certain_rows`).
         """
         state = self._eval(query.child)
         if not state.ids:
             return state
-        if _factored_or_wild(state):
-            certain = factored_certain_rows(state)
-            if certain is not None:
-                return PhysicalState(
-                    self._relation(state.value_attributes(), certain), (), None
-                )
-            state = self._plain(state)
+        world = state.world.project(())
+        certain = factored_certain_rows(state)
+        if certain is not None:
+            return PhysicalState(
+                self._relation(state.value_attributes(), certain), (), world
+            )
+        state = self._plain(state)
         values = state.value_attributes()
-        need = len(state._world) if state._world is not None else 1
+        need = state.world.count()
         answer = state._answer
         if isinstance(answer, ArrayRelation):
             # One bincount / np.unique pass over the factorized codes.
@@ -445,7 +413,7 @@ class PhysicalEvaluator:
         else:
             counts = Counter(tuples_of(answer, values))
             rows = [value for value, count in counts.items() if count == need]
-        return PhysicalState(self._relation(values, rows), (), None)
+        return PhysicalState(self._relation(values, rows), (), world)
 
     def _eval_choice(self, query: ChoiceOf) -> PhysicalState:
         state = self._plain(self._eval(query.child))
@@ -455,8 +423,9 @@ class PhysicalEvaluator:
         for attr in query.attrs:
             extended = extended.copy_attribute(attr, mapping[attr])
         choices = state._answer.project(state.ids + query.attrs).rename(mapping)
-        world = state._world if state._world is not None else self._unit()
-        world = world.left_outer_join_padded(choices)
+        world = FactoredWorld(
+            (self._joint(state.world).left_outer_join_padded(choices),)
+        )
         self._guard(world)
         return PhysicalState(
             extended, state.ids + tuple(mapping[a] for a in query.attrs), world
@@ -466,7 +435,7 @@ class PhysicalEvaluator:
         state = self._plain(self._eval(query.child))
         if not state.ids:
             return PhysicalState(
-                state._answer.project(query.proj_attrs), (), None
+                state._answer.project(query.proj_attrs), (), state.world
             )
         answer = state._answer.group_worlds(
             state.ids,
@@ -474,7 +443,7 @@ class PhysicalEvaluator:
             query.proj_attrs,
             certain=isinstance(query, CertGroup),
         )
-        return PhysicalState(answer, state.ids, state._world)
+        return PhysicalState(answer, state.ids, state.world)
 
     def _eval_aggregate(self, query: Aggregate) -> PhysicalState:
         """Per-world SQL aggregation, flat: group on world ids + U.
@@ -491,13 +460,13 @@ class PhysicalEvaluator:
         answer = state._answer.aggregate_by(keys, query.specs)
         if not query.group_attrs and state.ids:
             missing = missing_group_rows(
-                answer, state.ids, query.specs, state._world_or_unit_any()
+                answer, state.ids, query.specs, self._joint(state.world)
             )
             if missing:
                 answer = answer.union(
                     self._relation(answer.schema.attributes, missing)
                 )
-        return PhysicalState(answer, state.ids, state._world)
+        return PhysicalState(answer, state.ids, state.world)
 
     def _eval_semijoin(self, query: SemiJoin | AntiJoin) -> PhysicalState:
         """⋉_φ / ▷_φ as hash passes — decorrelated condition subqueries.
@@ -527,11 +496,9 @@ class PhysicalEvaluator:
         matched = joined.project(keep)
         if isinstance(query, SemiJoin):
             return PhysicalState(matched, ids, world, left.wild | right.wild)
+        base = left._answer
         if right_extra:
-            assert world is not None
-            base = left._answer.natural_join(world.project(left.ids + right_extra))
-        else:
-            base = left._answer
+            base = base.natural_join(self._joint(world))
         return PhysicalState(base.difference(matched), ids, world, left.wild)
 
     def _eval_pad_join(self, query: PadJoin) -> PhysicalState:
@@ -551,10 +518,8 @@ class PhysicalEvaluator:
             left, right = self._plain(left), self._plain(right)
         ids, world = self._combine(left, right)
         left_answer = left._answer
-        right_extra = tuple(v for v in right.ids if v not in set(left.ids))
-        if right_extra:
-            assert world is not None
-            left_answer = left_answer.natural_join(world)
+        if any(v not in set(left.ids) for v in right.ids):
+            left_answer = left_answer.natural_join(self._joint(world))
         answer = left_answer.left_outer_join_padded(right._answer)
         return PhysicalState(answer, ids, world, left.wild)
 
@@ -572,7 +537,7 @@ class PhysicalEvaluator:
         ids, world = self._combine(child, key)
         if not ids:
             return PhysicalState(
-                child._answer.project(query.proj_attrs), (), None
+                child._answer.project(query.proj_attrs), (), world
             )
 
         child_rows: dict[tuple, set[tuple]] = {}
@@ -599,14 +564,13 @@ class PhysicalEvaluator:
             else:
                 bucket.add(row)
 
-        world_table = world if world is not None else self._unit()
         child_positions = tuple(ids.index(a) for a in child.ids)
         key_positions = tuple(ids.index(a) for a in key.ids)
         certain = isinstance(query, CertGroupKey)
         empty: frozenset = frozenset()
         members: list[tuple[tuple, frozenset]] = []
         folded: dict[frozenset, set[tuple]] = {}
-        for combined_id in tuples_of(world_table, ids):
+        for combined_id in tuples_of(self._joint(world), ids):
             child_id = tuple(combined_id[p] for p in child_positions)
             key_id = tuple(combined_id[p] for p in key_positions)
             fingerprint = frozenset(key_rows.get(key_id, empty))
@@ -629,38 +593,13 @@ class PhysicalEvaluator:
 
     def _combine(
         self, left: PhysicalState, right: PhysicalState
-    ) -> tuple[tuple[str, ...], "Relation | ColumnarRelation | None"]:
-        """The combined id attributes and world table of a binary node.
-
-        When either operand is factored (disjoint id sets — callers
-        de-wild overlapping pairs first), the combination stays
-        factored: the other operand's world simply joins the factor
-        list, so the product is still never materialized.
-        """
+    ) -> tuple[tuple[str, ...], FactoredWorld]:
+        """The combined id attributes and world of a binary node: the
+        two worlds joined factor by factor (see
+        :meth:`FactoredWorld.combine`), so independent factors stay
+        apart and their product is never built here."""
         ids = left.ids + tuple(v for v in right.ids if v not in set(left.ids))
-        left_world = left._world
-        right_world = right._world
-        if left_world is None:
-            world = right_world
-        elif right_world is None:
-            world = left_world
-        elif isinstance(left_world, FactoredWorld) or isinstance(
-            right_world, FactoredWorld
-        ):
-            world = FactoredWorld(
-                (
-                    left_world.factors
-                    if isinstance(left_world, FactoredWorld)
-                    else (as_tuple(left_world),)
-                )
-                + (
-                    right_world.factors
-                    if isinstance(right_world, FactoredWorld)
-                    else (as_tuple(right_world),)
-                )
-            )
-        else:
-            world = left_world.natural_join(right_world)
+        world = left.world.combine(right.world)
         self._guard(world)
         return ids, world
 
@@ -733,18 +672,16 @@ class PhysicalEvaluator:
                 left.wild | right.wild,
             )
         # Set operations align whole rows across operands — PAD
-        # wildcards and exact ids must not meet, so both sides go joint.
-        if _factored_or_wild(left) or _factored_or_wild(right):
-            left, right = self._plain(left), self._plain(right)
+        # wildcards and exact ids must not meet, so both sides go exact,
+        # and each side replicates over the ids only the other carries.
+        left, right = self._plain(left), self._plain(right)
         ids, world = self._combine(left, right)
         left_answer = left._answer
         right_answer = right._answer
-        left_extra = tuple(v for v in right.ids if v not in set(left.ids))
-        right_extra = tuple(v for v in left.ids if v not in set(right.ids))
-        if left_extra and right._world is not None:
-            left_answer = left_answer.natural_join(right._world)
-        if right_extra and left._world is not None:
-            right_answer = right_answer.natural_join(left._world)
+        if any(v not in set(left.ids) for v in right.ids):
+            left_answer = left_answer.natural_join(self._joint(right.world))
+        if any(v not in set(right.ids) for v in left.ids):
+            right_answer = right_answer.natural_join(self._joint(left.world))
         operations = {
             Union: lambda a, b: a.union(b),
             Intersect: lambda a, b: a.intersection(b),
@@ -768,7 +705,7 @@ class PhysicalEvaluator:
         indices (PAD for worlds whose answer is empty).
         """
         state = self._eval(query.child)
-        if not state.ids and state._world is None:
+        if not state.ids:
             return self._eval_repair_factored(query, state)
         state = self._plain(state)
         repair_attr = f"$repair#{self._fresh()}"
@@ -776,7 +713,7 @@ class PhysicalEvaluator:
         key_positions = answer.schema.indices(query.attrs)
 
         per_world: dict[tuple, list[tuple]] = {
-            row: [] for row in tuples_of(state._world_or_unit_any(), state.ids)
+            row: [] for row in tuples_of(self._joint(state.world), state.ids)
         }
         for world_id, row in zip(tuples_of(answer, state.ids), iter(answer)):
             bucket = per_world.get(world_id)
@@ -805,7 +742,9 @@ class PhysicalEvaluator:
             answer.schema.attributes + (repair_attr,), out_rows
         )
         world = self._relation(state.ids + (repair_attr,), world_rows)
-        return PhysicalState(new_answer, state.ids + (repair_attr,), world)
+        return PhysicalState(
+            new_answer, state.ids + (repair_attr,), FactoredWorld((world,))
+        )
 
     def _eval_repair_factored(
         self, query: RepairByKey, state: PhysicalState
@@ -818,15 +757,16 @@ class PhysicalEvaluator:
         group's column and PAD (the every-world wildcard) in all other
         fresh columns, and rows with unique keys stay all-PAD. A child
         with no violating groups has exactly one repair — itself — and
-        passes through unchanged.
+        passes through unchanged, as does a child over the empty
+        world-set, which has no world to repair.
         """
         answer = state._answer
         key_positions = answer.schema.indices(query.attrs)
         base, violating = factored_repair_groups(list(iter(answer)), key_positions)
-        if not violating:
+        if not violating or not state.world.count():
             return state
         fresh_attrs: list[str] = []
-        factor_relations: list[Relation] = []
+        factor_relations: list = []
         total = 1
         for group in violating:
             attr = f"$repair#{self._fresh()}"
@@ -837,9 +777,7 @@ class PhysicalEvaluator:
                 )
             fresh_attrs.append(attr)
             factor_relations.append(
-                Relation._raw(
-                    Schema((attr,)), [(i,) for i in range(len(group))]
-                )
+                self._relation((attr,), [(i,) for i in range(len(group))])
             )
         pad = [PAD] * len(fresh_attrs)
         out_rows: list[tuple] = [row + tuple(pad) for row in base]
@@ -860,29 +798,23 @@ class PhysicalEvaluator:
         )
 
 
-def _factored_or_wild(state: PhysicalState) -> bool:
-    """Does *state* carry the succinct factored/wild encoding?"""
-    return bool(state.wild) or isinstance(state._world, FactoredWorld)
-
-
 def _pair_needs_joint(
     left: PhysicalState, right: PhysicalState, right_extra_ok: bool
 ) -> bool:
-    """Must a two-operand node expand its operands to joint ids?
+    """Must a two-operand node expand its operands' wild patterns?
 
-    Pass-through is sound only when the operands constrain *disjoint*
-    factors (a shared wild column would be compared literally — PAD
-    against a concrete choice — instead of by world overlap), and, for
-    operators that replicate the left answer over right-only ids, only
-    when the right operand brings no ids at all.
+    Pattern pass-through is sound only when the operands constrain
+    *disjoint* factors (a shared wild column would be compared
+    literally — PAD against a concrete choice — instead of by world
+    overlap), and, for operators that replicate the left answer over
+    right-only ids, only when the right operand brings no ids at all.
+    Operands without wild columns carry exact ids and never expand.
     """
-    if not (_factored_or_wild(left) or _factored_or_wild(right)):
+    if not (left.wild or right.wild):
         return False
     if set(left.ids) & set(right.ids):
         return True
-    if not right_extra_ok and right.ids:
-        return True
-    return False
+    return not right_extra_ok and bool(right.ids)
 
 
 def factored_certain_rows(state: PhysicalState) -> set | None:
@@ -897,14 +829,13 @@ def factored_certain_rows(state: PhysicalState) -> set | None:
     anything else returns ``None`` and the caller falls back to the
     joint division.
     """
-    world = state._world
-    if not isinstance(world, FactoredWorld) or not state.ids:
+    if not state.ids or not set(state.ids) <= state.wild:
         return None
-    factors = world.factors
+    factors = state.world.factors
     if any(len(f.schema.attributes) != 1 for f in factors):
         return None
     attrs = tuple(f.schema.attributes[0] for f in factors)
-    if set(attrs) != set(state.ids) or not set(state.ids) <= state.wild:
+    if set(attrs) != set(state.ids):
         return None
     index = {a: j for j, a in enumerate(attrs)}
     domain_sizes = [len(f) for f in factors]
@@ -959,8 +890,6 @@ def evaluate_seeded(
     Returns the final state plus the fresh-id counter value, so a
     session can keep minting collision-free world ids across statements.
     """
-    from repro.inline.representation import InlinedRepresentation  # noqa: F401
-
     schemas = {
         name: representation.value_attributes(name)
         for name in representation.tables
@@ -1012,7 +941,6 @@ def decode_extension(
     the only place the inline evaluation route materializes worlds, and
     it runs only when a caller asks for explicit worlds.
     """
-    from repro.relational.schema import Schema
     from repro.worlds.worldset import WorldSet
 
     by_shared, shared_in_session = match_answers_to_session_worlds(

@@ -94,10 +94,11 @@ class InlinedRepresentation:
         wild_attrs: Iterable[str] = (),
     ) -> None:
         self.tables = Database(tables)
-        #: W as stored: a plain world table becomes one factor.
+        #: W as stored, in tuple-engine factors: a plain world table
+        #: becomes one factor.
         self.world_factors = (
             world if isinstance(world, FactoredWorld) else FactoredWorld((world,))
-        )
+        ).in_tuple_engine()
         self.wild_attrs = frozenset(wild_attrs)
         self.id_attrs = tuple(
             self.world_factors.ids if id_attrs is None else id_attrs

@@ -231,9 +231,11 @@ class GeneralTranslator:
         return self._translate(lowered, initial)
 
     def _initial_world(self) -> ra.RAExpr:
-        """W as an expression: the join of the world tables (disjoint
-        ids, so the join is their product), or {⟨⟩} without ids."""
-        if not self.base_ids:
+        """W as an expression: the join of the stored world tables
+        (disjoint ids, so the join is their product) — even without
+        ids, where the stored table is {⟨⟩} or the empty world-set ∅ —
+        or the literal {⟨⟩} when no world table is given."""
+        if not self.world_factors:
             return ra.Literal(Relation.unit())
         world: ra.RAExpr = ra.Table(self.world_factors[0][0])
         for factor_name, _ in self.world_factors[1:]:

@@ -127,12 +127,30 @@ class Engine:
             world.restrict(base_names).extend(result_name, projected[world])
             for world in working.worlds
         )
-        schema = world_set.signature + (
-            (result_name, next(iter(projected.values())).schema if projected else Schema(())),
+        if projected:
+            answer_schema = next(iter(projected.values())).schema
+        elif world_set.signature:
+            answer_schema = self._empty_answer_schema(query, world_set.signature)
+        else:
+            answer_schema = None
+        result = WorldSet(
+            out_worlds,
+            None
+            if answer_schema is None
+            else world_set.signature + ((result_name, answer_schema),),
         )
-        result = WorldSet(out_worlds, schema if projected else None)
         self._guard(len(result))
         return result, result_name
+
+    def _empty_answer_schema(self, query: ast.SelectQuery, signature) -> Schema:
+        """The answer schema of *query* over a world-set without worlds,
+        read off one world of empty instances (no world holds the
+        answer, but its schema must still name the result relation)."""
+        probe = WorldSet.single(
+            World.of({name: Relation(schema, ()) for name, schema in signature})
+        )
+        probed, name = self.run_select(query, probe)
+        return dict(probed.signature)[name]
 
     def _guard(self, count: int) -> None:
         if self.max_worlds is not None and count > self.max_worlds:

@@ -1745,6 +1745,8 @@ class ArrayRelation(ColumnarRelation):
         checkpoint("world_answers", self._nrows)
         ids, values = tuple(ids), tuple(values)
         if not ids:
+            if not len(world):
+                return frozenset()
             return frozenset((as_tuple(self.project(values)),))
         empty = Relation._raw(Schema(values), frozenset())
         if not self._nrows:

@@ -1171,12 +1171,13 @@ def answers_per_world(
     """Decode a flat answer table: its *values* rows per *ids* value.
 
     Every world of the *world* table is kept, an empty relation when no
-    row carries its id; with no *ids* the table is one world's answer.
+    row carries its id; with no *ids* the table is the answer of the
+    one world {⟨⟩} — or of none, when *world* is the empty world-set.
     One hashing pass over the rows — the tuple and columnar kernels'
     shared decode loop.
     """
     if not ids:
-        return {(): as_tuple(relation.project(values))}
+        return {(): as_tuple(relation.project(values))} if len(world) else {}
     grouped: dict[tuple, set[tuple]] = {
         row: set() for row in tuples_of(world, ids)
     }

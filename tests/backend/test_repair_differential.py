@@ -17,6 +17,7 @@ contract as the joint ones — a fault at any kernel-op boundary leaves
 the pre-statement state, bit for bit.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -137,6 +138,38 @@ def test_random_repair_scripts_agree_across_backends(seed):
     the explicit enumeration and on all inline kernel × strategy
     combinations (answers, result worlds, and session worlds)."""
     assert_backends_agree(make_scenario(seed), backends=BACKENDS)
+
+
+#: Queries that pair the repaired relation (wild repair factors) with
+#: an independent ``choice of`` split (a separate non-wild factor), so
+#: each reaches a two-operand operator over disjoint world factors:
+#: antijoin, semijoin, fused join, keyed grouping and a disjunction.
+PAIRED_QUERIES = (
+    "select possible K from Clean where A not in (select T from Pick);",
+    "select certain K from Clean where A not in (select T from Pick);",
+    "select possible K from Clean where A in (select T from Pick);",
+    "select possible Clean.K from Clean, Pick where Clean.A = Pick.T;",
+    "select possible K from Clean group worlds by (select T from Pick);",
+    "select possible K from Clean "
+    "where B > 30 or A in (select T from Pick);",
+)
+
+
+@pytest.mark.parametrize("query", PAIRED_QUERIES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_repaired_relation_paired_with_an_independent_split_agrees(seed, query):
+    """Factored operands meet in binary operators: the generated repair
+    script plus an independent split of ``Lookup`` answers every paired
+    query identically on the explicit enumeration and on all inline
+    kernel × strategy combinations."""
+    scenario = make_scenario(seed)
+    paired = dataclasses.replace(
+        scenario,
+        name=f"repair_paired_{seed}",
+        script=scenario.script + "Pick <- select * from Lookup choice of T;",
+        query=query,
+    )
+    assert_backends_agree(paired, backends=BACKENDS)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])

@@ -263,3 +263,28 @@ def test_an_independent_split_of_a_factored_world_is_a_new_factor():
     # The repair's wild factor (2 candidates) and the split's own factor.
     assert sorted(len(f) for f in rep.world_factors.factors) == [2, 3]
     assert rep.world_count() == 6
+
+
+def _wide_repair_session(max_worlds=None):
+    """2⁷⁰ worlds: 70 violating keys of two candidates each."""
+    session = ISQLSession(backend=InlineBackend(), max_worlds=max_worlds)
+    session.register(
+        "R", Relation(("K", "V"), [(k, v) for k in range(70) for v in (0, 1)])
+    )
+    session.register("S", Relation(("K",), [(k,) for k in range(0, 70, 7)]))
+    session.run("C <- select * from R repair by key K;")
+    return session
+
+
+def test_a_result_over_more_than_2_63_worlds_has_a_repr():
+    result = _wide_repair_session().query("select K, V from C;")
+    assert f"{2 ** 70} world ids" in repr(result)
+
+
+def test_a_world_limit_above_2_63_guards_a_factored_join():
+    query = "select C.K from C, S where C.K = S.K;"
+    bounded = _wide_repair_session(max_worlds=10**30).query(query)
+    unbounded = _wide_repair_session().query(query)
+    assert bounded.possible() == unbounded.possible()
+    assert bounded.certain() == unbounded.certain()
+    assert bounded.possible() == Relation(("K",), [(k,) for k in range(0, 70, 7)])

@@ -76,7 +76,7 @@ class TestRepairByKeyPhysically:
     def test_repair_world_count(self):
         db = Database({"R": Relation(("K", "V"), [(1, "a"), (1, "b"), (2, "c")])})
         state = PhysicalEvaluator(db).evaluate(repair_by_key("K", rel("R")))
-        assert len(state.world_or_unit()) == 2
+        assert state.world.count() == 2
         assert len(state.answers_by_world()) == 2
 
     def test_repair_guard(self):

@@ -13,7 +13,7 @@ Each is round-tripped through ``rep()`` and through an
 
 import pytest
 
-from repro.backend import InlineBackend
+from repro.backend import ExplicitBackend, InlineBackend
 from repro.errors import RepresentationError
 from repro.inline import InlinedRepresentation
 from repro.inline.factors import FactoredWorld
@@ -283,6 +283,42 @@ def test_edge_shape_decodes_counts_and_compares(
         assert text.endswith(render_relation(F_R2, title="W1"))
     # The joint form decodes to the same worlds.
     assert representation.materialized().rep() == decoded
+
+
+#: One session per evaluation route over the same representation.
+ROUTES = (
+    ("explicit", lambda rep: ExplicitBackend(rep.rep())),
+    ("physical", lambda rep: InlineBackend(rep)),
+    ("translate", lambda rep: InlineBackend(rep, strategy="translate")),
+)
+
+
+@pytest.mark.parametrize(
+    "query",
+    ["select A from R;", "select possible A from R;", "select certain A from R;"],
+)
+@pytest.mark.parametrize("route, backend", ROUTES, ids=[r[0] for r in ROUTES])
+def test_the_empty_world_set_without_ids_answers_in_no_world(route, backend, query):
+    """W = ∅ over V = ∅ is the empty world-set, not the single world
+    {⟨⟩}: R's stored row lives in no world, so every route answers as
+    the explicit enumeration of zero worlds does."""
+    result = ISQLSession(backend=backend(_empty_nullary())).query(query)
+    assert result.answers() == frozenset()
+    assert result.possible() == Relation(("A",), ())
+    assert result.certain() == Relation(("A",), ())
+    assert result.world_count() == 0
+
+
+@pytest.mark.parametrize("route, backend", ROUTES, ids=[r[0] for r in ROUTES])
+def test_a_repair_over_the_empty_world_set_mints_no_world(route, backend):
+    representation = InlinedRepresentation(
+        {"R": Relation(("K", "V"), [(1, "a"), (1, "b")])}, Relation((), ()), ()
+    )
+    session = ISQLSession(backend=backend(representation))
+    result = session.query("select V from R repair by key K;")
+    assert result.answers() == frozenset()
+    assert result.possible() == Relation(("V",), ())
+    assert result.world_count() == 0
 
 
 def test_session_over_a_wild_factored_world_round_trips():

@@ -484,9 +484,11 @@ def test_group_worlds_matches(convert, relation, certain):
 
 def _decoded_answers(relation, ids, world):
     """The reference decode: one relation per world id, deduplicated."""
+    from repro.inline.factors import FactoredWorld
     from repro.inline.physical import PhysicalState
 
-    return frozenset(PhysicalState(relation, ids, world).answers_by_world().values())
+    state = PhysicalState(relation, ids, FactoredWorld((world,)))
+    return frozenset(state.answers_by_world().values())
 
 
 def assert_world_answers_match(convert, relation, ids, world) -> None:
