@@ -67,7 +67,6 @@ from repro.errors import (
     TypingError,
     WorldLimitError,
 )
-from repro.inline.factors import FactoredWorld
 from repro.inline.physical import (
     PhysicalState,
     decode_extension,
@@ -208,34 +207,6 @@ class InlineQueryResult(BaseQueryResult):
             f"InlineQueryResult({self.name!r}, "
             f"{self._state.world.count()} world ids)"
         )
-
-
-def _extended_world(
-    representation: InlinedRepresentation, state: PhysicalState
-) -> FactoredWorld | None:
-    """The session world with a world-splitting *state*'s factors
-    appended, or ``None`` when the split must join into one table.
-
-    Only a factored side appends: a wild state, or a session W with
-    several factors or wild columns. Each state factor over fresh ids
-    is appended; one over existing ids must equal a session factor. A
-    split of a one-table session without wild columns, or a factor
-    that overlaps a session factor without equalling it (a split
-    correlated with existing worlds), returns ``None``.
-    """
-    prior = representation.world_factors.factors
-    if not (state.wild or len(prior) > 1 or representation.wild_attrs):
-        return None
-    combined = list(prior)
-    taken = set(representation.world_factors.ids)
-    for factor in state.world.in_tuple_engine().factors:
-        attrs = set(factor.schema.attributes)
-        if attrs.isdisjoint(taken):
-            combined.append(factor)
-            taken |= attrs
-        elif not any(factor == existing for existing in prior):
-            return None
-    return FactoredWorld(combined)
 
 
 def _carrying_versions(
@@ -666,54 +637,40 @@ class InlineBackend(Backend):
         state = self._memoized_state(query, compiled, context)
         rep = self.representation
         fresh = tuple(i for i in state.ids if i not in set(rep.id_attrs))
-        if not fresh:
-            # No new worlds: the answer is world-uniform (stored without
-            # id columns) or varies only with existing ids. Base tables
-            # are untouched either way — that is the point of the lazy
-            # representation. (Wild PAD columns in the answer are fine:
-            # they are existing session factors, so the registry
-            # already covers them.)
-            assert state.wild <= rep.wild_attrs
-            tables = tuple(rep.tables.items()) + ((name, state.answer),)
-            self._commit(
-                _carrying_versions(
-                    InlinedRepresentation(
-                        tables,
-                        rep.world_factors,
-                        rep.id_attrs,
-                        wild_attrs=rep.wild_attrs,
-                    ),
-                    rep,
-                    name,
-                )
-            )
-            return
-        # Fresh world ids were minted (choice-of / repair-by-key).
-        world = _extended_world(rep, state)
-        if world is None:
-            # W extends by joining with the state's world table — on the
-            # shared ids when correlated, as a product when independent
-            # — into one factor. Base tables still keep only the ids
-            # they depend on.
-            state = state.plain()
-            rep = rep.materialized()
-            world = FactoredWorld(
-                (rep.world_table.natural_join(as_tuple(state.world.materialize())),)
-            )
-        if context.max_worlds is not None and world.count() > context.max_worlds:
-            raise WorldLimitError(
-                f"assignment produced {world.count()} worlds, over the "
-                f"limit of {context.max_worlds}"
-            )
         tables = tuple(rep.tables.items()) + ((name, state.answer),)
-        self._commit(
-            InlinedRepresentation(
-                tables,
-                world,
-                rep.id_attrs + fresh,
-                wild_attrs=rep.wild_attrs | state.wild,
+        world = rep.world_factors
+        wild = rep.wild_attrs | state.wild
+        if fresh:
+            # Fresh world ids were minted (choice-of / repair-by-key):
+            # the state's world joins W factor by factor, so an
+            # independent split appends a factor and a correlated one
+            # joins only the factors it shares ids with.
+            world = world.combine(state.world.in_tuple_engine())
+            if context.max_worlds is not None and world.count() > context.max_worlds:
+                raise WorldLimitError(
+                    f"assignment produced {world.count()} worlds, over the "
+                    f"limit of {context.max_worlds}"
+                )
+            # A wild attribute joined into a multi-attribute factor
+            # stops being wild: its PAD rows expand in every table.
+            joined = wild.intersection(
+                a
+                for factor in world.factors
+                if len(factor.schema.attributes) > 1
+                for a in factor.schema.attributes
             )
+            if joined:
+                wild -= joined
+                tables = tuple(
+                    (table, world.expand_pads(relation, joined))
+                    for table, relation in tables
+                )
+        committed = InlinedRepresentation(
+            tables, world, rep.id_attrs + fresh, wild_attrs=wild
         )
+        # Without fresh ids W is unchanged and the answer only adds a
+        # table: the other tables keep their versions (and memo entries).
+        self._commit(committed if fresh else _carrying_versions(committed, rep, name))
 
     def _fallback_select(
         self, query: ast.SelectQuery, context: ExecutionContext, name: str | None

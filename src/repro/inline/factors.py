@@ -10,9 +10,11 @@ joint table.
 
 The joint world table of Definition 5.1 is simply the one-factor case,
 so one encoding carries every session: a single complete world
-W = {⟨⟩} is the empty product (zero factors), the empty world-set is
-one empty factor, and a world table minted by joining splits into it
-(``choice of`` over correlated worlds) is one factor over all its ids.
+W = {⟨⟩} is the empty product (zero factors) and the empty world-set
+is one empty factor. A session's W grows by :meth:`FactoredWorld.combine`
+alone: an independent split appends its own factor, and a split
+correlated with existing worlds (``choice of`` over a table that
+carries ids) joins only the factors it shares ids with.
 
 The factored form is the general one because some world-sets have no
 succinct joint table at all. ``repair by key`` is the canonical
@@ -34,11 +36,14 @@ stored once, tagged only in its own group's column.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Sequence
 
 from repro.errors import RepresentationError
 from repro.relational.columnar import as_tuple, tuples_of
+from repro.relational.pad import PAD
 from repro.relational.relation import Relation
+from repro.relational.schema import Schema
 
 
 class FactoredWorld:
@@ -123,8 +128,9 @@ class FactoredWorld:
 
         Factors that share id attributes join into one; disjoint ones
         stay apart, so the product of independent factors is never
-        built. An empty factor absorbs every other: ∅ joined with
-        anything is ∅.
+        built, and a factor both operands hold (the same object) passes
+        through unjoined. An empty factor absorbs every other: ∅ joined
+        with anything is ∅.
         """
         if not other.factors:
             return self
@@ -137,7 +143,7 @@ class FactoredWorld:
             for existing in factors:
                 if attrs.isdisjoint(existing.schema.attributes) and existing and factor:
                     apart.append(existing)
-                else:
+                elif existing is not factor:
                     factor = existing.natural_join(factor)
             factors = apart + [factor]
         return FactoredWorld(factors)
@@ -155,16 +161,35 @@ class FactoredWorld:
                 self._materialized = joint
         return self._materialized
 
-    def attr_domains(self) -> dict[str, tuple]:
-        """Per single-attribute factor, its value domain (wild expansion)."""
-        domains: dict[str, tuple] = {}
-        for factor in self.factors:
-            attrs = factor.schema.attributes
-            if len(attrs) == 1:
-                domains[attrs[0]] = tuple(
-                    row[0] for row in tuples_of(factor, attrs)
-                )
-        return domains
+    def expand_pads(self, relation, wild: Iterable[str]) -> Relation:
+        """*relation* with the PAD wildcards of its *wild* columns spelled
+        out: a PAD row becomes one row per value of the attribute's
+        domain in this world (its factor's projection), so the result
+        matches ids exactly. Every other column is left as it is; the
+        result is a tuple-engine relation."""
+        attrs = relation.schema.attributes
+        wild = set(wild).intersection(attrs)
+        if not wild:
+            return as_tuple(relation)
+        wild_pos = tuple(i for i, a in enumerate(attrs) if a in wild)
+        domains = {
+            a: tuple(dict.fromkeys(row[0] for row in tuples_of(factor, (a,))))
+            for factor in self.factors
+            for a in factor.schema.attributes
+            if a in wild
+        }
+        rows: dict[tuple, None] = {}
+        for row in tuples_of(relation, attrs):
+            pads = [i for i in wild_pos if row[i] is PAD]
+            if not pads:
+                rows[row] = None
+                continue
+            for combo in product(*(domains[attrs[i]] for i in pads)):
+                filled = list(row)
+                for i, v in zip(pads, combo):
+                    filled[i] = v
+                rows[tuple(filled)] = None
+        return Relation._raw(Schema(attrs), list(rows))
 
     def __repr__(self) -> str:
         parts = ", ".join(

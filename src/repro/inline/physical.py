@@ -47,7 +47,6 @@ kernels are held to identical answers by ``tests/backend`` and
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product as _cartesian
 from typing import Iterable, Sequence
 
 from repro.errors import TranslationError, WorldLimitError
@@ -170,23 +169,8 @@ class PhysicalState:
         cached = self._plain_state
         if cached is not None:
             return cached
-        answer = self._answer
-        domains = self.world.attr_domains()
-        attrs = answer.schema.attributes
-        wild_pos = tuple(i for i, a in enumerate(attrs) if a in self.wild)
-        rows: dict[tuple, None] = {}
-        for row in tuples_of(answer, attrs):
-            pads = [i for i in wild_pos if row[i] is PAD]
-            if not pads:
-                rows[row] = None
-                continue
-            for combo in _cartesian(*(domains[attrs[i]] for i in pads)):
-                filled = list(row)
-                for i, v in zip(pads, combo):
-                    filled[i] = v
-                rows[tuple(filled)] = None
         cached = PhysicalState(
-            Relation._raw(Schema(attrs), list(rows)), self.ids, self.world
+            self.world.expand_pads(self._answer, self.wild), self.ids, self.world
         )
         self._plain_state = cached
         return cached

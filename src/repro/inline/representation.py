@@ -337,23 +337,9 @@ class InlinedRepresentation:
         cached = self._expanded.get(key)
         if cached is not None:
             return cached
-        table = self.tables[name]
-        attrs = table.schema.attributes
-        wild = set(self.table_wild_attrs(name))
-        domains = self.world_factors.attr_domains()
-        wild_pos = tuple(i for i, a in enumerate(attrs) if a in wild)
-        rows: dict[tuple, None] = {}
-        for row in tuples_of(table, attrs):
-            pads = [i for i in wild_pos if row[i] is PAD]
-            if not pads:
-                rows[row] = None
-                continue
-            for combo in product(*(domains[attrs[i]] for i in pads)):
-                filled = list(row)
-                for i, v in zip(pads, combo):
-                    filled[i] = v
-                rows[tuple(filled)] = None
-        cached = Relation._raw(Schema(attrs), list(rows))
+        cached = self.world_factors.expand_pads(
+            self.tables[name], self.table_wild_attrs(name)
+        )
         self._expanded[key] = cached
         return cached
 
@@ -665,8 +651,7 @@ class InlinedRepresentation:
         Wild PAD patterns are expanded over their factor domains and
         the world table is the materialized product — product-sized by
         construction, which is why only decode-adjacent consumers
-        (:mod:`repro.inline.pairing`, :meth:`strict`, correlated
-        assignments) call this.
+        (:mod:`repro.inline.pairing` and :meth:`strict`) call this.
         """
         if not self.wild_attrs and len(self.world_factors.factors) <= 1:
             return self

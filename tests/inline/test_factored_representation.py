@@ -11,18 +11,23 @@ pins the factored ``InlinedRepresentation`` contract:
   never the joint world table;
 * ``repair by key`` mints one fresh wild factor per violating key
   group, so the representation is *sum*-sized;
+* an assignment's world joins the session's W through ``combine``:
+  independent splits stay separate factors, and a correlated split
+  joins only the factors it shares ids with;
 * pairing — the one operation that correlates every world with every
   other — drops to the joint form explicitly (the escape hatch).
 """
 
 import pytest
 
-from repro.backend import InlineBackend
+from repro.backend import ExplicitBackend, InlineBackend
+from repro.datagen import flights
 from repro.errors import RepresentationError
 from repro.inline.factors import FactoredWorld
 from repro.inline.pairing import pair_on_inlined
 from repro.inline.representation import InlinedRepresentation
 from repro.isql.session import ISQLSession
+from repro.relational.guards import op_hook
 from repro.relational.pad import PAD
 from repro.relational.relation import Relation
 
@@ -251,10 +256,10 @@ def _split_twice(first: str):
     return session.backend.representation
 
 
-def test_an_independent_split_of_a_one_table_world_joins_into_it():
+def test_an_independent_split_of_a_one_table_world_is_a_new_factor():
     rep = _split_twice("C <- select * from R choice of K;")
-    # 2 choices of K × 3 of B: one factor holding the 6-row product.
-    assert [len(f) for f in rep.world_factors.factors] == [6]
+    # 2 choices of K and 3 of B: two factors, never their 6-row product.
+    assert sorted(len(f) for f in rep.world_factors.factors) == [2, 3]
     assert rep.world_count() == 6
 
 
@@ -263,6 +268,118 @@ def test_an_independent_split_of_a_factored_world_is_a_new_factor():
     # The repair's wild factor (2 candidates) and the split's own factor.
     assert sorted(len(f) for f in rep.world_factors.factors) == [2, 3]
     assert rep.world_count() == 6
+
+
+# -- one rule grows W: the state's world combines into it -----------------------------
+
+
+def _inline_matching_explicit(relations, script, queries):
+    """The inline representation after *script*, once every query's
+    possible and certain answers and world count, and the session's
+    world count, equal the explicit backend's."""
+    sessions = []
+    for backend in (ExplicitBackend(), InlineBackend()):
+        session = ISQLSession(backend=backend)
+        for name, relation in relations:
+            session.register(name, relation)
+        session.run(script)
+        sessions.append(session)
+    explicit, inline = sessions
+    assert inline.world_count() == explicit.world_count()
+    for query in queries:
+        expected, actual = explicit.query(query), inline.query(query)
+        assert actual.possible() == expected.possible(), query
+        assert actual.certain() == expected.certain(), query
+        assert actual.world_count() == expected.world_count(), query
+    return inline.backend.representation
+
+
+FLIGHT_SPLITS = (
+    "A <- select * from F choice of Dep;"
+    "B <- select * from F choice of Arr;"
+    "C <- select Dep as D2 from F choice of Dep;"
+)
+
+
+def test_three_independent_flight_splits_keep_three_factors():
+    session = ISQLSession(backend=InlineBackend())
+    session.register("F", flights(200, 40, 3, seed=1))
+    session.run(FLIGHT_SPLITS)
+    rep = session.backend.representation
+    assert [len(f) for f in rep.world_factors.factors] == [200, 40, 200]
+    assert rep.world_count() == 1_600_000
+    assert rep.size() == 2389
+
+
+def test_scaled_down_flight_splits_answer_like_explicit():
+    rep = _inline_matching_explicit(
+        (("F", flights(5, 3, 2, seed=1)),),
+        FLIGHT_SPLITS,
+        (
+            "select Dep, Arr from A;",
+            "select A.Arr from A, B where A.Arr = B.Arr;",
+            "select D2 from C where D2 = 'D1';",
+        ),
+    )
+    assert len(rep.world_factors.factors) == 3
+
+
+SPLIT_FIXTURE = (
+    ("R", Relation(("K", "A"), [(1, "x"), (1, "y"), (2, "z")])),
+    ("S", Relation(("B",), [("p",), ("q",), ("r",)])),
+)
+SPLIT_QUERIES = (
+    "select A from D;",
+    "select K, A from C;",
+    "select D.A, T.B from D, T;",
+)
+
+
+def test_a_correlated_split_joins_only_the_factor_it_shares_ids_with():
+    rep = _inline_matching_explicit(
+        SPLIT_FIXTURE,
+        "C <- select * from R choice of K;"
+        "T <- select * from S choice of B;"
+        "D <- select * from C choice of A;",
+        SPLIT_QUERIES,
+    )
+    factors = {len(f.schema.attributes): len(f) for f in rep.world_factors.factors}
+    assert factors == {1: 3, 2: 3}  # [B] apart from [K, A]
+    assert rep.size() == 21
+
+
+def test_a_split_of_a_repaired_table_joins_its_wild_factor_unwilded():
+    rep = _inline_matching_explicit(
+        SPLIT_FIXTURE,
+        "C <- select * from R repair by key K;"
+        "T <- select * from S choice of B;"
+        "D <- select * from C choice of A;",
+        SPLIT_QUERIES,
+    )
+    factors = {len(f.schema.attributes): f for f in rep.world_factors.factors}
+    assert sorted(factors) == [1, 2]
+    assert len(factors[1]) == 3  # [B] stays apart
+    assert len(factors[2]) == 4  # the repair id and the choice of A
+    (repair,) = rep.table_id_attrs("C")
+    assert repair in factors[2].schema.attributes
+    assert repair not in rep.wild_attrs
+    assert PAD not in {row[0] for row in rep.tables["C"].project((repair,)).rows}
+    assert rep.size() == 24
+    assert rep.world_count() == 12
+
+
+def test_a_self_join_reads_the_session_factor_without_rebuilding_it():
+    hflights = flights(4096, 64, 3)
+    session = ISQLSession(backend=InlineBackend())
+    session.register("HFlights", hflights)
+    session.run("Itin <- select * from HFlights choice of Dep;")
+    ops = []
+    with op_hook(lambda op, rows: ops.append((op, rows))):
+        session.query(
+            "select possible A.Arr from Itin A, Itin B where A.Dep = B.Dep;"
+        )
+    # Only the answer join over both copies of Itin; no W rebuild.
+    assert [rows for op, rows in ops if op == "join_on"] == [2 * len(hflights)]
 
 
 def _wide_repair_session(max_worlds=None):

@@ -36,7 +36,7 @@ PINNED = (
     ("small", "tpch_what_if", 31, 1, 1),
     ("small", "dml_subquery_cleanup", 12, 3, 2),
     ("small", "three_coloring", 218, 81, 81),
-    ("small", "uldb_genericity", 23, 12, 9),
+    ("small", "uldb_genericity", 18, 12, 9),
     ("small", "dml_key_discard", 6, 2, 2),
     ("large", "trip_certain", 3038, 1, 1),
     ("large", "trip_possible_open", 3038, 1, 1),
@@ -47,7 +47,7 @@ PINNED = (
     ("large", "tpch_what_if", 385, 1, 1),
     ("large", "dml_subquery_cleanup", 12, 3, 2),
     ("large", "three_coloring", 2714, 729, 729),
-    ("large", "uldb_genericity", 23, 12, 9),
+    ("large", "uldb_genericity", 18, 12, 9),
     ("large", "dml_key_discard", 6, 2, 2),
     ("xl", "census_cleanup_dml_xxl", 484020, 65536, 62537),
     ("xl", "census_cleanup_dml_xl", 104, 8192, 4096),
