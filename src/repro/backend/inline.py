@@ -517,15 +517,22 @@ class InlineBackend(Backend):
         )
 
     def _memoized_state(
-        self, query: ast.SelectQuery, compiled, context: ExecutionContext
+        self, query: ast.SelectQuery, context: ExecutionContext
     ) -> PhysicalState:
-        """Evaluate *compiled*, memoizing world-preserving results.
+        """Serve *query* from the result memo, else compile and evaluate it.
 
-        Only states that mint no fresh world ids (and no new wildcard
-        columns) are stored: they are pure functions of the versioned
-        input tables, and replaying them from the memo cannot collide
-        with ids a later statement mints. ``choice-of`` / repair results
-        always re-evaluate.
+        The memo is probed first, with the one key built here: a hit
+        returns the stored state and never reaches the plan tier. The
+        memo key holds no catalog epoch, and needs none — a referenced
+        table's schema changes only by replacement, which mints it a
+        fresh version; a world-kind flip changes ``world_version``; and
+        an unknown relation name gets no key at all (:meth:`_memo_key`).
+        A miss compiles (through the plan cache; a FragmentError
+        propagates uncached) and evaluates. Only states that mint no
+        fresh world ids (and no new wildcard columns) are stored: they
+        are pure functions of the versioned input tables, and replaying
+        them from the memo cannot collide with ids a later statement
+        mints. ``choice-of`` / repair results always re-evaluate.
         """
         cache = self.cache if context.cache else None
         key = self._memo_key(query, context) if cache is not None else None
@@ -535,11 +542,16 @@ class InlineBackend(Backend):
             if hit is not MISS:
                 self.last_cache = "hit"
                 return hit
-        state = self._evaluate(compiled, context)
+        state = self._evaluate(self._compile(query, context), context)
         if key is not None:
             rep = self.representation
             if set(state.ids) <= set(rep.id_attrs) and state.wild <= rep.wild_attrs:
-                cache.memo.put(key, state)
+                # The entry is a twin of this execution's state, so only
+                # a hit caches its decode there (PhysicalState.world_answers):
+                # a statement that never repeats keeps no decoded rows
+                # alive in the memo.
+                twin = PhysicalState(state._answer, state.ids, state.world, state.wild)
+                cache.memo.put(key, twin)
         return state
 
     def _note_fallback(self, kind: str, reason: FragmentError) -> None:
@@ -614,18 +626,17 @@ class InlineBackend(Backend):
     ) -> BaseQueryResult:
         result_name = name if name is not None else self._fresh_name()
         try:
-            compiled = self._compile(query, context)
+            state = self._memoized_state(query, context)
         except FragmentError as reason:
             self._note_fallback("select", reason)
             return self._fallback_select(query, context, name)
-        state = self._memoized_state(query, compiled, context)
         return InlineQueryResult(self.representation, state, result_name)
 
     def assign(
         self, name: str, query: ast.SelectQuery, context: ExecutionContext
     ) -> None:
         try:
-            compiled = self._compile(query, context)
+            state = self._memoized_state(query, context)
         except FragmentError as reason:
             self._note_fallback("assign", reason)
             engine = Engine(context.views, context.keys, context.max_worlds)
@@ -634,7 +645,6 @@ class InlineBackend(Backend):
                 extended, _ = engine.run_select(query, world_set, name=name)
             self._reinline(extended)
             return
-        state = self._memoized_state(query, compiled, context)
         rep = self.representation
         fresh = tuple(i for i in state.ids if i not in set(rep.id_attrs))
         tables = tuple(rep.tables.items()) + ((name, state.answer),)

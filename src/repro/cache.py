@@ -14,7 +14,8 @@ state. This module removes that tax with two bounded caches sharing one
   and the one-vs-many-worlds bit the rewriter specializes on — to the
   compiled **and rewritten** world-set-algebra artifact. A parse cache
   (:attr:`StatementCache.parses`) keyed on raw script text sits in
-  front of it, so a repeated script skips parsing work entirely.
+  front of both caches, so a repeated script skips parsing work
+  entirely.
 * the **result memo** (:attr:`StatementCache.memo`) maps a select's
   fingerprint *plus the per-table version counters of every relation it
   reads* (plus the world version) to the evaluated
@@ -26,7 +27,9 @@ state. This module removes that tax with two bounded caches sharing one
   (immutable) representation, snapshot restore / rollback /
   ``restore_snapshot`` put the old versions back with the old tables:
   a stale entry can never be served, and a pinned reader keeps hitting
-  its own snapshot's versions.
+  its own snapshot's versions. The memo is probed *before* the plan
+  cache, so a repeated select costs one parse lookup and one memo
+  lookup.
 
 Both caches are LRU-bounded and **lock-cheap**: one ``threading.Lock``
 per map, held only for the dict probe/move — safe to share pool-wide
@@ -152,13 +155,16 @@ class LRUCache:
 class StatementCache:
     """The per-backend (or pool-shared) bundle of statement caches.
 
-    Three LRU maps with one aggregated :meth:`info`:
+    Three LRU maps with one aggregated :meth:`info`, probed in this
+    order for a select:
 
     * :attr:`parses` — script text → parsed statement tuple;
-    * :attr:`plans` — statement fingerprint → compiled + rewritten plan
-      (selects) or ``(rewritten match plan, attrs[, set_terms])`` (DML);
     * :attr:`memo` — select fingerprint + table/world versions →
-      evaluated :class:`~repro.inline.physical.PhysicalState`.
+      evaluated :class:`~repro.inline.physical.PhysicalState`; a hit
+      ends the lookup (the state also caches its decode);
+    * :attr:`plans` — statement fingerprint → compiled + rewritten plan
+      (selects, probed on a memo miss only) or ``(rewritten match plan,
+      attrs[, set_terms])`` (DML).
 
     Instances are shared by reference: ``InlineBackend.spawn()`` passes
     its cache to the child, so every session forked from one snapshot

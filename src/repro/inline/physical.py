@@ -89,6 +89,7 @@ from repro.relational.columnar import (
     tuples_of,
 )
 from repro.relational.database import Database
+from repro.relational.guards import checkpoint, record_ops
 from repro.relational.pad import PAD
 from repro.relational.predicates import And, Predicate, conjunction
 from repro.relational.relation import Relation
@@ -123,7 +124,13 @@ class PhysicalState:
 
     States are immutable once built (the lazy conversions above only
     cache), which is what lets the inline backend's result memo share
-    one state across repeated executions of the same statement. Memo
+    one state across repeated executions of the same statement. The
+    decode is cached too: :meth:`world_answers` runs its kernel ops
+    once per state, and a cached call replays their checkpoints with
+    the same row counts, so a memo hit meets budgets, fault hooks and
+    op counts exactly as a decode of the same warm state would (the
+    memo stores a fresh twin of the evaluated state, so only hits fill
+    that cache on a memo entry). Memo
     sharing is additionally restricted to states whose :attr:`ids` and
     :attr:`wild` already existed on the input representation — a state
     carrying *freshly minted* world ids (``choice of`` /
@@ -131,7 +138,7 @@ class PhysicalState:
     can never collide with ids minted later.
     """
 
-    __slots__ = ("_answer", "ids", "world", "wild", "_plain_state")
+    __slots__ = ("_answer", "ids", "world", "wild", "_plain_state", "_decoded")
 
     def __init__(
         self,
@@ -145,6 +152,7 @@ class PhysicalState:
         self.world = world
         self.wild = wild
         self._plain_state: "PhysicalState | None" = None
+        self._decoded: "tuple[frozenset[Relation], tuple] | None" = None
 
     @property
     def answer(self) -> Relation:
@@ -187,11 +195,21 @@ class PhysicalState:
 
     def world_answers(self) -> frozenset[Relation]:
         """The distinct per-world answers, as one ``world_answers``
-        kernel op (no per-world decode on the array kernel)."""
+        kernel op (no per-world decode on the array kernel); cached,
+        with the decode's checkpoints replayed on every later call."""
+        cached = self._decoded
+        if cached is not None:
+            answers, ops = cached
+            for op, rows in ops:
+                checkpoint(op, rows)
+            return answers
         state = self.plain()
-        return state._answer.world_answers(
-            state.ids, state.value_attributes(), state.world.materialize()
-        )
+        with record_ops() as ops:
+            answers = state._answer.world_answers(
+                state.ids, state.value_attributes(), state.world.materialize()
+            )
+        self._decoded = (answers, tuple(ops))
+        return answers
 
 
 class PhysicalEvaluator:

@@ -27,8 +27,23 @@ comparisons, boolean connectives, [not] in ⟨subquery⟩ and [not] exists
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence, Union
+
+
+def _cached_hash(node) -> int:
+    """The dataclass hash of a statement node, computed once per node.
+
+    Statements key the plan cache and the result memo, and a hot
+    statement comes back as the same parsed object from the parse
+    cache, so its deep hash is paid on the first lookup only. The
+    value is the generated hash's: equal nodes hash equal.
+    """
+    cached = node.__dict__.get("_hash")
+    if cached is None:
+        cached = hash(tuple(getattr(node, f.name) for f in fields(node) if f.compare))
+        object.__setattr__(node, "_hash", cached)
+    return cached
 
 # -- value expressions ------------------------------------------------------------
 
@@ -199,6 +214,8 @@ class SelectQuery:
     #: excluded from equality so spans never affect semantics).
     group_by_span: tuple[int, int] | None = field(default=None, compare=False)
 
+    __hash__ = _cached_hash
+
 
 # -- statements ------------------------------------------------------------------------
 
@@ -248,6 +265,8 @@ class Delete:
     where: Condition | None = None
     span: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
+    __hash__ = _cached_hash
+
 
 @dataclass(frozen=True)
 class SetClause:
@@ -265,6 +284,8 @@ class Update:
     settings: tuple[SetClause, ...]
     where: Condition | None = None
     span: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+
+    __hash__ = _cached_hash
 
 
 Statement = Union[SelectQuery, CreateView, Assignment, Insert, Delete, Update]
@@ -347,28 +368,40 @@ def referenced_relations(
     """
     found: set[str] = set()
     expanded_views: set[str] = set()
-
-    def visit(q: SelectQuery) -> None:
-        for item in q.from_items:
-            if isinstance(item, SubqueryRef):
-                visit(item.query)
-            elif item.name in views:
-                if item.name not in expanded_views:
-                    expanded_views.add(item.name)
-                    visit(views[item.name])
-            else:
-                found.add(item.name)
-        for sub in condition_subqueries(q.where):
-            visit(sub)
-        if not isinstance(q.select_list, Star):
-            for select_item in q.select_list:
-                for sub in expression_subqueries(select_item.expression):
-                    visit(sub)
-        if q.group_worlds_by is not None and q.group_worlds_by.query is not None:
-            visit(q.group_worlds_by.query)
-
-    visit(query)
+    pending = [query]
+    while pending:
+        for name in _named_relations(pending.pop()):
+            if name not in views:
+                found.add(name)
+            elif name not in expanded_views:
+                expanded_views.add(name)
+                pending.append(views[name])
     return found
+
+
+def _named_relations(query: SelectQuery) -> frozenset[str]:
+    """The relation and view names *query*'s from-lists mention, in
+    every nested subquery too (cached on the node, like its hash)."""
+    cached = query.__dict__.get("_names")
+    if cached is not None:
+        return cached
+    names: set[str] = set()
+    for item in query.from_items:
+        if isinstance(item, SubqueryRef):
+            names |= _named_relations(item.query)
+        else:
+            names.add(item.name)
+    subqueries = condition_subqueries(query.where)
+    if not isinstance(query.select_list, Star):
+        for select_item in query.select_list:
+            subqueries += expression_subqueries(select_item.expression)
+    if query.group_worlds_by is not None and query.group_worlds_by.query is not None:
+        subqueries.append(query.group_worlds_by.query)
+    for sub in subqueries:
+        names |= _named_relations(sub)
+    cached = frozenset(names)
+    object.__setattr__(query, "_names", cached)
+    return cached
 
 
 def is_world_splitting(query: SelectQuery, views: dict[str, SelectQuery]) -> bool:

@@ -354,7 +354,17 @@ class ISQLSession:
         session's cache gate for this script (``cache=False`` bypasses
         the statement cache — the differential-testing escape hatch).
         """
-        statements = self._parse(script, cache)
+        return self._run_parsed(self._parse(script, cache), script, atomic, cache)
+
+    def _run_parsed(
+        self,
+        statements: tuple[ast.Statement, ...],
+        script: str,
+        atomic: bool = False,
+        cache: bool | None = None,
+    ) -> list[StatementResult]:
+        """:meth:`run` on *statements* already parsed from *script*
+        (the DBAPI connection parses once to route the script)."""
         if atomic:
             with self.transaction():
                 return self._run(statements, script, cache)

@@ -18,6 +18,8 @@ into the kernels:
   uses it to raise at the Nth op invocation and prove crash-consistency
   (the differential sweep in ``tests/backend/test_fault_injection.py``),
   and a caller can sum its ``rows`` to measure what a plan reads.
+  :func:`record_ops` lists a block's checkpoints (still passing them
+  on), so a cached decode can replay them.
 
 The seam also carries per-phase wall-clock accounting, one level up
 from the kernel ops: :func:`collect_phases` installs a collector dict
@@ -48,10 +50,10 @@ per *op* (not per row); the benchmark gate in
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from numbers import Integral, Real
-from typing import Callable, Iterator
+from typing import Callable, ContextManager, Iterator
 
 from repro.errors import ReproError, ResourceLimitError
 
@@ -131,22 +133,28 @@ def _checkpoint_armed(
         )
 
 
-@contextmanager
 def guarded(
     max_rows: int | None = None, max_seconds: float | None = None
-) -> Iterator[ResourceGuard | None]:
+) -> ContextManager[ResourceGuard | None]:
     """Install a fresh resource budget for this context's block.
 
-    With both limits ``None`` this is a no-op (the fast path stays
-    disarmed); any other value that is not a non-negative number raises
-    :class:`~repro.errors.ReproError`. Budgets do not nest additively:
-    an inner ``guarded`` shadows the outer one and restores it on exit,
-    so each statement gets its own fresh budget.
+    With both limits ``None`` this is a shared no-op context (the fast
+    path stays disarmed); any other value that is not a non-negative
+    number raises :class:`~repro.errors.ReproError`. Budgets do not nest
+    additively: an inner ``guarded`` shadows the outer one and restores
+    it on exit, so each statement gets its own fresh budget.
     """
     if max_rows is None and max_seconds is None:
-        yield None
-        return
-    guard = ResourceGuard(max_rows, max_seconds)
+        return _UNGUARDED
+    return _installed(ResourceGuard(max_rows, max_seconds))
+
+
+#: What :func:`guarded` returns without limits.
+_UNGUARDED = nullcontext()
+
+
+@contextmanager
+def _installed(guard: ResourceGuard) -> Iterator[ResourceGuard]:
     armed = _armed.get()
     token = _armed.set((armed[0] if armed else None, guard))
     try:
@@ -172,40 +180,76 @@ def op_hook(hook: Hook) -> Iterator[None]:
 
 
 @contextmanager
-def collect_phases(target: dict[str, float] | None = None) -> Iterator[dict[str, float]]:
+def record_ops() -> Iterator[list[tuple[str, int]]]:
+    """Yield a list that collects the block's checkpoints as ``(op, rows)``.
+
+    The enclosing hook and budget still see every checkpoint, so
+    recording changes nothing for them; a cached result replays the
+    list through :func:`checkpoint` to be charged and observed like
+    the work it stands for.
+    """
+    ops: list[tuple[str, int]] = []
+    armed = _armed.get()
+    outer = armed[0] if armed else None
+
+    def record(op: str, rows: int) -> None:
+        ops.append((op, rows))
+        if outer is not None:
+            outer(op, rows)
+
+    with op_hook(record):
+        yield ops
+
+
+class collect_phases:
     """Install *target* (or a fresh dict) as this context's collector.
 
     Durations accumulate under their phase name for the duration of the
     ``with`` block. On exit the previous collector is restored and the
     block's totals are added into it. Pass an empty *target*:
     everything it holds on exit counts as the block's.
+
+    This and :class:`phase` are plain classes, not generator context
+    managers: a repeated select enters three of them per execution,
+    and a generator's set-up costs more than the rest of its work.
     """
-    collector = target if target is not None else {}
-    token = _collector.set(collector)
-    try:
-        yield collector
-    finally:
-        _collector.reset(token)
+
+    __slots__ = ("_target", "_token")
+
+    def __init__(self, target: dict[str, float] | None = None) -> None:
+        self._target = target if target is not None else {}
+
+    def __enter__(self) -> dict[str, float]:
+        self._token = _collector.set(self._target)
+        return self._target
+
+    def __exit__(self, *exc_info: object) -> None:
+        _collector.reset(self._token)
         outer = _collector.get()
         if outer is not None:
-            for name, seconds in collector.items():
+            for name, seconds in self._target.items():
                 outer[name] = outer.get(name, 0.0) + seconds
 
 
-@contextmanager
-def phase(name: str) -> Iterator[None]:
+class phase:
     """Bracket one phase of work; a no-op without an active collector."""
-    collector = _collector.get()
-    if collector is None:
-        yield
-        return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        collector[name] = (
-            collector.get(name, 0.0) + time.perf_counter() - start
-        )
+
+    __slots__ = ("_name", "_collector", "_start")
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._collector = _collector.get()
+        if self._collector is not None:
+            self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info: object) -> None:
+        collector = self._collector
+        if collector is not None:
+            collector[self._name] = (
+                collector.get(self._name, 0.0) + time.perf_counter() - self._start
+            )
 
 
 __all__ = [
@@ -215,4 +259,5 @@ __all__ = [
     "guarded",
     "op_hook",
     "phase",
+    "record_ops",
 ]

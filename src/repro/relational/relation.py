@@ -16,7 +16,9 @@ relations are immutable, every relation lazily caches
   decodes inlined representations world by world — repeated joins on
   the same world-id columns build the partition once;
 * its canonical hash, so worlds containing large relations can enter
-  world-sets without re-sorting columns on every membership test.
+  world-sets without re-sorting columns on every membership test;
+* its display order (:meth:`Relation.sorted_rows`), so an answer the
+  result memo serves again is sorted once.
 
 Row tuples are *interned* in a bounded pool: the same value tuple
 loaded twice (or appearing in many decoded worlds) is one object, which
@@ -194,7 +196,9 @@ def _coerce_row(schema: Schema, row: object) -> Row:
 class Relation:
     """An immutable relation: a schema and a frozen set of rows."""
 
-    __slots__ = ("schema", "_rows", "_indexes", "_hash", "_columnar", "_array")
+    __slots__ = (
+        "schema", "_rows", "_indexes", "_hash", "_sorted", "_columnar", "_array"
+    )
 
     def __init__(self, schema: Schema | Sequence[str], rows: Iterable[object] = ()) -> None:
         if not isinstance(schema, Schema):
@@ -205,6 +209,7 @@ class Relation:
         )
         self._indexes: dict[tuple[int, ...], dict[tuple, tuple[Row, ...]]] = {}
         self._hash: int | None = None
+        self._sorted: tuple[Row, ...] | None = None
         self._columnar = None
         self._array = None
 
@@ -233,6 +238,7 @@ class Relation:
         relation._rows = rows if isinstance(rows, frozenset) else frozenset(rows)
         relation._indexes = {}
         relation._hash = None
+        relation._sorted = None
         relation._columnar = None
         relation._array = None
         return relation
@@ -249,14 +255,16 @@ class Relation:
         relation._rows = None
         relation._indexes = {}
         relation._hash = None
+        relation._sorted = None
         relation._columnar = None
         relation._array = None
         return relation
 
     def clear_caches(self) -> None:
-        """Drop the lazily built hash indexes, hash, and kernel twins.
+        """Drop the lazily built hash indexes, hash, row order and
+        kernel twins.
 
-        All three are rebuilt on demand. The explicit backend's
+        All are rebuilt on demand. The explicit backend's
         ``close()`` calls this on the relations of its materialized
         worlds; the inline backend does not, because pool siblings
         share its tables by reference and clearing would make each of
@@ -268,6 +276,7 @@ class Relation:
             _ = self.rows
         self._indexes = {}
         self._hash = None
+        self._sorted = None
         self._columnar = None
         self._array = None
 
@@ -354,8 +363,11 @@ class Relation:
         return f"Relation({list(self.schema)!r}, {len(self.rows)} rows)"
 
     def sorted_rows(self) -> list[Row]:
-        """Rows in a deterministic display order."""
-        return sorted(self.rows, key=row_sort_key)
+        """Rows in a deterministic display order (a fresh list; the
+        order is computed once per relation)."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.rows, key=row_sort_key))
+        return list(self._sorted)
 
     def named_rows(self) -> list[dict[str, object]]:
         """Rows as attribute-name dictionaries (deterministic order)."""

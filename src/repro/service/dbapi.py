@@ -60,6 +60,7 @@ The exception hierarchy is PEP 249's, rooted so that
 from __future__ import annotations
 
 import math
+import re
 from decimal import Decimal
 
 from repro import errors as _errors
@@ -175,6 +176,10 @@ def _render_literal(value: object) -> str:
     )
 
 
+#: A string literal (an unterminated one runs to the end) or a placeholder.
+_QUOTED_OR_PLACEHOLDER = re.compile(r"'[^']*'?|\?")
+
+
 def _substitute(operation: str, parameters) -> str:
     """Replace ``?`` placeholders (outside string literals) by literals."""
     if parameters is None:
@@ -182,37 +187,26 @@ def _substitute(operation: str, parameters) -> str:
     if isinstance(parameters, (str, bytes)):
         raise InterfaceError("parameters must be a sequence, not a string")
     values = list(parameters)
-    out: list[str] = []
-    index = 0
     used = 0
-    length = len(operation)
-    while index < length:
-        ch = operation[index]
-        if ch == "'":
-            end = operation.find("'", index + 1)
-            if end < 0:
-                out.append(operation[index:])
-                break
-            out.append(operation[index : end + 1])
-            index = end + 1
-            continue
-        if ch == "?":
-            if used >= len(values):
-                raise InterfaceError(
-                    f"statement expects more than {len(values)} parameters"
-                )
-            out.append(_render_literal(values[used]))
-            used += 1
-            index += 1
-            continue
-        out.append(ch)
-        index += 1
+
+    def render(match: re.Match) -> str:
+        nonlocal used
+        if match.group() != "?":
+            return match.group()
+        if used >= len(values):
+            raise InterfaceError(
+                f"statement expects more than {len(values)} parameters"
+            )
+        used += 1
+        return _render_literal(values[used - 1])
+
+    text = _QUOTED_OR_PLACEHOLDER.sub(render, operation)
     if used != len(values):
         raise InterfaceError(
             f"statement has {used} placeholders but {len(values)} "
             "parameters were given"
         )
-    return "".join(out)
+    return text
 
 
 # -- cursors ---------------------------------------------------------------------------
@@ -302,7 +296,7 @@ class Cursor:
                     )
                     return
                 relation = next(iter(answers))
-                rows = [tuple(row) for row in relation.sorted_rows()]
+                rows = relation.sorted_rows()
         except _errors.ReproError as error:
             self._reset()
             raise _mapped(error) from error
@@ -478,8 +472,8 @@ class Connection:
     def _execute_script(self, text: str):
         self._check_open()
         try:
-            # The session's cached parse: run() below hits the same
-            # parse-cache entry, so a statement is parsed once.
+            # Parsed once, through the session's parse cache: the same
+            # statements route the script and then run.
             statements = self._session._parse(text, None)
         except _errors.ReproError as error:
             raise _mapped(error) from error
@@ -492,7 +486,7 @@ class Connection:
             self._sync()
         autocommit = writes and self.autocommit
         try:
-            results = self._session.run(text, atomic=autocommit)
+            results = self._session._run_parsed(statements, text, atomic=autocommit)
         except _errors.ReproError as error:
             if autocommit:
                 # atomic=True already rolled the session back to the

@@ -284,3 +284,86 @@ def test_concurrent_connections_agree_after_commit(cache):
         with pool.connection() as observer:
             rows = observer.execute("select certain K from T;").fetchall()
         assert rows == [(2,)]
+
+
+# -- memo-first: a hit after each kind of state change -------------------------------
+
+#: Reads re-run after every step; the second run of each is a memo hit.
+MEMO_READS = (
+    "select possible K, V from T;",
+    "select certain V from T where K != 2;",
+)
+
+
+def _memo_first_trace(backend, cache: bool):
+    """Warm the reads, then change the session one way at a time — a
+    register, a world-preserving assignment, a view, a world-kind flip,
+    a rolled-back savepoint — reading twice after each (the memo is
+    probed before the plan tier, so every hit must still see the change
+    or its absence)."""
+    session = ISQLSession(backend=backend(), cache=cache)
+    session.register("T", Relation(("K", "V"), [(1, 10), (2, 20), (3, 10)]))
+    trace = []
+    dispositions = []
+
+    def read(*extra: str) -> None:
+        for query in MEMO_READS + extra:
+            runs = [session.run(query)[-1] for _ in range(2)]
+            trace.append((query, [run.answers() for run in runs]))
+            dispositions.append(runs[1].cache)
+
+    read()
+    session.register("U", Relation(("K",), [(1,), (9,)]))
+    read("select possible K from U;", "select possible T.K from T, U where T.K = U.K;")
+    session.run("A <- select K, V from T where V = 10;")
+    read("select possible K from A;")
+    session.run("create view Vw as select K from T where V = 20;")
+    read("select possible K from Vw;")
+    session.run("S <- select * from T choice of V;")
+    read("select possible K from S;", "select certain K from S where V = 10;")
+    mark = session.savepoint()
+    session.run("insert into T values (4, 40);")
+    read()
+    session.rollback_to(mark)
+    read("select possible K from S;")
+    return session, trace, dispositions
+
+
+@_backend_params
+def test_memo_first_hits_answer_like_cache_off_after_each_change(label, backend):
+    on_session, on_trace, dispositions = _memo_first_trace(backend, cache=True)
+    off_session, off_trace, _ = _memo_first_trace(backend, cache=False)
+    assert on_trace == off_trace, label
+    assert on_session.world_set == off_session.world_set, label
+    if label != "explicit":
+        assert dispositions.count("hit") == len(dispositions), label
+
+
+@_backend_params
+def test_memo_first_pinned_reader_answers_like_cache_off(label, backend):
+    """A pinned reader's hits stay on its snapshot while a writer
+    commits past it, then follow the commit once unpinned."""
+
+    def trace(cache: bool) -> list:
+        seed = ISQLSession(backend=backend())
+        seed.register("T", Relation(("K", "V"), [(1, 10), (2, 20)]))
+        reads = []
+        with SessionPool(seed, size=2, cache=cache) as pool:
+            reader = pool.acquire()
+            reader.pin_snapshot()
+            for query in MEMO_READS:
+                reads.append(reader.execute(query).fetchall())
+            with pool.connection() as writer:
+                writer.execute("update T set V = 10 where K = 2;")
+                writer.execute("insert into T values (3, 30);")
+            for query in MEMO_READS * 2:
+                reads.append(reader.execute(query).fetchall())
+            reader.unpin_snapshot()
+            for query in MEMO_READS * 2:
+                reads.append(reader.execute(query).fetchall())
+            pool.release(reader)
+        return reads
+
+    on, off = trace(True), trace(False)
+    assert on == off, label
+    assert on[0] == on[2] == on[4] and on[6] != on[0], label

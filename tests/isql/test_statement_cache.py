@@ -81,17 +81,22 @@ def test_answers_identical_on_hit():
 
 def test_registering_a_relation_changes_the_catalog_key():
     """A new relation can capture previously-unknown names, so the plan
-    key includes the catalog: registering forces a recompile. The
-    result *memo* still hits, though — registering C carries A's table
-    version — so the statement's overall disposition stays "hit"."""
+    key includes the catalog: registering forces a recompile on a memo
+    miss. The result *memo* still hits, though — registering C carries
+    A's table version — and a memo hit never probes the plan tier."""
     session = _session()
     session.run(SELECT_A)
     plans = session.backend.cache.plans
-    misses_before = plans.misses
+    counters = (plans.hits, plans.misses)
     session.register("C", Relation(("Z",), [(9,)]))
     result = _last(session, SELECT_A)
-    assert plans.misses == misses_before + 1
+    assert (plans.hits, plans.misses) == counters
     assert result.cache == "hit"
+    assert result.relation.sorted_rows() == [(1,), (2,), (3,)]
+    session.backend.cache.memo.clear()
+    result = _last(session, SELECT_A)
+    assert plans.misses == counters[1] + 1
+    assert result.cache == "miss"
     assert result.relation.sorted_rows() == [(1,), (2,), (3,)]
 
 
