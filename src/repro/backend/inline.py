@@ -32,15 +32,16 @@ cardinality guard), and ``group worlds by ⟨subquery⟩`` (subquery-keyed
 world grouping) — so those statements never enumerate worlds either.
 DML runs flat too: ``delete``/``update`` conditions and ``update`` set
 expressions with (world-local) subqueries compile to a match plan whose
-per-world-id answer masks or rewrites the flat table directly — no
-``_reinline`` round-trip. Only the genuinely row-at-a-time residue
-falls back to the explicit engine on the decoded world-set (assignments
-re-inline the result): non-column ``in`` needles, scalar subqueries of
-other shapes (or under ``or``, where the cardinality guard cannot stay
-as lazy as the engine's short-circuit), correlated subqueries that are
-themselves complex, disjunctions over an already-world-splitting outer
-plan, DML subqueries that are not world-local, and select columns
-outside the GROUP BY key.
+answer the kernel ``mask`` / ``scatter_update`` applies to the flat
+table directly, keyed on value attributes (plus the world ids, when the
+answer depends on the world) — no ``_reinline`` round-trip. Only the
+genuinely row-at-a-time residue falls back to the explicit engine on
+the decoded world-set (assignments re-inline the result): non-column
+``in`` needles, scalar subqueries of other shapes (or under ``or``,
+where the cardinality guard cannot stay as lazy as the engine's
+short-circuit), correlated subqueries that are themselves complex,
+disjunctions over an already-world-splitting outer plan, DML subqueries
+that are not world-local, and select columns outside the GROUP BY key.
 ``fallback_events`` records those statements (kind, reason, clause,
 source span), bounded to the most recent :data:`FALLBACK_EVENT_LIMIT`
 so a long-lived session's diagnostics cannot grow without bound.
@@ -87,15 +88,13 @@ from repro.isql.engine import Engine, _Resolver
 from repro.optimizer.rewriter import optimize as rewrite_plan
 from repro.relational import predicates
 from repro.relational.columnar import (
-    ColumnarRelation,
-    as_columnar,
     as_tuple,
     kernel_ops,
     resolve_kernel,
     tuples_of,
 )
 from repro.relational.pad import PAD
-from repro.relational.relation import Relation, tuple_getter
+from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.worlds.worldset import WorldSet, fresh_name
 
@@ -430,41 +429,25 @@ class InlineBackend(Backend):
             self._world_kind(),
         )
 
-    def _compile(self, query: ast.SelectQuery, context: ExecutionContext):
-        """I-SQL → world-set algebra, then the Figure 7 rewriting pass.
+    def _compile(self, statement, context: ExecutionContext):
+        """A statement's rewritten plan, through the plan cache.
 
-        Consults the plan cache first: a hit skips both compilation and
-        rewriting (the cached artifact is the *rewritten* plan). Compile
-        failures (FragmentError → explicit-engine fallback) are never
-        cached — their diagnostics carry source spans, which the
+        A select compiles (:func:`compile_query`) to a world-set algebra
+        plan; a delete or update (:func:`compile_delete` /
+        :func:`compile_update`) to the compiler's tuple, whose first
+        component — the match plan — is the one rewritten. A cache hit
+        skips both compilation and rewriting (the cached artifact is
+        the *rewritten* one), so callers must not rewrite again.
+        Compile failures (FragmentError → explicit-engine fallback) are
+        never cached — their diagnostics carry source spans, which the
         span-insensitive statement fingerprint would skew.
         """
-        cache = self.cache if context.cache else None
-        if cache is not None:
-            key = self._plan_key("select", query, context)
-            with phase("cache_lookup"):
-                hit = cache.plans.get(key)
-            if hit is not MISS:
-                self.last_cache = "hit"
-                return hit
-        with phase("compile"):
-            compiled = compile_query(query, self._value_schemas(), dict(context.views))
-        compiled = self._rewritten(compiled)
-        if cache is not None:
-            cache.plans.put(key, compiled)
-            self.last_cache = "miss"
-        return compiled
-
-    def _compiled_dml(
-        self, tag: str, statement, context: ExecutionContext, compiler
-    ) -> tuple:
-        """A DML statement's rewritten match plan + metadata, via the cache.
-
-        Returns exactly what *compiler* (:func:`compile_delete` /
-        :func:`compile_update`) returns, with the plan component already
-        rewritten — callers must not rewrite again. FragmentError
-        propagates uncached, like :meth:`_compile`.
-        """
+        if isinstance(statement, ast.Update):
+            tag, compiler = "update", compile_update
+        elif isinstance(statement, ast.Delete):
+            tag, compiler = "delete", compile_delete
+        else:
+            tag, compiler = "select", compile_query
         cache = self.cache if context.cache else None
         if cache is not None:
             key = self._plan_key(tag, statement, context)
@@ -474,12 +457,15 @@ class InlineBackend(Backend):
                 self.last_cache = "hit"
                 return hit
         with phase("compile"):
-            parts = compiler(statement, self._value_schemas(), dict(context.views))
-        parts = (self._rewritten(parts[0]),) + tuple(parts[1:])
+            compiled = compiler(statement, self._value_schemas(), dict(context.views))
+        if tag == "select":
+            compiled = self._rewritten(compiled)
+        else:
+            compiled = (self._rewritten(compiled[0]),) + tuple(compiled[1:])
         if cache is not None:
-            cache.plans.put(key, parts)
+            cache.plans.put(key, compiled)
             self.last_cache = "miss"
-        return parts
+        return compiled
 
     def _memo_key(self, query: ast.SelectQuery, context: ExecutionContext):
         """The result-memo fingerprint of a select, or None if unkeyable.
@@ -733,20 +719,6 @@ class InlineBackend(Backend):
             relation
         )
 
-    def _dml_state(self, plan, context: ExecutionContext):
-        """Evaluate a (rewritten) DML match plan against the session state.
-
-        The apply paths mask/scatter by exact id match, so a wild
-        (PAD-pattern) answer expands to joint ids here — over the
-        touched factors only, mirroring :meth:`InlinedRepresentation.expanded`
-        on the table side. *plan* comes out of :meth:`_compiled_dml`
-        already rewritten.
-        """
-        state = self._evaluate(plan, context).plain()
-        stray = [i for i in state.ids if i not in set(self.representation.id_attrs)]
-        assert not stray, f"DML plan minted world ids {stray}"
-        return state
-
     def _subqueries_world_uniform(self, subqueries, views) -> bool:
         """True when every relation the subqueries read is world-uniform.
 
@@ -754,9 +726,11 @@ class InlineBackend(Backend):
         without id columns has the same answer in every world, so the
         whole match is *value-determined*: whether a row is matched —
         and the value a set clause computes for it — depends only on
-        the row itself, never on which world holds it. Those statements
-        take :meth:`_uniform_dml_state`'s route. Unknown relation names
-        route to the general path so resolution errors stay identical.
+        the row itself, never on which world holds it. :meth:`_run_match`
+        then evaluates the match plan on the target's distinct value
+        rows, and its id-free answer applies to the table as stored.
+        Unknown relation names route to the general path so resolution
+        errors stay identical.
         """
         if self.strategy == "translate":
             # The Figure 6 route strictifies the representation (every
@@ -772,27 +746,6 @@ class InlineBackend(Backend):
                 if name not in rep.tables or rep.table_id_attrs(name):
                     return False
         return True
-
-    def _uniform_dml_state(self, name, plan, context: ExecutionContext):
-        """Evaluate a value-determined match plan on distinct value rows.
-
-        The plan runs against a view of the session where the target
-        table is replaced by its distinct value projection (id columns
-        dropped): polynomial in the *distinct value rows* — typically
-        orders of magnitude below the id-expanded flat table — and the
-        flat answer applies to every world alike. With a 2¹³-world
-        repaired census this turns a 2·10⁵-row match pass into a
-        ~40-row one; the only full-table work left is the single apply
-        pass of :meth:`_apply_delete_uniform`/:meth:`_apply_update_uniform`.
-        """
-        rep = self.representation
-        projected = as_tuple(
-            self._in_kernel(rep.tables[name]).project(rep.value_attributes(name))
-        )
-        uniform = rep.replacing(name, projected, validate=False)
-        state = self._evaluate(plan, context, uniform)
-        assert not state.ids, f"value-determined DML plan minted ids {state.ids}"
-        return state
 
     def _replace_table(self, name: str, table) -> None:
         """Commit a rewritten flat table (either kernel).
@@ -822,69 +775,15 @@ class InlineBackend(Backend):
         """Delete matching rows in every world — flat, even with subqueries.
 
         A subquery-free condition runs the kernel-op pipeline of
-        :meth:`_run_vectorized` (``predicate_mask``, then ``compress``).
-        A condition with (world-local) subqueries — or the subquery-free
-        residue the pipeline does not translate (unresolved or
-        qualified columns) — compiles to its match plan (``select *
-        from R where φ``), whose flat answer the kernel ``mask``
-        subtracts from the id-expanded table per world id — the
-        Section 3 rule without decoding a single world. Only conditions
-        the compiler rejects (e.g. world-splitting subqueries, which the
-        engine rejects too when a row reaches them) fall back.
+        :meth:`_run_vectorized` (``predicate_mask``, then ``compress``);
+        any other condition — (world-local) subqueries, or the residue
+        the pipeline does not translate (unresolved or qualified
+        columns) — runs through its match plan (:meth:`_run_match`).
         """
-        subqueries = ast.condition_subqueries(statement.where)
-        if not subqueries and self._run_vectorized((statement,), context) is not None:
-            return
-        try:
-            plan, attrs = self._compiled_dml(
-                "delete", statement, context, compile_delete
-            )
-        except FragmentError as reason:
-            self._note_fallback("delete", reason)
-            self._reinline(
-                Engine(
-                    context.views, context.keys, context.max_worlds
-                ).run_delete(statement, self.to_world_set())
-            )
-            return
-        if self._subqueries_world_uniform(subqueries, context.views):
-            state = self._uniform_dml_state(statement.relation, plan, context)
-            self._apply_delete_uniform(statement.relation, attrs, state)
-            return
-        state = self._dml_state(plan, context)
-        self._apply_delete(statement.relation, attrs, state)
-
-    def _apply_delete_uniform(
-        self, name: str, attrs: tuple[str, ...], state
-    ) -> None:
-        """Mask a value-determined answer out of the flat table.
-
-        The answer names matched *value rows* (no id columns): in every
-        world that holds such a row the Section 3 rule deletes it, and
-        a world that lacks it is unaffected — so one kernel ``mask``
-        keyed on the value attributes applies the delete to all worlds
-        at once, with no id expansion at any point.
-        """
-        answer = state._answer
-        if not answer:
-            return  # no-op delete: the lazily stored table is untouched
-        with phase("dml_apply"):
-            table = self.representation.tables[name]
-            self._replace_table(name, self._in_kernel(table).mask(answer, attrs))
-
-    def _apply_delete(self, name: str, attrs: tuple[str, ...], state) -> None:
-        """Mask the match plan's flat answer out of the flat table."""
-        answer = state._answer
-        if not answer:
-            # Nothing matched in any world: keep the (possibly lazily
-            # stored) table untouched rather than committing an
-            # id-expanded copy — a no-op delete must not replicate the
-            # table over the match plan's foreign world ids.
-            return
-        with phase("dml_apply"):
-            expanded = self.representation.expanded(name, state.ids, self.kernel)
-            kept = self._in_kernel(expanded).mask(answer, state.ids + attrs)
-            self._replace_table(name, kept)
+        if _dml_subqueries(statement) or (
+            self._run_vectorized((statement,), context) is None
+        ):
+            self._run_match(statement, context)
 
     def run_update(self, statement: ast.Update, context: ExecutionContext) -> bool:
         """Update matching rows in every world — flat, even with subqueries.
@@ -894,182 +793,94 @@ class InlineBackend(Backend):
         :meth:`_run_vectorized` (``predicate_mask``, then
         ``masked_assign``). Any other statement — subqueries in the
         condition or the set expressions, computed set values, or
-        unresolved columns — compiles to the match plan (extended with
-        one value column per scalar-subquery set clause), evaluated
-        once; its flat answer names every matched (world id, row) pair
-        and carries the inputs of the new values, so the kernel
-        ``scatter_update`` rewrites the table per world id without
-        decoding worlds. The Section 3 discard rule then applies: a key
-        violation in *any* world rejects the update in all of them
-        (checked as one vectorized (V_i ∪ key)-distinctness pass).
+        unresolved columns — runs through its match plan
+        (:meth:`_run_match`).
         """
-        subqueries = list(ast.condition_subqueries(statement.where))
-        for clause in statement.settings:
-            subqueries.extend(ast.expression_subqueries(clause.expression))
-        if not subqueries:
+        if not _dml_subqueries(statement):
             applied = self._run_vectorized((statement,), context)
             if applied is not None:
                 return applied[0]
+        return self._run_match(statement, context)
+
+    def _run_match(self, statement, context: ExecutionContext) -> bool:
+        """A delete or update applied through its match plan.
+
+        The statement compiles (through the plan cache) to the match
+        plan ``select * from R where φ`` — an update's extended with one
+        value column per scalar-subquery set clause — whose flat answer
+        names every matched row, with the inputs of the new values.
+        When every relation the subqueries read is world-uniform
+        (:meth:`_subqueries_world_uniform`) the plan runs on a view of
+        the session where R is its distinct value rows — polynomial in
+        those, typically orders of magnitude below the id-expanded
+        table; otherwise it runs on the representation. Then one rule
+        applies the answer, the Section 3 rule without decoding a
+        single world:
+
+        * an answer without id columns holds in every world alike: it
+          hits R as stored (wild PAD columns kept), keyed on R's value
+          attributes;
+        * an answer with ids hits R expanded over those ids
+          (:meth:`InlinedRepresentation.expanded`, cached per batch),
+          keyed on ids + value attributes.
+
+        A delete is the kernel ``mask``; an update the kernel
+        ``scatter_update`` followed by the key check — a violation in
+        *any* world discards the update in all of them. An answer that
+        matched nothing leaves R as stored (never id-expanded), though
+        an update still key-checks it, like the engine. Statements the
+        compiler rejects (e.g. world-splitting subqueries, which the
+        engine rejects too when a row reaches them) fall back to the
+        explicit engine on the decoded world-set.
+        """
+        update = isinstance(statement, ast.Update)
+        name = statement.relation
         try:
-            plan, attrs, set_terms = self._compiled_dml(
-                "update", statement, context, compile_update
-            )
+            plan, attrs, *set_terms = self._compile(statement, context)
         except FragmentError as reason:
-            self._note_fallback("update", reason)
-            world_set, applied = Engine(
-                context.views, context.keys, context.max_worlds
-            ).run_update(statement, self.to_world_set())
+            self._note_fallback("update" if update else "delete", reason)
+            engine = Engine(context.views, context.keys, context.max_worlds)
+            world_set, applied = self.to_world_set(), True
+            if update:
+                world_set, applied = engine.run_update(statement, world_set)
+            else:
+                world_set = engine.run_delete(statement, world_set)
             if applied:
                 self._reinline(world_set)
             return applied
-        if self._subqueries_world_uniform(subqueries, context.views):
-            state = self._uniform_dml_state(statement.relation, plan, context)
-            return self._apply_update_uniform(
-                statement, attrs, set_terms, state, context
-            )
-        state = self._dml_state(plan, context)
-        return self._apply_update(statement, attrs, set_terms, state, context)
-
-    def _apply_update_uniform(
-        self,
-        statement: ast.Update,
-        attrs: tuple[str, ...],
-        set_terms: tuple[tuple[str, object], ...],
-        state,
-        context: ExecutionContext,
-    ) -> bool:
-        """Scatter a value-determined answer into the flat table.
-
-        The answer names matched value rows plus their computed set
-        inputs (no id columns): every world that holds a matched row
-        rewrites it the same way, so the rewrite map — value row →
-        rewritten value row(s), built from the tiny distinct-value
-        answer — applies to the whole flat table in one pass that
-        keeps each row's id columns as they are. The Section 3 discard
-        rule then checks the rewritten table exactly like the general
-        path.
-        """
-        name = statement.relation
-        answer = state._answer
         rep = self.representation
-        key = context.keys.get(name)
-        table_ids = rep.table_id_attrs(name)
-        if not answer:
-            # No match anywhere: unchanged table, but still key-checked.
-            return self._satisfies_keys_flat(
-                rep.tables[name], key, table_ids, rep.wild_attrs
+        view = rep
+        if self._subqueries_world_uniform(_dml_subqueries(statement), context.views):
+            projected = self._in_kernel(rep.tables[name]).project(
+                rep.value_attributes(name)
             )
-        with phase("dml_apply"):
-            kernel_table = self._in_kernel(rep.tables[name])._reordered(
-                attrs + table_ids
-            )
-            width = len(attrs)
-            attr_index = {attr: j for j, attr in enumerate(attrs)}
-            binders = [
-                (attr_index[attr], term.bind(answer.schema))
-                for attr, term in set_terms
-            ]
-            target_of = tuple_getter(answer.schema.indices(attrs))
-            rewrites: dict[tuple, list[tuple]] = {}
-            for match in answer:
-                target = target_of(match)
-                new_row = list(target)
-                for position, value in binders:
-                    new_row[position] = value(match)
-                rewrites.setdefault(target, []).append(tuple(new_row))
-            rows: list[tuple] = []
-            append = rows.append
-            for row in kernel_table:
-                hits = rewrites.get(row[:width])
-                if hits is None:
-                    append(row)
-                else:
-                    id_part = row[width:]
-                    for new_values in hits:
-                        append(new_values + id_part)
-            new_table = (
-                type(kernel_table)._deduped(kernel_table.schema, rows)
-                if isinstance(kernel_table, ColumnarRelation)
-                else Relation._raw(kernel_table.schema, frozenset(rows))
-            )
-            if not self._satisfies_keys_flat(
-                new_table, key, table_ids, rep.wild_attrs
-            ):
-                return False
-            self._replace_table(name, new_table)
-        return True
-
-    def _apply_update(
-        self,
-        statement: ast.Update,
-        attrs: tuple[str, ...],
-        set_terms: tuple[tuple[str, object], ...],
-        state,
-        context: ExecutionContext,
-    ) -> bool:
-        """Scatter the evaluated update plan's rewrites into the flat table."""
-        name = statement.relation
+            view = rep.replacing(name, as_tuple(projected), validate=False)
+        state = self._evaluate(plan, context, view).plain()
+        assert set(state.ids) <= set(rep.id_attrs), f"DML plan minted ids {state.ids}"
         answer = state._answer
-        if not answer:
-            # No row matched in any world: the table stays as stored
-            # (no id expansion), but the engine still key-checks the
-            # unchanged relation — a pre-existing violation rejects.
-            table = self.representation.tables[name]
-            return self._satisfies_keys_flat(
-                table,
-                context.keys.get(name),
-                self.representation.table_id_attrs(name),
-                self.representation.wild_attrs,
-            )
+        ids = state.ids if answer else ()
+        if ids:
+            table = rep.expanded(name, ids, self.kernel)
+            table_ids, wild = ids, frozenset()
+        else:
+            table = rep.tables[name]
+            table_ids, wild = rep.table_id_attrs(name), rep.wild_attrs
         with phase("dml_apply"):
-            ids = state.ids
-            order = attrs + ids
-            expanded = self._in_kernel(
-                self.representation.expanded(name, ids, self.kernel)
-            )._reordered(order)
-            new_table = self._scatter(expanded, answer, order, set_terms)
-            if not self._satisfies_keys_flat(
-                new_table, context.keys.get(name), ids
-            ):
-                return False
-            self._replace_table(name, new_table)
-        return True
-
-    @staticmethod
-    def _scatter(expanded, answer, order, set_terms):
-        """The rewritten flat table for an evaluated update plan.
-
-        On the columnar kernel, a set term with a column form
-        (:meth:`~repro.relational.predicates.Term.column` — attribute
-        reads, constants, pad defaults, arithmetic over those) rewrites
-        as pure column slices of the answer: the whole update is a
-        handful of C-speed passes with no per-row closure calls. Terms
-        that only evaluate row at a time (the ``single`` cardinality
-        guard) fall back to the kernel ``scatter_update``, which both
-        kernels always use for the tuple engine.
-        """
-        if isinstance(expanded, ColumnarRelation):
-            answer_columnar = as_columnar(answer)
-            setter_columns: dict[str, object] = {}
-            for attr, term in set_terms:
-                column = term.column(answer_columnar)
-                if column is None:
-                    break
-                setter_columns[attr] = column
-            else:
-                columns = [
-                    setter_columns[a]
-                    if a in setter_columns
-                    else answer_columnar.column_values(a)
-                    for a in order
+            table = self._in_kernel(table)
+            if update:
+                setters = [
+                    (attr, term.bind(answer.schema)) for attr, term in set_terms[0]
                 ]
-                rewritten = list(zip(*columns))
-                kept = expanded.mask(answer_columnar, order)
-                return type(expanded)._deduped(
-                    Schema(order), rewritten + kept.row_list()
-                )
-        binders = [(attr, term.bind(answer.schema)) for attr, term in set_terms]
-        return expanded.scatter_update(answer, binders)
+                new_table = table.scatter_update(answer, setters, ids + attrs)
+                if not self._satisfies_keys_flat(
+                    new_table, context.keys.get(name), table_ids, wild
+                ):
+                    return False
+            else:
+                new_table = table.mask(answer, ids + attrs)
+            if new_table is not table:
+                self._replace_table(name, new_table)
+        return True
 
     # -- the batched DML pipeline ------------------------------------------------------
 
@@ -1202,6 +1013,14 @@ class InlineBackend(Backend):
                 if state is not start:
                     self._replace_table(name, state)
         return applied
+
+
+def _dml_subqueries(statement) -> list:
+    """The subqueries of a delete's or update's condition and set clauses."""
+    subqueries = list(ast.condition_subqueries(statement.where))
+    for clause in getattr(statement, "settings", ()):
+        subqueries.extend(ast.expression_subqueries(clause.expression))
+    return subqueries
 
 
 def _wild_key_satisfied(relation, key, table_ids, wild_attrs) -> bool:

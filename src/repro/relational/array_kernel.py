@@ -61,7 +61,6 @@ from repro.relational.columnar import (
     ColumnarRelation,
     KernelOps,
     _transpose,
-    as_columnar,
     as_tuple,
 )
 from repro.relational.predicates import (
@@ -1546,41 +1545,6 @@ class ArrayRelation(ColumnarRelation):
         keep[touched] = False
         keep[touched[first]] = True
         return candidate._take(keep)
-
-    def scatter_update(self, matches, setters) -> "ArrayRelation":
-        matches = as_columnar(matches)
-        if len(matches) == 0:
-            # An empty *relation* is NOT a shortcut: a match row names a
-            # target that need not be present, and its rewrite is still
-            # produced (the tuple engine's Section 3 semantics).
-            return self
-        checkpoint("scatter_update", self._nrows + len(matches))
-        positions = [self.schema.index(attribute) for attribute, _ in setters]
-        functions = [function for _, function in setters]
-        targets: list[Row] = []
-        rewritten: list[Row] = []
-        append = rewritten.append
-        pairs = zip(matches.row_list(), matches.tuples(self.schema.attributes))
-        if len(functions) == 1:
-            position, function = positions[0], functions[0]
-            tail = position + 1
-            for match, target in pairs:
-                targets.append(target)
-                append(target[:position] + (function(match),) + target[tail:])
-        else:
-            for match, target in pairs:
-                targets.append(target)
-                new_row = list(target)
-                for position, function in zip(positions, functions):
-                    new_row[position] = function(match)
-                append(tuple(new_row))
-        kept = self.mask(
-            type(self)._from_rows(self.schema, list(dict.fromkeys(targets)))
-        )
-        fresh = type(self)._from_rows(
-            self.schema, list(dict.fromkeys(rewritten))
-        )
-        return fresh.union(kept)
 
     def append_broadcast(
         self,

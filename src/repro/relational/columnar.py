@@ -90,6 +90,7 @@ from repro.relational.relation import (
     broadcast_rows,
     check_join_pairs_cover_shared,
     oriented_equality_pairs,
+    scattered_rows,
     tuple_getter,
     written_constant,
 )
@@ -733,38 +734,27 @@ class ColumnarRelation:
         self,
         matches: "ColumnarRelation | Relation",
         setters: Sequence[tuple[str, Callable[[Row], object]]],
+        attributes: Sequence[str] | None = None,
     ) -> "ColumnarRelation":
-        """Rewrite the rows *matches* selects (see :meth:`Relation.scatter_update`).
+        """Rewrite the rows a match names (see :meth:`Relation.scatter_update`).
 
-        The matched targets stream through :meth:`tuples` as column
-        slices; kept rows are probed against the target set at C speed.
-        Only the rewritten rows are materialized anew.
+        One pass over each side's row list; only the rewritten rows are
+        materialized anew.
         """
         matches = as_columnar(matches)
         checkpoint("scatter_update", self._nrows + len(matches))
-        positions = [self.schema.index(attribute) for attribute, _ in setters]
-        functions = [function for _, function in setters]
-        drop: set[Row] = set()
-        rewritten: list[Row] = []
-        append = rewritten.append
-        pairs = zip(matches.row_list(), matches.tuples(self.schema.attributes))
-        if len(functions) == 1:
-            # The common one-set-clause statement: rewrite by tuple
-            # slicing instead of a per-row list round-trip.
-            position, function = positions[0], functions[0]
-            tail = position + 1
-            for match, target in pairs:
-                drop.add(target)
-                append(target[:position] + (function(match),) + target[tail:])
-        else:
-            for match, target in pairs:
-                drop.add(target)
-                new_row = list(target)
-                for position, function in zip(positions, functions):
-                    new_row[position] = function(match)
-                append(tuple(new_row))
-        kept = [row for row in self.row_list() if row not in drop]
-        return type(self)._deduped(self.schema, rewritten + kept)
+        attrs = (
+            tuple(attributes) if attributes is not None else self.schema.attributes
+        )
+        rows = scattered_rows(
+            self.schema,
+            setters,
+            attrs,
+            matches.schema,
+            matches.row_list(),
+            self.row_list(),
+        )
+        return self if rows is None else type(self)._deduped(self.schema, rows)
 
     # -- selection and DML batch kernel ops (see Relation.predicate_mask) --------
     #

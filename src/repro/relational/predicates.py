@@ -70,8 +70,7 @@ class Term:
         time (then callers fall back to the bound function). Arithmetic
         streams lazily: zipped columns evaluate row by row in the bound
         function's order and raise its first error. Columnar selection
-        and DML masks read comparison operands through this, and
-        ``_scatter`` rewrites a DML set clause as one column slice.
+        and DML masks read comparison operands through this.
         """
         return None
 

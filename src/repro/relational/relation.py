@@ -152,6 +152,68 @@ def row_rewriter(settings) -> Callable[[Row], Row]:
     return rewrite
 
 
+def scattered_rows(schema, setters, attributes, matches_schema, matches, rows):
+    """The rows of a keyed ``scatter_update``, or None when none is hit.
+
+    Build side, the *matches* (aligned with *matches_schema*): each
+    one's rewrite is computed once and filed under its *attributes*
+    sub-tuple. Probe side, one pass over the table's *rows*: a row
+    whose key is filed is rebuilt once per match filed under it, and
+    every column the setters leave keeps the row's value. When the key
+    is the schema's leading columns, in order, and holds every set
+    column — match-plan DML on a stored table: value attributes ahead
+    of the id columns — a match files its rewritten key and a hit row
+    is that key plus the row's tail. Otherwise a match files its setter
+    values and a hit row is one gather over ``row + values``. The rows
+    may repeat (a rewrite can collide with a kept row); callers
+    deduplicate.
+    """
+    pairs = [(schema.index(attribute), function) for attribute, function in setters]
+    k = len(attributes)
+    leading = schema.attributes[:k] == attributes and all(p < k for p, _ in pairs)
+    if not leading:
+        key_of = tuple_getter(schema.indices(attributes))  # validates the key
+    match_key = tuple_getter(matches_schema.indices(attributes))
+    rewrites: dict[tuple, list[tuple]] = {}
+    for match in matches:
+        key = match_key(match)
+        if leading:
+            new = list(key)
+            for position, function in pairs:
+                new[position] = function(match)
+        else:
+            new = [function(match) for _, function in pairs]
+        rewrites.setdefault(key, []).append(tuple(new))
+    if not rewrites:
+        return None
+    out: list[Row] = []
+    append = out.append
+    hit = False
+    if leading:
+        for row in rows:
+            hits = rewrites.get(row[:k])
+            if hits is None:
+                append(row)
+            else:
+                hit = True
+                tail = row[k:]
+                for new_key in hits:
+                    append(new_key + tail)
+        return out if hit else None
+    width = len(schema)
+    slot = {position: width + j for j, (position, _) in enumerate(pairs)}
+    rebuild = tuple_getter([slot.get(p, p) for p in range(width)])
+    for row in rows:
+        hits = rewrites.get(key_of(row))
+        if hits is None:
+            append(row)
+        else:
+            hit = True
+            for values in hits:
+                append(rebuild(row + values))
+    return out if hit else None
+
+
 def written_constant(settings) -> tuple[int, object] | None:
     """``(position, value)``: a constant the ``masked_assign`` *settings*
     leave in every rewritten row, or None when each position they
@@ -640,35 +702,31 @@ class Relation:
         self,
         matches: "Relation",
         setters: Sequence[tuple[str, Callable[[Row], object]]],
+        attributes: Sequence[str] | None = None,
     ) -> "Relation":
-        """Rewrite the rows *matches* selects from a computed-value relation.
+        """Rewrite the rows whose *attributes* sub-tuple a match names.
 
-        *matches*' schema must contain every attribute of this relation;
-        each match row ``m`` names the target row π_self(m) — which is
-        removed — and contributes its rewrite: the target with every
+        Each row whose π_attributes occurs in π_attributes(*matches*) is
+        replaced, once per match with that key, by the row with every
         ``(attribute, function)`` of *setters* overridden by
         ``function(m)`` (``m`` as a positional tuple aligned with
         *matches*' schema, so value terms bound against the match plan's
-        answer schema read the *pre-update* row). This is the flat-table
-        form of the Section 3 update rule; the result is deduplicated
-        (a rewrite may collide with a kept row).
+        answer schema read the *pre-update* row); columns outside
+        *attributes* keep the row's values. *attributes* defaults to the
+        whole schema, as in :meth:`mask`. Only rows present are
+        rewritten: a match naming no row contributes nothing. This is
+        the flat-table form of the Section 3 update rule; the result is
+        deduplicated (a rewrite may collide with a kept row).
         """
         matches = Relation._coerce_operand(matches)
         checkpoint("scatter_update", len(self.rows) + len(matches.rows))
-        target_of = tuple_getter(matches.schema.indices(self.schema.attributes))
-        positions = [self.schema.index(attribute) for attribute, _ in setters]
-        functions = [function for _, function in setters]
-        drop: set[Row] = set()
-        rewritten: list[Row] = []
-        for match in matches.rows:
-            target = target_of(match)
-            drop.add(target)
-            new_row = list(target)
-            for position, function in zip(positions, functions):
-                new_row[position] = function(match)
-            rewritten.append(tuple(new_row))
-        kept = [row for row in self.rows if row not in drop]
-        return Relation._raw(self.schema, frozenset(rewritten).union(kept))
+        attrs = (
+            tuple(attributes) if attributes is not None else self.schema.attributes
+        )
+        rows = scattered_rows(
+            self.schema, setters, attrs, matches.schema, matches.rows, self.rows
+        )
+        return self if rows is None else Relation._raw(self.schema, rows)
 
     # -- DML batch kernel ops: row masks ------------------------------------------
     #

@@ -24,8 +24,9 @@ import pytest
 
 from repro.backend import InlineBackend
 from repro.backend.testing import assert_backends_agree, fuzz_range
-from repro.datagen import Scenario
+from repro.datagen import Scenario, census
 from repro.errors import EvaluationError
+from repro.inline.representation import InlinedRepresentation
 from repro.isql import ISQLSession
 from repro.relational import Relation
 from repro.relational.array_kernel import have_numpy
@@ -301,3 +302,55 @@ class TestNoOpDMLStaysLazy:
         after = s.backend.representation.tables["U"]
         assert s.backend.representation.table_id_attrs("U") == ()
         assert after.rows == before.rows
+
+
+class TestValueDeterminedDMLNeverExpands:
+    """A value-determined statement — every relation its subqueries
+    read is stored without id columns — applies its id-free answer to
+    the repaired table as stored: no id expansion at any point, wild
+    PAD columns kept, and the footprint never grows (2¹³ worlds)."""
+
+    @pytest.fixture(
+        params=("columnar", "tuple") + (("array",) if have_numpy() else ())
+    )
+    def session(self, request, monkeypatch):
+        s = ISQLSession(backend=InlineBackend(kernel=request.param))
+        s.register("Census", census(24, seed=7, duplicates=13))
+        regions = [(f"City{i}", f"Reg{i % 4}") for i in range(12)]
+        s.register("Regions", Relation(("City", "Region"), regions))
+        blocked = [("City1",), ("City3",), ("City5",)]
+        s.register("Blocked", Relation(("Town",), blocked))
+        s.declare_key("Clean", ("SSN",))
+        s.run("Clean <- select * from Census repair by key SSN;")
+        assert s.backend.representation.world_count() == 2**13
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("value-determined DML expanded a table")
+
+        monkeypatch.setattr(InlinedRepresentation, "expanded", refuse)
+        return s
+
+    def test_update_rewrites_the_stored_rows_in_place(self, session):
+        rep = session.backend.representation
+        before, size = rep.tables["Clean"], rep.size()
+        session.run(
+            "update Clean set Name = (select min(Region) from Regions "
+            "where City = POW) where POW in (select City from Regions);"
+        )
+        after = session.backend.representation
+        assert session.backend.fallback_total == 0
+        assert after.tables["Clean"].rows != before.rows  # rows were rewritten
+        assert after.tables["Clean"].schema == before.schema
+        assert after.size() == size
+
+    def test_delete_masks_the_stored_rows(self, session):
+        rep = session.backend.representation
+        before, size = rep.tables["Clean"], rep.size()
+        session.run(
+            "delete from Clean where exists "
+            "(select * from Blocked where Town = POB);"
+        )
+        after = session.backend.representation
+        assert session.backend.fallback_total == 0
+        assert after.tables["Clean"].rows < before.rows  # a strict subset
+        assert after.size() == size - (len(before) - len(after.tables["Clean"]))

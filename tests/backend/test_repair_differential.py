@@ -3,7 +3,10 @@
 ``repair by key`` now mints one *factored* per-group world-id column
 per violating key group instead of one joint id over the repair
 product. This suite generates seeded random scripts — a repair, a few
-DML statements (some subquery-bearing) against the repaired relation,
+DML statements against the repaired relation (subquery-free ones,
+value-determined subquery ones — world-uniform ``Lookup`` in the
+condition or a scalar set clause — and ones whose condition reads the
+repaired relation itself, so its answer carries world ids),
 then a certain/possible/aggregation query — and replays each of them
 across the explicit backend and the inline backend in every
 kernel × strategy combination. The factored encoding must be
@@ -91,7 +94,10 @@ def make_scenario(seed: int) -> Scenario:
     statements = ["Clean <- select * from R repair by key K;"]
     fresh_key = 900
     for _ in range(rng.randrange(1, 4)):
-        kind = rng.choice(("update", "update_subquery", "delete", "insert"))
+        kind = rng.choice((
+            "update", "update_subquery", "update_scalar", "update_self",
+            "delete", "delete_subquery", "insert",
+        ))
         if kind == "update":
             statements.append(
                 f"update Clean set B = {rng.randrange(1, 6) * 10} "
@@ -101,6 +107,24 @@ def make_scenario(seed: int) -> Scenario:
             statements.append(
                 "update Clean set B = 0 "
                 "where A in (select T from Lookup);"
+            )
+        elif kind == "update_scalar":
+            # Value-determined, with a set-input column in the answer.
+            statements.append(
+                "update Clean set B = (select count(T) from Lookup) * 10 "
+                f"where A = '{rng.choice(CITIES)}';"
+            )
+        elif kind == "update_self":
+            # The condition reads Clean itself: the match answer carries
+            # Clean's world ids and applies to its de-wildcarded rows.
+            statements.append(
+                "update Clean set B = B + 5 where A in "
+                f"(select A from Clean where B > {rng.randrange(1, 5) * 10});"
+            )
+        elif kind == "delete_subquery":
+            # Value-determined: Lookup is the same in every world.
+            statements.append(
+                "delete from Clean where A in (select T from Lookup);"
             )
         elif kind == "delete":
             statements.append(
@@ -190,6 +214,12 @@ def test_random_repair_scripts_fault_sweep(label, backend, seed):
     for text in statement_texts(scenario.script):
         before = session.world_set
         mark = session.savepoint()
+        # The count is taken on a replay, as in the scenario fault
+        # suite: a first run may fill a cache the representation keeps
+        # (a factored world's joint table), and every injected run
+        # below replays warm.
+        session.run(text)
+        session.rollback_to(mark)
         total = count_ops(lambda: session.run(text))
         session.rollback_to(mark)
         session.release(mark)

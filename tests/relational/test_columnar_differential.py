@@ -678,6 +678,87 @@ def test_scatter_update_matches(convert, relation, matches, count):
     )
 
 
+#: Setters over a ``(B, C)`` match keyed on ``B``: one rewrites a
+#: column outside the key, one the key itself.
+KEYED_SETTERS = [
+    ("A", lambda match: match[1]),
+    ("B", lambda match: (match[0], match[1])),
+]
+
+
+@for_each_kernel
+@settings(max_examples=60, deadline=None)
+@given(
+    relation=relations(("A", "B")),
+    matches=relations(("B", "C")),
+    count=st.integers(0, len(KEYED_SETTERS)),
+)
+def test_scatter_update_matches_on_explicit_attributes(
+    convert, relation, matches, count
+):
+    setters = KEYED_SETTERS[:count]
+    assert_same(
+        convert(relation).scatter_update(matches, setters, ("B",)),
+        relation.scatter_update(matches, setters, ("B",)),
+        f"scatter_update[B, {count} setters]",
+    )
+
+
+def _keyed_scatter_reference(relation, matches, setters, key):
+    """Keyed scatter, spelled out row by row."""
+    def key_of(row, schema):
+        return tuple(row[schema.index(a)] for a in key)
+
+    rows = set()
+    for row in relation.rows:
+        target = key_of(row, relation.schema)
+        hits = [m for m in matches.rows if key_of(m, matches.schema) == target]
+        if not hits:
+            rows.add(row)
+        for match in hits:
+            new = list(row)
+            for attribute, function in setters:
+                new[relation.schema.index(attribute)] = function(match)
+            rows.add(tuple(new))
+    return Relation(relation.schema.attributes, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    relation=relations(("A", "B", "C")),
+    matches=relations(("A", "B", "D")),
+    key=st.sampled_from([("A",), ("A", "B"), ("B",), ("B", "A")]),
+    setter=st.sampled_from(["A", "B", "C"]),
+)
+def test_keyed_scatter_matches_a_row_by_row_reference(
+    relation, matches, key, setter
+):
+    """Every key layout — leading in order (the rewritten-key path),
+    out of order or not leading (the gather path) — and setters inside
+    and outside the key rewrite exactly the rows the reference does."""
+    setters = [(setter, lambda match: ("new", match[2]))]
+    assert relation.scatter_update(matches, setters, key) == (
+        _keyed_scatter_reference(relation, matches, setters, key)
+    )
+
+
+@for_each_kernel
+def test_keyed_scatter_rewrites_only_present_rows(convert):
+    relation = Relation(("A", "B"), [(1, "x"), (2, "y")])
+    # Two matches on key x rewrite that row twice; the match on the
+    # absent key w contributes nothing; A, outside the key, is kept.
+    matches = Relation(("B", "C"), [("x", 10), ("x", 20), ("w", 30)])
+    setters = [("B", lambda match: match[1])]
+    expected = Relation(("A", "B"), [(1, 10), (1, 20), (2, "y")])
+    assert relation.scatter_update(matches, setters, ("B",)) == expected
+    assert as_tuple(
+        convert(relation).scatter_update(matches, setters, ("B",))
+    ) == expected
+    absent = Relation(("A", "B"), [(3, "w")])
+    assert relation.scatter_update(absent, setters) == relation
+    assert as_tuple(convert(relation).scatter_update(absent, setters)) == relation
+
+
 @for_each_kernel
 def test_mask_scatter_edges(convert):
     relation = Relation(("A", "B"), [(1, "x"), (2, "y")])
@@ -699,6 +780,8 @@ def test_mask_scatter_edges(convert):
             engine.mask(empty_match, ("Nope",))
         with pytest.raises(SchemaError):
             engine.scatter_update(matches, [("Nope", lambda m: 0)])
+        with pytest.raises(SchemaError):
+            engine.scatter_update(matches, [], ("Nope",))
 
 
 @for_each_kernel

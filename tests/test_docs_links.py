@@ -47,3 +47,19 @@ def test_checker_flags_a_broken_link(tmp_path):
     checker = _checker()
     problems = checker.check(tmp_path)
     assert len(problems) == 1 and "nope.md" in problems[0]
+
+
+def test_checker_flags_a_private_name_gone_from_the_source(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(
+        "class Thing:\n    def _kept(self):\n        return _helper()\n"
+    )
+    (tmp_path / "ARCHITECTURE.md").write_text(
+        "`Thing._kept()` calls `_helper`; `Thing._gone` was removed.\n"
+        "```\n_fenced_code_is_not_checked\n```\n"
+    )
+    # History may name removed code: only the code docs are checked.
+    (tmp_path / "CHANGES.md").write_text("Deleted `_gone_for_good`.\n")
+    checker = _checker()
+    problems = checker.check(tmp_path)
+    assert len(problems) == 1 and "`_gone`" in problems[0], problems

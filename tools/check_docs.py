@@ -6,7 +6,14 @@ Scans every ``*.md`` at the repo root and under ``docs/`` and verifies:
 * ``#fragment`` links — both in-page and cross-page — name a real
   heading (GitHub slug rules: lowercase, punctuation dropped, spaces
   to dashes);
-* no link target is an absolute filesystem path.
+* no link target is an absolute filesystem path;
+* every private name quoted as code (``_name`` or ``Class._name`` in
+  single backticks) in the documents that describe the code —
+  ``README.md``, ``ARCHITECTURE.md`` and ``docs/`` — still occurs as
+  an identifier under ``src/``, so
+  a refactor that deletes a helper cannot leave its description
+  behind. ``CHANGES.md`` and ``ROADMAP.md`` are exempt: they name
+  removed code on purpose.
 
 External ``http(s)`` links are not fetched (CI must not depend on the
 network); they are only checked for an empty target. Exit code 0 means
@@ -27,6 +34,11 @@ from pathlib import Path
 LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 CODE_FENCE = re.compile(r"```.*?```", re.DOTALL)
+#: A backticked private name, optionally qualified by a class and
+#: followed by ``()``; group 1 is the bare ``_name``.
+PRIVATE_NAME = re.compile(r"`(?:[A-Z]\w*\.)?(_[A-Za-z]\w*)(?:\(\))?`")
+#: Every underscore-led identifier in a source file.
+SOURCE_PRIVATE = re.compile(r"\b_\w+")
 
 
 def github_slug(heading: str) -> str:
@@ -42,6 +54,37 @@ def markdown_files(root: Path) -> list[Path]:
     if docs.is_dir():
         files.extend(sorted(docs.rglob("*.md")))
     return files
+
+
+def code_docs(root: Path) -> list[Path]:
+    """The documents that describe the code as it is now."""
+    files = [root / name for name in ("README.md", "ARCHITECTURE.md")]
+    files = [path for path in files if path.is_file()]
+    docs = root / "docs"
+    if docs.is_dir():
+        files.extend(sorted(docs.rglob("*.md")))
+    return files
+
+
+def source_private_names(root: Path) -> set[str]:
+    """Every underscore-led identifier in the Python files under src/."""
+    names: set[str] = set()
+    for path in sorted((root / "src").rglob("*.py")):
+        names.update(SOURCE_PRIVATE.findall(path.read_text(encoding="utf-8")))
+    return names
+
+
+def stale_private_names(root: Path) -> list[str]:
+    """One problem per backticked private name no source file holds."""
+    problems: list[str] = []
+    known = source_private_names(root)
+    for source in code_docs(root):
+        text = CODE_FENCE.sub("", source.read_text(encoding="utf-8"))
+        for name in sorted(set(PRIVATE_NAME.findall(text)) - known):
+            problems.append(
+                f"{source.relative_to(root)}: `{name}` occurs nowhere under src/"
+            )
+    return problems
 
 
 def anchors_of(path: Path) -> set[str]:
@@ -87,7 +130,7 @@ def check(root: Path) -> list[str]:
                         f"{where} anchor #{fragment} not found in "
                         f"{resolved.name}"
                     )
-    return problems
+    return problems + stale_private_names(root)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,12 +138,15 @@ def main(argv: list[str] | None = None) -> int:
     root = Path(args[0]).resolve() if args else Path(__file__).resolve().parents[1]
     problems = check(root)
     if problems:
-        print("documentation link problems:")
+        print("documentation problems:")
         for problem in problems:
             print(f"  - {problem}")
         return 1
     count = len(markdown_files(root))
-    print(f"docs OK: {count} markdown files, all links and anchors resolve")
+    print(
+        f"docs OK: {count} markdown files, all links and anchors resolve, "
+        "every private name the code docs cite exists"
+    )
     return 0
 
 
