@@ -76,7 +76,7 @@ from repro.inline.physical import (
     match_answers_to_session_worlds,
 )
 from repro.inline.representation import InlinedRepresentation
-from repro.inline.translate import translate_general
+from repro.inline.translate import LoweredPlan, lower_query, translate_general
 from repro.isql import ast
 from repro.isql.compile import (
     FragmentError,
@@ -312,7 +312,7 @@ class InlineBackend(Backend):
         return self.representation.tables.names
 
     def schemas(self) -> dict[str, tuple[str, ...]]:
-        return self._value_schemas()
+        return dict(self._value_schemas())
 
     def world_count(self) -> int:
         return self.representation.distinct_world_count()
@@ -398,8 +398,9 @@ class InlineBackend(Backend):
     # -- the compile → rewrite → evaluate pipeline ------------------------------------
 
     def _value_schemas(self) -> dict[str, tuple[str, ...]]:
-        rep = self.representation
-        return {name: rep.value_attributes(name) for name in rep.tables}
+        """The catalog's value schemas (built once per representation;
+        read-only)."""
+        return self.representation.value_schemas()
 
     def _catalog_key(self, context: ExecutionContext) -> tuple:
         """The schema/view epoch a compiled plan is valid for.
@@ -410,9 +411,8 @@ class InlineBackend(Backend):
         key, so a plan compiled against the old catalog can never be
         served against the new one.
         """
-        rep = self.representation
         return (
-            tuple((name, rep.value_attributes(name)) for name in rep.tables),
+            tuple(self._value_schemas().items()),
             tuple(sorted(context.views.items())),
         )
 
@@ -436,8 +436,9 @@ class InlineBackend(Backend):
         plan; a delete or update (:func:`compile_delete` /
         :func:`compile_update`) to the compiler's tuple, whose first
         component — the match plan — is the one rewritten. A cache hit
-        skips both compilation and rewriting (the cached artifact is
-        the *rewritten* one), so callers must not rewrite again.
+        skips compilation, rewriting, validation and lowering (the
+        cached artifact is the rewritten plan, validated and lowered by
+        :meth:`_rewritten`), so callers run it as it is.
         Compile failures (FragmentError → explicit-engine fallback) are
         never cached — their diagnostics carry source spans, which the
         span-insensitive statement fingerprint would skew.
@@ -547,17 +548,21 @@ class InlineBackend(Backend):
         )
 
     def _rewritten(self, compiled):
-        """The Figure 7 rewriting pass (best effort — plans stay correct)."""
+        """The Figure 7 rewriting pass (best effort — plans stay correct),
+        then the plan validated and lowered (:func:`lower_query`) once,
+        as the plan cache keeps it and the evaluator runs it."""
         schemas = self._value_schemas()
         with phase("rewrite"):
             env = {name: Schema(attrs) for name, attrs in schemas.items()}
             try:
+                # Validates the plan and every rewritten step.
                 compiled, _ = rewrite_plan(
                     compiled, env, input_kind=self._world_kind()
                 )
             except (RewriteError, TypingError, SchemaError):
-                pass  # an unoptimized plan is still a correct plan
-        return compiled
+                # An unoptimized plan is still a correct plan — if valid.
+                compiled.attributes(env)
+            return LoweredPlan(lower_query(compiled, env))
 
     def _evaluate(
         self, compiled, context: ExecutionContext, representation=None
@@ -595,7 +600,7 @@ class InlineBackend(Backend):
         for the duration of the statement.
         """
         translation = translate_general(
-            compiled, representation.strict(), counter_start=self._counter
+            compiled.plan, representation.strict(), counter_start=self._counter
         )
         output = translation.apply(
             name="#answer", max_worlds=context.max_worlds, kernel=self.kernel

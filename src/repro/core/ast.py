@@ -56,6 +56,34 @@ def _attr_tuple(attributes: Sequence[str] | str) -> tuple[str, ...]:
     return tuple(attributes)
 
 
+class AttributeMemo(dict):
+    """A schema environment that memoizes schema inference per node.
+
+    Pass it as the *env* of :meth:`WSAQuery.attributes`: every node's
+    attributes are then inferred once, however often a caller asks for
+    them — the rewriter validates each step's whole plan, but a step
+    rebuilds only the path above the rewritten node and shares every
+    other subtree, so only that path is inferred anew. Entries are keyed
+    by node identity and hold the node itself, so an id is never reused
+    while the memo lives; use one memo per schema environment and drop
+    it with the plans it served.
+    """
+
+    __slots__ = ("_memo",)
+
+    def __init__(self, schemas: SchemaEnv) -> None:
+        super().__init__(schemas)
+        self._memo: dict[int, tuple[WSAQuery, tuple[str, ...]]] = {}
+
+    def attributes_of(self, query: "WSAQuery") -> tuple[str, ...]:
+        entry = self._memo.get(id(query))
+        if entry is not None:
+            return entry[1]
+        attrs = query._attributes(self)
+        self._memo[id(query)] = (query, attrs)
+        return attrs
+
+
 class WSAQuery:
     """Abstract base class of world-set algebra queries."""
 
@@ -66,7 +94,18 @@ class WSAQuery:
         raise NotImplementedError
 
     def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
-        """Output attributes of the answer relation R_{k+1}."""
+        """Output attributes of the answer relation R_{k+1}.
+
+        Raises :class:`SchemaError` if the query is ill-formed against
+        *env*. With an :class:`AttributeMemo` as *env*, each node is
+        inferred once per memo.
+        """
+        if type(env) is AttributeMemo:
+            return env.attributes_of(self)
+        return self._attributes(env)
+
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+        """This node's schema inference (children through :meth:`attributes`)."""
         raise NotImplementedError
 
     def to_text(self) -> str:
@@ -126,7 +165,7 @@ class Rel(WSAQuery):
     def _with_children(self, children: tuple[WSAQuery, ...]) -> "Rel":
         return self
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         try:
             return env[self.name].attributes
         except KeyError:
@@ -154,7 +193,7 @@ class Select(WSAQuery):
     def _with_children(self, children: tuple[WSAQuery, ...]) -> "Select":
         return Select(self.predicate, children[0])
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         attrs = self.child.attributes(env)
         available = set(attrs)
         for attr in self.predicate.attributes():
@@ -186,7 +225,7 @@ class Project(WSAQuery):
     def _with_children(self, children: tuple[WSAQuery, ...]) -> "Project":
         return Project(self.attrs, children[0])
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         available = set(self.child.attributes(env))
         for attr in self.attrs:
             if attr not in available:
@@ -217,7 +256,7 @@ class Rename(WSAQuery):
     def _with_children(self, children: tuple[WSAQuery, ...]) -> "Rename":
         return Rename(self.mapping, children[0])
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         return Schema(self.child.attributes(env)).rename(self.mapping).attributes
 
     def to_text(self) -> str:
@@ -267,7 +306,7 @@ class Product(_BinaryQuery):
     __slots__ = ()
     symbol = "×"
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         left = self.left.attributes(env)
         right = self.right.attributes(env)
         shared = set(left) & set(right)
@@ -282,7 +321,7 @@ class Union(_BinaryQuery):
     __slots__ = ()
     symbol = "∪"
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         return self._same_attrs(env, "union")
 
 
@@ -292,7 +331,7 @@ class Intersect(_BinaryQuery):
     __slots__ = ()
     symbol = "∩"
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         return self._same_attrs(env, "intersection")
 
     def desugar(self) -> WSAQuery:
@@ -307,7 +346,7 @@ class Difference(_BinaryQuery):
     __slots__ = ()
     symbol = "−"
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         return self._same_attrs(env, "difference")
 
 
@@ -327,7 +366,7 @@ class ThetaJoin(WSAQuery):
     def _with_children(self, children: tuple[WSAQuery, ...]) -> "ThetaJoin":
         return ThetaJoin(self.predicate, children[0], children[1])
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         return Product(self.left, self.right).attributes(env)
 
     def desugar(self) -> WSAQuery:
@@ -349,7 +388,7 @@ class NaturalJoin(_BinaryQuery):
     __slots__ = ()
     symbol = "⋈"
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         left = self.left.attributes(env)
         right = self.right.attributes(env)
         shared = set(left) & set(right)
@@ -391,7 +430,7 @@ class _NaturalJoinExpansion(_BinaryQuery):
     __slots__ = ()
     symbol = "⋈*"
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         return NaturalJoin(self.left, self.right).attributes(env)
 
     def expand(self, env: SchemaEnv) -> WSAQuery:
@@ -419,7 +458,7 @@ class Divide(_BinaryQuery):
     __slots__ = ()
     symbol = "÷"
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         left = self.left.attributes(env)
         right = self.right.attributes(env)
         if not set(right) <= set(left):
@@ -459,7 +498,7 @@ class ChoiceOf(WSAQuery):
     def _with_children(self, children: tuple[WSAQuery, ...]) -> "ChoiceOf":
         return ChoiceOf(self.attrs, children[0])
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         available = set(self.child.attributes(env))
         for attr in self.attrs:
             if attr not in available:
@@ -495,7 +534,7 @@ class _GroupWorldsBy(WSAQuery):
     def _with_children(self, children: tuple[WSAQuery, ...]) -> "_GroupWorldsBy":
         return type(self)(self.group_attrs, self.proj_attrs, children[0])
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         available = set(self.child.attributes(env))
         for attr in self.group_attrs + self.proj_attrs:
             if attr not in available:
@@ -559,7 +598,7 @@ class _GroupWorldsByKey(WSAQuery):
     def _with_children(self, children: tuple[WSAQuery, ...]) -> "_GroupWorldsByKey":
         return type(self)(self.proj_attrs, children[0], children[1])
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         available = set(self.child.attributes(env))
         for attr in self.proj_attrs:
             if attr not in available:
@@ -629,7 +668,7 @@ class Aggregate(WSAQuery):
     def _with_children(self, children: tuple[WSAQuery, ...]) -> "Aggregate":
         return Aggregate(self.group_attrs, self.specs, children[0])
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         available = set(self.child.attributes(env))
         for attr in self.group_attrs:
             if attr not in available:
@@ -673,7 +712,7 @@ class _PredicateJoin(WSAQuery):
     def _with_children(self, children: tuple[WSAQuery, ...]) -> "_PredicateJoin":
         return type(self)(self.predicate, children[0], children[1])
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         left = self.left.attributes(env)
         right = self.right.attributes(env)
         shared = set(left) & set(right)
@@ -739,7 +778,7 @@ class PadJoin(_BinaryQuery):
     __slots__ = ()
     symbol = "=⊳⊲"
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         left = self.left.attributes(env)
         right = self.right.attributes(env)
         shared = set(left) & set(right)
@@ -761,7 +800,7 @@ class _Closing(WSAQuery):
     def _with_children(self, children: tuple[WSAQuery, ...]) -> "_Closing":
         return type(self)(children[0])
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         return self.child.attributes(env)
 
     def to_text(self) -> str:
@@ -809,7 +848,7 @@ class RepairByKey(WSAQuery):
     def _with_children(self, children: tuple[WSAQuery, ...]) -> "RepairByKey":
         return RepairByKey(self.attrs, children[0])
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         available = set(self.child.attributes(env))
         for attr in self.attrs:
             if attr not in available:
@@ -845,7 +884,7 @@ class ActiveDomain(WSAQuery):
     def _with_children(self, children: tuple[WSAQuery, ...]) -> "ActiveDomain":
         return self
 
-    def attributes(self, env: SchemaEnv) -> tuple[str, ...]:
+    def _attributes(self, env: SchemaEnv) -> tuple[str, ...]:
         return self.attrs
 
     def to_text(self) -> str:

@@ -46,6 +46,7 @@ kernels are held to identical answers by ``tests/backend`` and
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from typing import Iterable, Sequence
 
@@ -78,7 +79,7 @@ from repro.core.ast import (
 from repro.core.repair import factored_repair_groups
 from repro.relational.aggregates import missing_group_rows
 from repro.inline.factors import FactoredWorld
-from repro.inline.translate import SchemaLike, _schema_env, lower_query
+from repro.inline.translate import LoweredPlan, SchemaLike, _schema_env, lower_query
 from repro.relational.array_kernel import ArrayRelation
 from repro.relational.columnar import (
     ColumnarRelation,
@@ -242,7 +243,7 @@ class PhysicalEvaluator:
         base_wild: Iterable[str] = (),
     ) -> None:
         self.database = database
-        self.env = _schema_env(schemas or database.schemas())
+        self._schemas = schemas
         self.max_worlds = max_worlds
         self.base_ids = tuple(base_ids)
         self.base_wild = frozenset(base_wild)
@@ -254,6 +255,12 @@ class PhysicalEvaluator:
         self.base_world = FactoredWorld(tuple(map(self._convert, factors)))
         self._counter = counter_start
         self._world_projections: dict[tuple[str, ...], FactoredWorld] = {}
+
+    @functools.cached_property
+    def env(self) -> dict[str, Schema]:
+        """The catalog's value schemas, for validating and lowering a
+        query — built only when :meth:`evaluate` needs them."""
+        return _schema_env(self._schemas or self.database.schemas())
 
     def _fresh(self) -> int:
         self._counter += 1
@@ -283,11 +290,16 @@ class PhysicalEvaluator:
 
     # -- entry points ------------------------------------------------------------
 
-    def evaluate(self, query: WSAQuery) -> PhysicalState:
-        """Evaluate *query*; the state exposes per-world answers."""
+    def evaluate(self, query: WSAQuery | LoweredPlan) -> PhysicalState:
+        """Evaluate *query*; the state exposes per-world answers.
+
+        A :class:`LoweredPlan` was validated and lowered when it was
+        compiled, so it runs as it is.
+        """
+        if isinstance(query, LoweredPlan):
+            return self._eval(query.plan)
         query.attributes(self.env)
-        lowered = lower_query(query, self.env)
-        return self._eval(lowered)
+        return self._eval(lower_query(query, self.env))
 
     def answer(self, query: WSAQuery) -> Relation:
         """The unique answer of a query whose result is world-uniform."""
@@ -881,7 +893,7 @@ def physical_answer(
 
 
 def evaluate_seeded(
-    query: WSAQuery,
+    query: WSAQuery | LoweredPlan,
     representation: "InlinedRepresentation",
     max_worlds: int | None = None,
     counter_start: int = 0,
@@ -892,13 +904,9 @@ def evaluate_seeded(
     Returns the final state plus the fresh-id counter value, so a
     session can keep minting collision-free world ids across statements.
     """
-    schemas = {
-        name: representation.value_attributes(name)
-        for name in representation.tables
-    }
     evaluator = PhysicalEvaluator(
         representation.tables,
-        schemas,
+        representation.value_schemas(),
         max_worlds=max_worlds,
         base_ids=representation.id_attrs,
         base_world=representation.world_factors,

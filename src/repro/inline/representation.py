@@ -81,6 +81,7 @@ class InlinedRepresentation:
         "wild_attrs",
         "_known_ids",
         "_expanded",
+        "_value_schemas",
         "versions",
         "world_version",
     )
@@ -110,6 +111,7 @@ class InlinedRepresentation:
         #: see :meth:`expanded`. Instances are immutable, so entries
         #: never go stale; :meth:`replacing` carries untouched ones over.
         self._expanded: dict[tuple[str, tuple[str, ...]], object] = {}
+        self._value_schemas: dict[str, tuple[str, ...]] | None = None
         #: Process-unique version counters, one per table plus one for
         #: the world, the result memo's invalidation keys: a DML delta
         #: (:meth:`replacing`) mints a fresh version for exactly the
@@ -268,6 +270,18 @@ class InlinedRepresentation:
         ids = set(self.id_attrs)
         return tuple(a for a in self.tables[name].schema if a not in ids)
 
+    def value_schemas(self) -> dict[str, tuple[str, ...]]:
+        """Every table's value attributes, in catalog order.
+
+        Built on first use and shared by every later caller (instances
+        are immutable): treat the mapping as read-only.
+        """
+        schemas = self._value_schemas
+        if schemas is None:
+            schemas = {name: self.value_attributes(name) for name in self.tables}
+            self._value_schemas = schemas
+        return schemas
+
     def table_id_attrs(self, name: str) -> tuple[str, ...]:
         """The id attributes table *name* actually carries (V_i ⊆ V)."""
         schema = self.tables[name].schema.as_set()
@@ -314,6 +328,7 @@ class InlinedRepresentation:
         replacement._expanded = {
             key: view for key, view in self._expanded.items() if key[0] != name
         }
+        replacement._value_schemas = None
         # The delta is exactly one table: it gets a fresh version, every
         # other table (and the world) keeps its counter, so memoized
         # results over the untouched tables stay servable.

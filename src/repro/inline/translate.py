@@ -87,6 +87,23 @@ def lower_query(query: WSAQuery, env: Mapping[str, Schema]) -> WSAQuery:
     return query
 
 
+class LoweredPlan:
+    """A plan validated against its catalog and lowered (:func:`lower_query`).
+
+    The form a compiled plan is cached and run in:
+    :func:`repro.inline.physical.evaluate_seeded` runs it as it is, with
+    no validation, lowering or schema environment per execution.
+    """
+
+    __slots__ = ("plan",)
+
+    def __init__(self, plan: WSAQuery) -> None:
+        self.plan = plan
+
+    def __repr__(self) -> str:
+        return f"LoweredPlan({self.plan.to_text()})"
+
+
 class TranslationState:
     """The inlined-representation expressions at one translation point."""
 

@@ -1,15 +1,24 @@
 """Tokenizer for I-SQL.
 
-Hand-rolled and line-aware; produces a flat token list the recursive
-descent parser consumes. Keywords are case-insensitive; identifiers
-keep their case. Both ``!=`` and ``<>`` denote inequality, and ``<-``
-is the materializing assignment arrow (the paper writes ``←``, which is
+One compiled master regular expression scans the source left to right,
+one alternative per token class (whitespace and ``--`` comments are
+skipped); it produces a flat token list the recursive descent parser
+consumes. Keywords are case-insensitive; identifiers keep their case.
+Both ``!=`` and ``<>`` denote inequality, and ``<-`` is the
+materializing assignment arrow (the paper writes ``←``, which is
 accepted too).
+
+Numbers are ASCII only: a number starts with ``[0-9]`` and runs over
+``[0-9.]``, a trailing dot left to a qualified name. Any other digit
+character (``²``, ``٣``) is an unexpected character, never a number.
+Identifiers start with a letter or ``_`` and continue over letters,
+digits and ``_`` (Unicode letters included, as ``str.isalpha``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import ParseError
 
@@ -47,30 +56,28 @@ KEYWORDS = {
     "avg",
 }
 
-SYMBOLS = (
-    "<=",
-    ">=",
-    "!=",
-    "<>",
-    "<-",
-    "←",
-    "(",
-    ")",
-    ",",
-    ".",
-    "*",
-    "=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "/",
-    ";",
+#: Spellings that lex to another symbol's text.
+_SYMBOL_ALIASES = {"←": "<-", "<>": "!="}
+
+#: One match per token: leading whitespace and comments, then exactly
+#: one named group — or none at the end of the source.
+_MASTER = re.compile(
+    r"""
+    \s*(?:--[^\n]*\s*)*
+    (?:
+        (?P<string>'[^']*')
+        |(?P<number>[0-9]+(?:\.+[0-9]+)*(?:\.(?=\.))*)
+        |(?P<ident>[^\W\d]\w*)
+        |(?P<symbol><=|>=|!=|<>|<-|←|[(),.*=<>+\-/;])
+        |(?P<error>.)
+        |\Z
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token: a kind, its text, and its source offset."""
 
     kind: str  # "keyword" | "ident" | "number" | "string" | "symbol" | "eof"
@@ -81,51 +88,28 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Tokenize *source*, raising :class:`ParseError` on bad input."""
     tokens: list[Token] = []
-    index = 0
-    length = len(source)
-    while index < length:
-        ch = source[index]
-        if ch.isspace():
-            index += 1
-            continue
-        if source.startswith("--", index):
-            newline = source.find("\n", index)
-            index = length if newline < 0 else newline + 1
-            continue
-        if ch == "'":
-            end = source.find("'", index + 1)
-            if end < 0:
-                raise ParseError("unterminated string literal", index)
-            tokens.append(Token("string", source[index + 1 : end], index))
-            index = end + 1
-            continue
-        if ch.isdigit():
-            start = index
-            while index < length and (source[index].isdigit() or source[index] == "."):
-                index += 1
-            # A trailing dot belongs to a qualified name, not the number.
-            text = source[start:index]
-            if text.endswith("."):
-                text = text[:-1]
-                index -= 1
-            tokens.append(Token("number", text, start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = index
-            while index < length and (source[index].isalnum() or source[index] == "_"):
-                index += 1
-            word = source[start:index]
-            kind = "keyword" if word.lower() in KEYWORDS else "ident"
-            text = word.lower() if kind == "keyword" else word
-            tokens.append(Token(kind, text, start))
-            continue
-        for symbol in SYMBOLS:
-            if source.startswith(symbol, index):
-                text = "<-" if symbol == "←" else ("!=" if symbol == "<>" else symbol)
-                tokens.append(Token("symbol", text, index))
-                index += len(symbol)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", index)
-    tokens.append(Token("eof", "", length))
+    append = tokens.append
+    for match in _MASTER.finditer(source):
+        kind = match.lastgroup
+        if kind is None:
+            break
+        start, end = match.span(kind)
+        text = source[start:end]
+        if kind == "ident":
+            lowered = text.lower()
+            if lowered in KEYWORDS:
+                kind, text = "keyword", lowered
+            elif not (text[0].isalpha() or text[0] == "_"):
+                # A non-decimal digit such as '²' is a word character.
+                raise ParseError(f"unexpected character {text[0]!r}", start)
+        elif kind == "string":
+            text = text[1:-1]
+        elif kind == "symbol":
+            text = _SYMBOL_ALIASES.get(text, text)
+        elif kind == "error":
+            if text == "'":
+                raise ParseError("unterminated string literal", start)
+            raise ParseError(f"unexpected character {text!r}", start)
+        append(Token(kind, text, start))
+    append(Token("eof", "", len(source)))
     return tokens

@@ -15,6 +15,16 @@ _AGGREGATES = ("sum", "count", "min", "max", "avg")
 _COMPARATORS = ("=", "!=", "<", "<=", ">", ">=")
 
 
+def _number(token: Token) -> int | float:
+    """The value of a number token; several dots (``1.2.3``) are an error."""
+    text = token.text
+    if "." not in text:
+        return int(text)
+    if text.count(".") > 1:
+        raise ParseError(f"malformed number {text!r}", token.position)
+    return float(text)
+
+
 class Parser:
     """Parses a token stream into I-SQL statements."""
 
@@ -25,8 +35,13 @@ class Parser:
 
     # -- token plumbing ------------------------------------------------------------
 
+    # The index never passes the final "eof" token (advance stops there),
+    # so the current token is always ``self.tokens[self.index]``.
+
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        if offset:
+            return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        return self.tokens[self.index]
 
     def advance(self) -> Token:
         token = self.tokens[self.index]
@@ -35,12 +50,15 @@ class Parser:
         return token
 
     def check(self, kind: str, text: str | None = None) -> bool:
-        token = self.peek()
+        token = self.tokens[self.index]
         return token.kind == kind and (text is None or token.text == text)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.check(kind, text):
-            return self.advance()
+        token = self.tokens[self.index]
+        if token.kind == kind and (text is None or token.text == text):
+            if kind != "eof":
+                self.index += 1
+            return token
         return None
 
     def expect(self, kind: str, text: str | None = None) -> Token:
@@ -119,7 +137,7 @@ class Parser:
             return self.advance().text
         negative = bool(self.accept("symbol", "-"))
         token = self.expect("number")
-        value = float(token.text) if "." in token.text else int(token.text)
+        value = _number(token)
         return -value if negative else value
 
     def _parse_delete(self) -> ast.Delete:
@@ -324,10 +342,10 @@ class Parser:
         if self.accept("keyword", "in"):
             operand = self._parse_in_operand()
             return ast.InSubquery(left, operand, False, self._span(start))
-        for op in sorted(_COMPARATORS, key=len, reverse=True):
-            if self.accept("symbol", op):
-                return ast.Comparison(op, left, self._parse_value())
-        token = self.peek()
+        token = self.tokens[self.index]
+        if token.kind == "symbol" and token.text in _COMPARATORS:
+            self.advance()
+            return ast.Comparison(token.text, left, self._parse_value())
         raise ParseError(
             f"expected a comparison operator, found {token.text!r}", token.position
         )
@@ -404,12 +422,12 @@ class Parser:
             return ast.Literal(self.advance().text)
         if self.check("number"):
             token = self.advance()
-            value = float(token.text) if "." in token.text else int(token.text)
+            value = _number(token)
             return ast.Literal(value)
         if self.check("symbol", "-"):
             self.advance()
             token = self.expect("number")
-            value = float(token.text) if "." in token.text else int(token.text)
+            value = _number(token)
             return ast.Literal(-value)
         return self._parse_column()
 

@@ -21,6 +21,7 @@ rather than rewrite existing operators.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Mapping, Sequence
 
 from repro.core.ast import (
@@ -50,14 +51,27 @@ Matcher = Callable[[WSAQuery, SchemaEnv], WSAQuery | None]
 
 
 class RewriteRule:
-    """One oriented equivalence l → r with its side condition."""
+    """One oriented equivalence l → r with its side condition.
 
-    __slots__ = ("name", "equation", "_matcher")
+    *roots* declares the node classes the left-hand side can be rooted
+    at: the matcher returns None on every other node, so the rewriter
+    tries a rule only on instances of its roots. A rule that declares
+    none is tried on every node.
+    """
 
-    def __init__(self, name: str, equation: str, matcher: Matcher) -> None:
+    __slots__ = ("name", "equation", "_matcher", "roots")
+
+    def __init__(
+        self,
+        name: str,
+        equation: str,
+        matcher: Matcher,
+        roots: tuple[type[WSAQuery], ...] = (WSAQuery,),
+    ) -> None:
         self.name = name
         self.equation = equation
         self._matcher = matcher
+        self.roots = roots
 
     def apply(self, query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
         """The rewritten query if the rule matches at the root, else None."""
@@ -89,7 +103,10 @@ def _push_closing_through_unary(query: WSAQuery, env: SchemaEnv) -> WSAQuery | N
 
 
 RULE_1_2_4 = RewriteRule(
-    "push poss/cert below σ, poss below π", "Eq. (1)(2)(4)", _push_closing_through_unary
+    "push poss/cert below σ, poss below π",
+    "Eq. (1)(2)(4)",
+    _push_closing_through_unary,
+    roots=(Poss, Cert),
 )
 
 
@@ -100,7 +117,9 @@ def _poss_over_union(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
     return None
 
 
-RULE_3 = RewriteRule("poss distributes over ∪", "Eq. (3)", _poss_over_union)
+RULE_3 = RewriteRule(
+    "poss distributes over ∪", "Eq. (3)", _poss_over_union, roots=(Poss,)
+)
 
 
 def _cert_over_intersection(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
@@ -110,7 +129,9 @@ def _cert_over_intersection(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
     return None
 
 
-RULE_5 = RewriteRule("cert distributes over ∩", "Eq. (5)", _cert_over_intersection)
+RULE_5 = RewriteRule(
+    "cert distributes over ∩", "Eq. (5)", _cert_over_intersection, roots=(Cert,)
+)
 
 
 def _cert_over_product(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
@@ -120,7 +141,9 @@ def _cert_over_product(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
     return None
 
 
-RULE_6 = RewriteRule("cert distributes over ×", "Eq. (6)", _cert_over_product)
+RULE_6 = RewriteRule(
+    "cert distributes over ×", "Eq. (6)", _cert_over_product, roots=(Cert,)
+)
 
 
 def _project_below_choice(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
@@ -132,7 +155,9 @@ def _project_below_choice(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
     return None
 
 
-RULE_7 = RewriteRule("π moves below χ", "Eq. (7)", _project_below_choice)
+RULE_7 = RewriteRule(
+    "π moves below χ", "Eq. (7)", _project_below_choice, roots=(Project,)
+)
 
 
 def _choice_below_product(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
@@ -147,7 +172,9 @@ def _choice_below_product(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
     return None
 
 
-RULE_8 = RewriteRule("χ moves below ×", "Eq. (8)", _choice_below_product)
+RULE_8 = RewriteRule(
+    "χ moves below ×", "Eq. (8)", _choice_below_product, roots=(ChoiceOf,)
+)
 
 
 def _make_rule_9_10(input_kind: str) -> RewriteRule:
@@ -179,7 +206,7 @@ def _make_rule_9_10(input_kind: str) -> RewriteRule:
                 )
         return None
 
-    return RewriteRule("σ moves below pγ/cγ", "Eq. (9)(10)", matcher)
+    return RewriteRule("σ moves below pγ/cγ", "Eq. (9)(10)", matcher, roots=(Select,))
 
 
 RULE_9_10 = _make_rule_9_10("1")
@@ -195,7 +222,7 @@ def _poss_absorbs_choice(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
     return None
 
 
-RULE_11 = RewriteRule("poss absorbs χ", "Eq. (11)", _poss_absorbs_choice)
+RULE_11 = RewriteRule("poss absorbs χ", "Eq. (11)", _poss_absorbs_choice, roots=(Poss,))
 
 
 def _group_to_projection(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
@@ -206,7 +233,10 @@ def _group_to_projection(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
     return None
 
 
-RULE_12 = RewriteRule("grouped-by projection is π", "Eq. (12)", _group_to_projection)
+RULE_12 = RewriteRule(
+    "grouped-by projection is π", "Eq. (12)", _group_to_projection,
+    roots=(PossGroup, CertGroup),
+)
 
 
 def _project_group_to_project(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
@@ -224,7 +254,10 @@ def _project_group_to_project(query: WSAQuery, env: SchemaEnv) -> WSAQuery | Non
     return None
 
 
-RULE_13 = RewriteRule("π over pγ cancels grouping", "Eq. (13)", _project_group_to_project)
+RULE_13 = RewriteRule(
+    "π over pγ cancels grouping", "Eq. (13)", _project_group_to_project,
+    roots=(Project,),
+)
 
 
 def _project_into_poss_group(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
@@ -242,7 +275,9 @@ def _project_into_poss_group(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None
     return None
 
 
-RULE_14 = RewriteRule("π merges into pγ", "Eq. (14)", _project_into_poss_group)
+RULE_14 = RewriteRule(
+    "π merges into pγ", "Eq. (14)", _project_into_poss_group, roots=(Project,)
+)
 
 
 def _poss_absorbs_poss_group(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
@@ -253,7 +288,9 @@ def _poss_absorbs_poss_group(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None
     return None
 
 
-RULE_15 = RewriteRule("poss absorbs pγ", "Eq. (15)", _poss_absorbs_poss_group)
+RULE_15 = RewriteRule(
+    "poss absorbs pγ", "Eq. (15)", _poss_absorbs_poss_group, roots=(Poss,)
+)
 
 
 def _cert_absorbs_cert_group(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
@@ -264,7 +301,9 @@ def _cert_absorbs_cert_group(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None
     return None
 
 
-RULE_16 = RewriteRule("cert absorbs cγ", "Eq. (16)", _cert_absorbs_cert_group)
+RULE_16 = RewriteRule(
+    "cert absorbs cγ", "Eq. (16)", _cert_absorbs_cert_group, roots=(Cert,)
+)
 
 
 def _merge_choices(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
@@ -276,7 +315,7 @@ def _merge_choices(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
     return None
 
 
-RULE_17 = RewriteRule("nested χ merge", "Eq. (17)", _merge_choices)
+RULE_17 = RewriteRule("nested χ merge", "Eq. (17)", _merge_choices, roots=(ChoiceOf,))
 
 
 def _merge_groups(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
@@ -308,7 +347,9 @@ def _merge_groups(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
     return None
 
 
-RULE_18_19 = RewriteRule("nested γ merge", "Eq. (18)(19)", _merge_groups)
+RULE_18_19 = RewriteRule(
+    "nested γ merge", "Eq. (18)(19)", _merge_groups, roots=(PossGroup, CertGroup)
+)
 
 
 def _uniform_choice_child(choice: ChoiceOf, input_kind: str) -> bool:
@@ -342,7 +383,7 @@ def _make_rule_20(input_kind: str) -> RewriteRule:
                 )
         return None
 
-    return RewriteRule("pγ over χ", "Eq. (20)", matcher)
+    return RewriteRule("pγ over χ", "Eq. (20)", matcher, roots=(PossGroup,))
 
 
 def _make_rule_21(input_kind: str) -> RewriteRule:
@@ -367,7 +408,7 @@ def _make_rule_21(input_kind: str) -> RewriteRule:
                 return Project(query.proj_attrs, choice)
         return None
 
-    return RewriteRule("cγ over χ", "Eq. (21)", matcher)
+    return RewriteRule("cγ over χ", "Eq. (21)", matcher, roots=(CertGroup,))
 
 
 RULE_20 = _make_rule_20("1")
@@ -394,7 +435,7 @@ def _select_below_aggregate(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
 
 
 RULE_AGG_SELECT = RewriteRule(
-    "σ moves below γ-aggregate", "aggregation", _select_below_aggregate
+    "σ moves below γ-aggregate", "aggregation", _select_below_aggregate, roots=(Select,)
 )
 
 
@@ -415,7 +456,10 @@ def _make_rule_agg_closing(input_kind: str) -> RewriteRule:
                 return query.child
         return None
 
-    return RewriteRule("poss/cert absorb uniform γ-aggregate", "aggregation", matcher)
+    return RewriteRule(
+        "poss/cert absorb uniform γ-aggregate", "aggregation", matcher,
+        roots=(Poss, Cert),
+    )
 
 
 RULE_AGG_CLOSING = _make_rule_agg_closing("1")
@@ -428,7 +472,9 @@ def _idempotent_closings(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
     return None
 
 
-RULE_22_23 = RewriteRule("poss/cert composition", "Eq. (22)(23)", _idempotent_closings)
+RULE_22_23 = RewriteRule(
+    "poss/cert composition", "Eq. (22)(23)", _idempotent_closings, roots=(Poss, Cert)
+)
 
 
 def _cert_difference(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
@@ -440,7 +486,9 @@ def _cert_difference(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
     return None
 
 
-RULE_24 = RewriteRule("cert over difference", "Eq. (24)", _cert_difference)
+RULE_24 = RewriteRule(
+    "cert over difference", "Eq. (24)", _cert_difference, roots=(Cert,)
+)
 
 
 # -- Union reductions (the compiler's union-of-semijoins form of OR) ---------------------
@@ -479,7 +527,7 @@ def _union_select_merge(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
 
 
 RULE_UNION_SELECT = RewriteRule(
-    "σ∪σ over one child merges", "union reduce", _union_select_merge
+    "σ∪σ over one child merges", "union reduce", _union_select_merge, roots=(Union,)
 )
 
 
@@ -495,7 +543,7 @@ def _union_idempotent(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
 
 
 RULE_UNION_IDEMPOTENT = RewriteRule(
-    "idempotent union", "union reduce", _union_idempotent
+    "idempotent union", "union reduce", _union_idempotent, roots=(Union,)
 )
 
 
@@ -510,7 +558,9 @@ def _identity_projection(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
     return None
 
 
-RULE_IDENTITY_PI = RewriteRule("identity projection", "cosmetic", _identity_projection)
+RULE_IDENTITY_PI = RewriteRule(
+    "identity projection", "cosmetic", _identity_projection, roots=(Project,)
+)
 
 
 def _select_product_to_join(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
@@ -520,7 +570,9 @@ def _select_product_to_join(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
     return None
 
 
-RULE_JOIN = RewriteRule("σ over × is a join", "cosmetic", _select_product_to_join)
+RULE_JOIN = RewriteRule(
+    "σ over × is a join", "cosmetic", _select_product_to_join, roots=(Select,)
+)
 
 
 def _projection_cascade(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
@@ -530,7 +582,9 @@ def _projection_cascade(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
     return None
 
 
-RULE_PI_CASCADE = RewriteRule("projection cascade", "cosmetic", _projection_cascade)
+RULE_PI_CASCADE = RewriteRule(
+    "projection cascade", "cosmetic", _projection_cascade, roots=(Project,)
+)
 
 
 def _select_into_closing(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
@@ -547,7 +601,7 @@ def _select_into_closing(query: WSAQuery, env: SchemaEnv) -> WSAQuery | None:
 
 
 RULE_1_4_REVERSE = RewriteRule(
-    "σ moves inside poss/cert", "Eq. (1)(4)", _select_into_closing
+    "σ moves inside poss/cert", "Eq. (1)(4)", _select_into_closing, roots=(Select,)
 )
 
 
@@ -597,8 +651,14 @@ def default_rules(input_kind: str = "1") -> tuple[RewriteRule, ...]:
 
     ``"1"`` (the default) matches the paper's setting — queries
     evaluated from a complete database; ``"m"`` makes the guards strict
-    enough for arbitrary world-set inputs.
+    enough for arbitrary world-set inputs. Built once per kind: every
+    call with the same kind returns the same tuple.
     """
+    return _default_rules(input_kind)
+
+
+@functools.lru_cache(maxsize=8)
+def _default_rules(input_kind: str) -> tuple[RewriteRule, ...]:
     replacements = {
         id(RULE_20): _make_rule_20(input_kind),
         id(RULE_21): _make_rule_21(input_kind),

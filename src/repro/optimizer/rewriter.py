@@ -8,12 +8,12 @@ step by step and rendered as the Figure 8 / Figure 9 plan pairs.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, Sequence
 
 from repro.errors import RewriteError
-from repro.core.ast import WSAQuery
+from repro.core.ast import AttributeMemo, WSAQuery
 from repro.optimizer.equivalences import (
-    DEFAULT_RULES,
     FINALIZE_RULES,
     RewriteRule,
     SchemaEnv,
@@ -36,6 +36,49 @@ class RewriteStep:
         return f"[{self.rule.equation}] {self.before.to_text()} → {self.after.to_text()}"
 
 
+class RuleDispatch:
+    """A rule list indexed by node class, in the list's priority order.
+
+    For each class, the rules whose declared roots
+    (:attr:`RewriteRule.roots`) it is an instance of — exactly the rules
+    whose matcher can fire at a node of that class. Built eagerly for
+    every :class:`WSAQuery` class and read-only afterwards; a class
+    defined later is filtered on each lookup.
+    """
+
+    __slots__ = ("rules", "_by_type")
+
+    def __init__(self, rules: tuple[RewriteRule, ...]) -> None:
+        self.rules = rules
+        self._by_type = {
+            node_type: self._filter(node_type) for node_type in _query_classes()
+        }
+
+    def _filter(self, node_type: type) -> tuple[RewriteRule, ...]:
+        return tuple(rule for rule in self.rules if issubclass(node_type, rule.roots))
+
+    def rules_for(self, query: WSAQuery) -> tuple[RewriteRule, ...]:
+        node_type = type(query)
+        rules = self._by_type.get(node_type)
+        return self._filter(node_type) if rules is None else rules
+
+
+def _query_classes() -> list[type]:
+    found: list[type] = []
+    pending = [WSAQuery]
+    while pending:
+        cls = pending.pop()
+        found.append(cls)
+        pending.extend(cls.__subclasses__())
+    return found
+
+
+@functools.lru_cache(maxsize=32)
+def rule_dispatch(rules: tuple[RewriteRule, ...]) -> RuleDispatch:
+    """The (shared, immutable) dispatch table of a rule tuple."""
+    return RuleDispatch(rules)
+
+
 class Rewriter:
     """Applies rewrite rules to fixpoint with a bounded step count."""
 
@@ -50,16 +93,21 @@ class Rewriter:
         self.input_kind = input_kind
 
     def _rewrite_once(
-        self, query: WSAQuery, env: SchemaEnv
+        self, query: WSAQuery, env: SchemaEnv, dispatch: RuleDispatch
     ) -> tuple[WSAQuery, RewriteRule] | None:
-        """Apply the first matching rule at the shallowest matching node."""
-        for rule in self.rules:
+        """Apply the first matching rule at the shallowest matching node.
+
+        Only the rules declared for the node's class are tried, in
+        priority order: the others cannot match there, so the result is
+        the one a scan over every rule would find.
+        """
+        for rule in dispatch.rules_for(query):
             replacement = rule.apply(query, env)
             if replacement is not None:
                 return replacement, rule
         children = query.children()
         for index, child in enumerate(children):
-            result = self._rewrite_once(child, env)
+            result = self._rewrite_once(child, env, dispatch)
             if result is not None:
                 rewritten_child, rule = result
                 new_children = tuple(
@@ -81,12 +129,16 @@ class Rewriter:
         operators down and reduces them; the finalize phase (disable
         with ``finalize=False``) folds selections back into poss/cert
         and forms joins, matching the tail of the paper's Example 6.2
-        derivation.
+        derivation. Schema inference is memoized per node for the
+        call (:class:`AttributeMemo`), so validating a step re-infers
+        only the path it rebuilt.
         """
-        env = {
-            name: schema if isinstance(schema, Schema) else Schema(schema)
-            for name, schema in schemas.items()
-        }
+        env = AttributeMemo(
+            {
+                name: schema if isinstance(schema, Schema) else Schema(schema)
+                for name, schema in schemas.items()
+            }
+        )
         query.attributes(env)  # validate before rewriting
         trace: list[RewriteStep] = []
         current = self._to_fixpoint(query, env, self.rules, trace)
@@ -101,20 +153,16 @@ class Rewriter:
         rules: Sequence[RewriteRule],
         trace: list[RewriteStep],
     ) -> WSAQuery:
+        dispatch = rule_dispatch(tuple(rules))
         current = query
-        original_rules = self.rules
-        self.rules = tuple(rules)
-        try:
-            for _ in range(self.max_steps):
-                step = self._rewrite_once(current, env)
-                if step is None:
-                    return current
-                rewritten, rule = step
-                rewritten.attributes(env)  # every step must stay well-formed
-                trace.append(RewriteStep(rule, current, rewritten))
-                current = rewritten
-        finally:
-            self.rules = original_rules
+        for _ in range(self.max_steps):
+            step = self._rewrite_once(current, env, dispatch)
+            if step is None:
+                return current
+            rewritten, rule = step
+            rewritten.attributes(env)  # every step must stay well-formed
+            trace.append(RewriteStep(rule, current, rewritten))
+            current = rewritten
         raise RewriteError(
             f"rewriting did not converge within {self.max_steps} steps; "
             f"last query: {current.to_text()}"

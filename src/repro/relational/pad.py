@@ -9,8 +9,10 @@ relation.
 We deviate from the literal ``1`` of Figure 3 and use a dedicated
 sentinel: a data value ``1`` in a choice column would otherwise collide
 with the dummy world id (see the faithfulness notes in DESIGN.md). The
-sentinel is hashable, self-equal, and orders before every other value so
-that rendered tables are deterministic.
+sentinel orders before every other value so that rendered tables are
+deterministic. It is a true singleton — construction, pickling and
+copying all yield the one instance — so it keeps ``object``'s identity
+hash and equality, which hash a row holding ⊥ at C speed.
 """
 
 from __future__ import annotations
@@ -30,12 +32,6 @@ class PadConstant:
 
     def __repr__(self) -> str:
         return "⊥"
-
-    def __hash__(self) -> int:
-        return hash("repro.relational.pad.PadConstant")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PadConstant)
 
     def __lt__(self, other: object) -> bool:
         return not isinstance(other, PadConstant)

@@ -66,3 +66,40 @@ class TestTokens:
         tokens = tokenize("select Arr")
         assert tokens[0].position == 0
         assert tokens[1].position == 7
+
+
+class TestAsciiNumbers:
+    """Numbers are ASCII ``[0-9]`` only; other digits are rejected."""
+
+    @pytest.mark.parametrize("digit", ["²", "٣", "５"])
+    def test_non_ascii_digit_is_an_unexpected_character(self, digit):
+        source = f"select A from R where A = {digit};"
+        with pytest.raises(ParseError, match="unexpected character") as caught:
+            tokenize(source)
+        assert caught.value.position == source.index(digit)
+
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    def test_parse_script_raises_a_parse_error(self, digit):
+        from repro.isql import parse_script
+
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_script(f"select A from R where A = {digit};")
+
+    def test_non_ascii_digits_inside_an_identifier_stay_identifiers(self):
+        assert kinds("A² B٣") == [("ident", "A²"), ("ident", "B٣")]
+
+    def test_non_ascii_letters_start_identifiers(self):
+        assert kinds("Größe") == [("ident", "Größe")]
+
+    def test_malformed_number_is_a_parse_error(self):
+        from repro.isql import parse_script
+
+        with pytest.raises(ParseError, match="malformed number '1.2.3'"):
+            parse_script("select A from R where A = 1.2.3;")
+
+    def test_trailing_dot_before_a_name_is_not_part_of_the_number(self):
+        assert kinds("1..A") == [
+            ("number", "1."),
+            ("symbol", "."),
+            ("ident", "A"),
+        ]
